@@ -48,11 +48,11 @@ reads:
 sharding:
 	dune exec bench/main.exe -- sharding
 
-# Wire codec + transport: streaming-vs-tree-vs-Marshal codec costs
-# (gated: streaming within 2x Marshal on both shapes; byte-identity
-# asserted before timing), corrupt-input rejection costs, and the
-# pipelined TCP end-to-end run (gated >= 6700 ops/s over >= 5000 ops,
-# with p50/p95/p99); writes BENCH_wire.json.
+# Wire codec + transport: streaming-vs-Marshal codec costs (gated:
+# streaming within 2x Marshal on both shapes; the streaming bytes are
+# pinned by the golden table in test/test_wire.ml), corrupt-input
+# rejection costs, and the pipelined TCP end-to-end run (gated >= 6700
+# ops/s over >= 5000 ops, with p50/p95/p99); writes BENCH_wire.json.
 wire:
 	dune exec bench/main.exe -- wire
 

@@ -1,15 +1,16 @@
 (* Wire codec benchmarks (PR: untrusted-bytes binary codec + pluggable
    transport; PR: zero-tree streaming serialization + coalescing TCP).
 
-   Three experiments, results in BENCH_wire.json (schema 2):
+   Three experiments, results in BENCH_wire.json (schema 3):
    - codec: encode/decode wall-clock of the Wire frame codec on the two
      shapes that dominate traffic — a group-committed transaction batch
-     and a full snapshot image — for three codecs: the tree codec
-     ("wire", builds a [Wire.t] first), the zero-tree streaming codec
-     ("wire_stream", [Wire.Writer]/[Wire.Reader]), and the unchecked
-     [Marshal] baseline the servers no longer link.  The streaming rows
-     are gated: in full mode they must land within 2x of Marshal both
-     ways on both shapes; in quick mode (CI) the measured
+     and a full snapshot image — for two codecs: the streaming codec
+     ("wire_stream", [Wire.Writer]/[Wire.Reader], the only message codec
+     the deployment has) and the unchecked [Marshal] baseline the servers
+     no longer link.  Byte-identity of the streaming output is pinned by
+     the golden table in test/test_wire.ml, not re-checked here.  The
+     streaming rows are gated: in full mode they must land within 2x of
+     Marshal both ways on both shapes; in quick mode (CI) the measured
      stream-vs-marshal ratios are compared against the committed
      bench/wire_baseline.json with a 2x tolerance, so a codec regression
      fails the job without depending on absolute runner speed.
@@ -106,26 +107,8 @@ let codec_experiment ~quick =
   let reps = if quick then 200 else 2_000 in
   let batch = txn_batch 64 in
   let portable = snapshot_portable (if quick then 2_000 else 10_000) in
-  let batch_to_wire m = Zab_wire.to_wire ~payload:Zk.Wire_format.txn_to_wire m in
-  let batch_of_wire w = Zab_wire.of_wire ~payload:Zk.Wire_format.txn_of_wire w in
   let write_batch w m = Zab_wire.write ~payload:Zk.Wire_format.write_txn w m in
   let read_batch r = Zab_wire.read ~payload:Zk.Wire_format.read_txn r in
-  let tree_shapes =
-    [
-      ( "txn_batch_64",
-        (fun () -> Wire.encode (batch_to_wire batch)),
-        fun s ->
-          match Result.bind (Wire.decode s) batch_of_wire with
-          | Ok _ -> ()
-          | Error e -> failwith e );
-      ( "snapshot_10k",
-        (fun () -> Wire.encode (Zk.Wire_format.portable_to_wire portable)),
-        fun s ->
-          match Result.bind (Wire.decode s) Zk.Wire_format.portable_of_wire with
-          | Ok _ -> ()
-          | Error e -> failwith e );
-    ]
-  in
   let stream_shapes =
     [
       ( "txn_batch_64",
@@ -154,13 +137,6 @@ let codec_experiment ~quick =
         fun s -> ignore (Marshal.from_string s 0 : Dt.portable) );
     ]
   in
-  (* the streaming fast path must stay byte-identical to the tree codec —
-     a cheap standing check on top of the fuzz suite *)
-  List.iter2
-    (fun (shape, tree_enc, _) (_, stream_enc, _) ->
-      if not (String.equal (tree_enc ()) (stream_enc ())) then
-        failwith (shape ^ ": streaming encode is not byte-identical"))
-    tree_shapes stream_shapes;
   Printf.printf "\n  codec throughput (mean wall clock, %d reps):\n" reps;
   Printf.printf "  %14s %12s %9s %12s %12s\n" "shape" "codec" "bytes"
     "encode us" "decode us";
@@ -174,10 +150,9 @@ let codec_experiment ~quick =
     { c_shape = shape; c_codec = codec; c_bytes = bytes; c_encode_us = encode_us;
       c_decode_us = decode_us }
   in
-  let tree_rows = List.map (measure "wire") tree_shapes in
   let stream_rows = List.map (measure "wire_stream") stream_shapes in
   let marshal_rows = List.map (measure "marshal") marshal_shapes in
-  let rows = tree_rows @ stream_rows @ marshal_rows in
+  let rows = stream_rows @ marshal_rows in
   Printf.printf
     "  (marshal is the unchecked baseline the servers no longer link)\n";
   rows
@@ -277,7 +252,9 @@ type reject_row = { r_case : string; r_us : float }
 let reject_experiment ~quick =
   let reps = if quick then 1_000 else 10_000 in
   let portable = snapshot_portable (if quick then 2_000 else 10_000) in
-  let blob = Wire.encode (Zk.Wire_format.portable_to_wire portable) in
+  let blob =
+    Wire.Writer.with_writer (fun w -> Zk.Wire_format.write_portable w portable)
+  in
   let truncated = String.sub blob 0 (String.length blob / 2) in
   let flipped =
     let b = Bytes.of_string blob in
@@ -489,7 +466,7 @@ let run ~quick =
      else
        Printf.printf "  [gate] tcp e2e %.0f ops/s over %d ops (gate: >= 6700)\n"
          tcp.e_ops_s tcp.e_ops);
-  J.write_suite ~schema:2 ~suite:"wire"
+  J.write_suite ~schema:3 ~suite:"wire"
     [
       ( "codec",
         J.List

@@ -28,8 +28,6 @@
 
 open Edc_wire
 
-let ( let* ) = Result.bind
-
 (** One write of a cross-shard transaction, in the owning shard's
     namespace.  Deliberately smaller than the full client op set:
     cross-shard transactions move plain data nodes (the sharded queue's
@@ -83,57 +81,9 @@ let frame_size = function
 (* Canonical wire codec (append-only tag registries)                   *)
 (*   wop:   0 Wcreate, 1 Wset, 2 Wdelete                               *)
 (*   frame: 0 Prepare, 1 Prepare_ack, 2 Commit, 3 Abort, 4 Status     *)
+(* The deployment's streaming message writers (Multi, 2PC txn ops,     *)
+(* snapshot prepared tables) compose with the wop codec.               *)
 (* ------------------------------------------------------------------ *)
-
-let wop_to_wire = function
-  | Wcreate { path; data } -> Wire.List [ Int 0; Str path; Str data ]
-  | Wset { path; data } -> Wire.List [ Int 1; Str path; Str data ]
-  | Wdelete { path } -> Wire.List [ Int 2; Str path ]
-
-let wop_of_wire = function
-  | Wire.List [ Wire.Int 0; Wire.Str path; Wire.Str data ] ->
-      Ok (Wcreate { path; data })
-  | Wire.List [ Wire.Int 1; Wire.Str path; Wire.Str data ] ->
-      Ok (Wset { path; data })
-  | Wire.List [ Wire.Int 2; Wire.Str path ] -> Ok (Wdelete { path })
-  | _ -> Error "bad 2pc wop"
-
-let shard_list_to_wire l = Wire.List (List.map (fun s -> Wire.Int s) l)
-
-let shard_list_of_wire w =
-  Wire.map_list
-    (function Wire.Int s -> Ok s | _ -> Error "bad shard id")
-    w
-
-let frame_to_wire = function
-  | Prepare { txid; coord; participants; ops } ->
-      Wire.List
-        [ Int 0; Str txid; Int coord; shard_list_to_wire participants;
-          List (List.map wop_to_wire ops) ]
-  | Prepare_ack { txid; shard; ok } ->
-      Wire.List [ Int 1; Str txid; Int shard; Wire.bool_ ok ]
-  | Commit { txid } -> Wire.List [ Int 2; Str txid ]
-  | Abort { txid } -> Wire.List [ Int 3; Str txid ]
-  | Status { txid; from_shard } -> Wire.List [ Int 4; Str txid; Int from_shard ]
-
-let frame_of_wire = function
-  | Wire.List [ Wire.Int 0; Wire.Str txid; Wire.Int coord; participants; ops ]
-    ->
-      let* participants = shard_list_of_wire participants in
-      let* ops = Wire.map_list wop_of_wire ops in
-      Ok (Prepare { txid; coord; participants; ops })
-  | Wire.List [ Wire.Int 1; Wire.Str txid; Wire.Int shard; ok ] ->
-      let* ok = Wire.to_bool ok in
-      Ok (Prepare_ack { txid; shard; ok })
-  | Wire.List [ Wire.Int 2; Wire.Str txid ] -> Ok (Commit { txid })
-  | Wire.List [ Wire.Int 3; Wire.Str txid ] -> Ok (Abort { txid })
-  | Wire.List [ Wire.Int 4; Wire.Str txid; Wire.Int from_shard ] ->
-      Ok (Status { txid; from_shard })
-  | _ -> Error "bad 2pc frame"
-
-(* Streaming wop codec, byte-identical to [wop_to_wire]/[wop_of_wire];
-   the deployment's streaming message writers (Multi, 2PC txn ops)
-   compose with it. *)
 
 let write_wop w op =
   let module W = Wire.Writer in
@@ -172,6 +122,64 @@ let read_wop r =
   in
   R.end_list r;
   op
+
+let write_frame w frame =
+  let module W = Wire.Writer in
+  W.begin_list w;
+  (match frame with
+  | Prepare { txid; coord; participants; ops } ->
+      W.int w 0;
+      W.str w txid;
+      W.int w coord;
+      W.list w W.int participants;
+      W.list w write_wop ops
+  | Prepare_ack { txid; shard; ok } ->
+      W.int w 1;
+      W.str w txid;
+      W.int w shard;
+      W.bool w ok
+  | Commit { txid } ->
+      W.int w 2;
+      W.str w txid
+  | Abort { txid } ->
+      W.int w 3;
+      W.str w txid
+  | Status { txid; from_shard } ->
+      W.int w 4;
+      W.str w txid;
+      W.int w from_shard);
+  W.end_list w
+
+let read_frame r =
+  let module R = Wire.Reader in
+  R.begin_list r;
+  let frame =
+    match R.int r with
+    | 0 ->
+        let txid = R.str r in
+        let coord = R.int r in
+        let participants = R.list r R.int in
+        let ops = R.list r read_wop in
+        Prepare { txid; coord; participants; ops }
+    | 1 ->
+        let txid = R.str r in
+        let shard = R.int r in
+        let ok = R.bool r in
+        Prepare_ack { txid; shard; ok }
+    | 2 ->
+        let txid = R.str r in
+        Commit { txid }
+    | 3 ->
+        let txid = R.str r in
+        Abort { txid }
+    | 4 ->
+        let txid = R.str r in
+        let from_shard = R.int r in
+        Status { txid; from_shard }
+    | t -> R.error r (Printf.sprintf "bad 2pc frame tag %d" t)
+  in
+  R.end_list r;
+  frame
 
 let pp_wop ppf = function
   | Wcreate { path; _ } -> Fmt.pf ppf "create %s" path

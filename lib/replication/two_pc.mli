@@ -27,17 +27,14 @@ type frame =
 val frame_txid : frame -> string
 val frame_size : frame -> int
 
-(** Canonical binary codec (total decoders, append-only tags). *)
-
-val wop_to_wire : wop -> Edc_wire.Wire.t
-val wop_of_wire : Edc_wire.Wire.t -> (wop, string) result
-
-(** Streaming counterparts, byte-identical to the tree codec. *)
+(** Canonical binary codec: streaming writers and total readers
+    (append-only tags; malformed bytes abort [Wire.Reader.run] with an
+    [Error]). *)
 
 val write_wop : Edc_wire.Wire.Writer.t -> wop -> unit
 val read_wop : Edc_wire.Wire.Reader.t -> wop
-val frame_to_wire : frame -> Edc_wire.Wire.t
-val frame_of_wire : Edc_wire.Wire.t -> (frame, string) result
+val write_frame : Edc_wire.Wire.Writer.t -> frame -> unit
+val read_frame : Edc_wire.Wire.Reader.t -> frame
 
 val pp_wop : Format.formatter -> wop -> unit
 val pp_frame : Format.formatter -> frame -> unit

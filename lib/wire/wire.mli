@@ -46,36 +46,20 @@ val encode : t -> string
     depth/length violations: all [Error] with a description. *)
 val decode : string -> (t, string) result
 
-(** {2 Accessors} — shape checks for untrusted trees, as [result]s so
-    decoders compose with [let*]. *)
-
-val to_int : t -> (int, string) result
-val to_str : t -> (string, string) result
-val to_list : t -> (t list, string) result
-
-val bool_ : bool -> t
-val to_bool : t -> (bool, string) result
-
-(** [None] ↦ [List []]; [Some x] ↦ [List [f x]]. *)
-val option : ('a -> t) -> 'a option -> t
-
-val to_option : (t -> ('a, string) result) -> t -> ('a option, string) result
-
-(** Decode every element of a [List] frame. *)
-val map_list : (t -> ('a, string) result) -> t -> ('a list, string) result
-
 val pp : Format.formatter -> t -> unit
 
-(** {2 Streaming fast path}
+(** {2 Message codecs}
 
-    The tree above is the {e reference} codec: obviously correct, easy to
-    fuzz, but it allocates an intermediate tree and walks it twice (size
-    pass + encode pass).  {!Writer} and {!Reader} serialize message
-    shapes straight to/from bytes.  Their output/acceptance is required
-    to be {b byte-identical} to [encode]/[decode] — the canonical-format
-    and totality guarantees of DESIGN.md §6g are properties of the byte
-    format, not of the code path — and test/test_wire.ml holds the two
-    paths equal under fuzz. *)
+    Every message shape above this layer (Zab, PBFT, client protocol,
+    snapshots, 2PC frames) has exactly one codec: a writer that streams it
+    onto a {!Writer} and a reader that parses it off a {!Reader}, with no
+    intermediate tree.  The readers inherit [decode]'s totality and
+    canonical-form rules — the guarantees of DESIGN.md §6g are properties
+    of the byte format, not of a code path — and each shape reader accepts
+    only bytes its writer would produce.  The byte format of every shape is
+    pinned by the golden table in test/test_wire.ml.  The tree above stays
+    as the reference for the frame format itself: [Writer.tree] and
+    [Reader.tree] are fuzzed against [encode]/[decode]. *)
 
 module Writer : sig
   type t
@@ -98,7 +82,7 @@ module Writer : sig
 
   val str : t -> string -> unit
 
-  (** [bool] mirrors {!bool_}: [Int 0] / [Int 1]. *)
+  (** [bool] writes [Int 0] / [Int 1]. *)
   val bool : t -> bool -> unit
 
   (** [begin_list]/[end_list] bracket a [List] frame; children are
@@ -110,7 +94,7 @@ module Writer : sig
 
   val end_list : t -> unit
 
-  (** [option f] mirrors {!option}: [List []] / [List [f x]]. *)
+  (** [option f] writes [None] as [List []] and [Some x] as [List [f x]]. *)
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 
   (** [list f l] writes a [List] frame with one child per element. *)
@@ -142,8 +126,7 @@ module Reader : sig
   val bool : t -> bool
 
   (** Enter / leave a [List] frame.  [end_list] rejects unread trailing
-      items, matching the strictness of the tree decoders' full pattern
-      matches. *)
+      items, so a shape reader never accepts a frame with extra fields. *)
   val begin_list : t -> unit
 
   val end_list : t -> unit
@@ -155,7 +138,7 @@ module Reader : sig
       variants mix bare [Int] and [List] arms, e.g. zerror.) *)
   val peek_list : t -> bool
 
-  (** Mirror {!to_option} / {!map_list}. *)
+  (** Inverses of {!Writer.option} / {!Writer.list}. *)
   val option : t -> (t -> 'a) -> 'a option
 
   val list : t -> (t -> 'a) -> 'a list

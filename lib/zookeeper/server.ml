@@ -523,109 +523,10 @@ type snapshot = {
 
 (* Snapshot blobs cross the wire and are re-read by other replicas (and,
    eventually, other OCaml versions): they go through the deterministic
-   binary codec, never [Marshal].  Inputs are pre-sorted by
-   {!capture_snapshot}, so equal states yield byte-identical frames. *)
-let snapshot_to_wire s =
-  let open Wire in
-  List
-    [ Wire_format.portable_to_wire s.snap_tree;
-      List
-        (List.map
-           (fun (session, (info : session_info)) ->
-             List [ Int session; Int info.client_addr; Int info.owner_replica ])
-           s.snap_sessions);
-      List
-        (List.map
-           (fun (path, waiters) ->
-             List
-               [ Str path;
-                 List
-                   (List.map
-                      (fun (s, o, x) -> List [ Int s; Int o; Int x ])
-                      waiters) ])
-           s.snap_blocked);
-      List
-        (List.map
-           (fun (path, txid) -> List [ Str path; Str txid ])
-           s.snap_locks);
-      List
-        (List.map
-           (fun (txid, (coord, ops)) ->
-             List
-               [ Str txid; Int coord;
-                 List (List.map Two_pc.wop_to_wire ops) ])
-           s.snap_prepared);
-      List
-        (List.map
-           (fun (txid, commit) -> List [ Str txid; bool_ commit ])
-           s.snap_decisions);
-      List
-        (List.map
-           (fun (txid, commit) -> List [ Str txid; bool_ commit ])
-           s.snap_audit) ]
-
-let snapshot_of_wire w =
-  let open Wire in
-  let ( let* ) = Result.bind in
-  match w with
-  | List [ tree; sessions; blocked; locks; prepared; decisions; audit ] ->
-      let* snap_tree = Wire_format.portable_of_wire tree in
-      let* snap_sessions =
-        map_list
-          (function
-            | List [ Int session; Int client_addr; Int owner_replica ] ->
-                Ok (session, { client_addr; owner_replica })
-            | _ -> Error "bad session entry")
-          sessions
-      in
-      let* snap_blocked =
-        map_list
-          (function
-            | List [ Str path; waiters ] ->
-                let* waiters =
-                  map_list
-                    (function
-                      | List [ Int s; Int o; Int x ] -> Ok (s, o, x)
-                      | _ -> Error "bad blocked waiter")
-                    waiters
-                in
-                Ok (path, waiters)
-            | _ -> Error "bad blocked entry")
-          blocked
-      in
-      let* snap_locks =
-        map_list
-          (function
-            | List [ Str path; Str txid ] -> Ok (path, txid)
-            | _ -> Error "bad lock entry")
-          locks
-      in
-      let* snap_prepared =
-        map_list
-          (function
-            | List [ Str txid; Int coord; ops ] ->
-                let* ops = map_list Two_pc.wop_of_wire ops in
-                Ok (txid, (coord, ops))
-            | _ -> Error "bad prepared entry")
-          prepared
-      in
-      let decided_entry = function
-        | List [ Str txid; commit ] ->
-            let* commit = to_bool commit in
-            Ok (txid, commit)
-        | _ -> Error "bad decision entry"
-      in
-      let* snap_decisions = map_list decided_entry decisions in
-      let* snap_audit = map_list decided_entry audit in
-      Ok
-        { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
-          snap_decisions; snap_audit }
-  | _ -> Error "bad snapshot"
-
-(* Streaming snapshot writer, byte-identical to [snapshot_to_wire] —
-   compaction serializes a 10k-node tree without building the Wire.t
-   first.  [snapshot_to_wire] stays as the reference oracle, exposed
-   through {!snapshot_bytes_tree} so tests can assert the identity. *)
+   binary codec, never [Marshal], streamed straight to bytes so compaction
+   serializes a 10k-node tree without building an intermediate [Wire.t].
+   Inputs are pre-sorted by {!snapshot_state}, so equal states yield
+   byte-identical frames. *)
 let write_snapshot w s =
   let module W = Wire.Writer in
   W.begin_list w;
@@ -677,6 +578,67 @@ let write_snapshot w s =
   W.list w decided_entry s.snap_audit;
   W.end_list w
 
+(* Total over untrusted bytes, and pure: a malformed blob aborts the
+   enclosing [Wire.Reader.run] before any replica state is touched. *)
+let read_snapshot r =
+  let module R = Wire.Reader in
+  R.begin_list r;
+  let snap_tree = Wire_format.read_portable r in
+  let snap_sessions =
+    R.list r (fun r ->
+        R.begin_list r;
+        let session = R.int r in
+        let client_addr = R.int r in
+        let owner_replica = R.int r in
+        R.end_list r;
+        (session, { client_addr; owner_replica }))
+  in
+  let snap_blocked =
+    R.list r (fun r ->
+        R.begin_list r;
+        let path = R.str r in
+        let waiters =
+          R.list r (fun r ->
+              R.begin_list r;
+              let s = R.int r in
+              let o = R.int r in
+              let x = R.int r in
+              R.end_list r;
+              (s, o, x))
+        in
+        R.end_list r;
+        (path, waiters))
+  in
+  let snap_locks =
+    R.list r (fun r ->
+        R.begin_list r;
+        let path = R.str r in
+        let txid = R.str r in
+        R.end_list r;
+        (path, txid))
+  in
+  let snap_prepared =
+    R.list r (fun r ->
+        R.begin_list r;
+        let txid = R.str r in
+        let coord = R.int r in
+        let ops = R.list r Two_pc.read_wop in
+        R.end_list r;
+        (txid, (coord, ops)))
+  in
+  let decided_entry r =
+    R.begin_list r;
+    let txid = R.str r in
+    let commit = R.bool r in
+    R.end_list r;
+    (txid, commit)
+  in
+  let snap_decisions = R.list r decided_entry in
+  let snap_audit = R.list r decided_entry in
+  R.end_list r;
+  { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
+    snap_decisions; snap_audit }
+
 (** Capture the replica's whole replicated state (tree, sessions, parked
     blocking calls).  Must correspond exactly to the delivered prefix —
     guaranteed because the simulator applies transactions synchronously.
@@ -724,16 +686,19 @@ let capture_snapshot t =
     Wire.Writer.with_writer (fun w ->
         write_snapshot w (of_tree (Data_tree.materialize image)))
 
-let snapshot_bytes t = (capture_snapshot t) ()
-
-let snapshot_bytes_tree t =
-  Wire.encode (snapshot_to_wire (snapshot_state t (Data_tree.export_eager t.tree)))
+(* A one-off capture: its image is released at once, so the handle that
+   compaction retained for state transfer is left alone. *)
+let snapshot_bytes t =
+  let image = Data_tree.export t.tree in
+  let snap = snapshot_state t (Data_tree.materialize image) in
+  Data_tree.release image;
+  Wire.Writer.with_writer (fun w -> write_snapshot w snap)
 
 (** The blob is untrusted bytes off the wire: decode fully (a pure step)
     before touching any state, so a corrupt or truncated blob leaves the
     replica exactly as it was and the transfer layer can re-request. *)
 let install_snapshot t blob =
-  match Result.bind (Wire.decode blob) snapshot_of_wire with
+  match Wire.Reader.run blob read_snapshot with
   | Error _ as e -> e
   | Ok snap ->
       Data_tree.import_portable t.tree snap.snap_tree;

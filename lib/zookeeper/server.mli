@@ -149,12 +149,19 @@ val snapshot_installs : t -> int
     histories and OCaml versions. *)
 
 (** Capture and serialize the replica's current replicated state (via the
-    streaming writer — no intermediate [Wire.t]). *)
+    streaming writer — no intermediate [Wire.t]).  Leaves the capture
+    retained for state transfer untouched. *)
 val snapshot_bytes : t -> string
 
-(** Same state through the tree codec — the reference oracle; tests
-    assert it is byte-identical to {!snapshot_bytes}. *)
-val snapshot_bytes_tree : t -> string
+(** A decoded snapshot blob. *)
+type snapshot
+
+(** The blob codec.  [read_snapshot] is total and accepts only canonical
+    bytes: [write_snapshot] re-encodes whatever it accepts to the same
+    bytes. *)
+val write_snapshot : Edc_wire.Wire.Writer.t -> snapshot -> unit
+
+val read_snapshot : Edc_wire.Wire.Reader.t -> snapshot
 
 (** [install_snapshot t blob] replaces the replica's state with an
     untrusted blob.  The blob is decoded in full before any state is

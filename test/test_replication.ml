@@ -49,15 +49,15 @@ let hist_encode (hist : (Zab.zxid * string) list) =
           hist))
 
 let hist_decode blob : ((Zab.zxid * string) list, string) result =
-  Result.bind (Edc_wire.Wire.decode blob) (fun w ->
-      Edc_wire.Wire.map_list
-        (function
-          | Edc_wire.Wire.List
-              [ Edc_wire.Wire.Int epoch; Edc_wire.Wire.Int counter;
-                Edc_wire.Wire.Str s ] ->
-              Ok ({ Zab.epoch; counter }, s)
-          | _ -> Error "bad history entry")
-        w)
+  let module R = Edc_wire.Wire.Reader in
+  R.run blob (fun r ->
+      R.list r (fun r ->
+          R.begin_list r;
+          let epoch = R.int r in
+          let counter = R.int r in
+          let s = R.str r in
+          R.end_list r;
+          ({ Zab.epoch; counter }, s)))
 
 let zab_log c i = List.rev_map snd c.zdelivered.(i)
 
@@ -1203,6 +1203,32 @@ let test_2pc_coordinator_crash_before_decision () =
       Alcotest.(check bool) "no partial write on shard 1" true
         (nowhere cluster 1 "/s1/y"))
 
+(* State transfer mid-2PC: a replica's blob installs on a fresh replica,
+   which carries the same 2PC tables and re-serializes to the same bytes. *)
+let check_snapshot_roundtrip what server =
+  let blob = Zserver.snapshot_bytes server in
+  let fresh =
+    (Edc_zookeeper.Cluster.servers
+       (Edc_zookeeper.Cluster.create (Sim.create ~seed:1 ()))).(0)
+  in
+  (match Zserver.install_snapshot fresh blob with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: snapshot install rejected: %s" what e);
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": prepared transactions transferred")
+    (Zserver.prepared_txns server) (Zserver.prepared_txns fresh);
+  Alcotest.(check (list (pair string string)))
+    (what ^ ": locks transferred")
+    (Zserver.locked_paths server) (Zserver.locked_paths fresh);
+  Alcotest.(check (list (pair string bool)))
+    (what ^ ": audit transferred")
+    (Zserver.txn_audit server) (Zserver.txn_audit fresh);
+  Alcotest.(check bool)
+    (what ^ ": reinstalled snapshot re-serializes to the same blob")
+    true
+    (String.equal blob (Zserver.snapshot_bytes fresh));
+  fresh
+
 (* Coordinator leader killed after its commit record was replicated but
    with the outcome pushes to the participant lost: the decision table
    survives in the coordinator shard's log, so the participant's status
@@ -1238,6 +1264,19 @@ let test_2pc_coordinator_crash_after_commit_record () =
          participant must not have resolved yet *)
       Alcotest.(check bool) "participant still in doubt" true
         (participant_prepared cluster 1 ());
+      (* both sides of the in-doubt transaction survive state transfer:
+         the participant's prepare record and locks, the coordinator's
+         logged decision *)
+      let leader shard =
+        (Shard_cluster.servers cluster shard).(leader_index cluster ~shard)
+      in
+      let participant = check_snapshot_roundtrip "participant" (leader 1) in
+      let txid, _ = List.hd (Zserver.prepared_txns participant) in
+      Alcotest.(check bool) "participant locks the in-doubt write" true
+        (List.mem ("/s1/y", txid) (Zserver.locked_paths participant));
+      let coordinator = check_snapshot_roundtrip "coordinator" (leader 0) in
+      Alcotest.(check (option bool)) "coordinator decision transferred"
+        (Some true) (Zserver.decided coordinator txid);
       (* kill the coordinator: recovery must come from the replicated
          decision table, not the dead process *)
       let ci = leader_index cluster ~shard:0 in

@@ -1,11 +1,13 @@
 (* The untrusted-bytes surface: fuzz corpus over the binary frame parser
    (round-trips, truncation at every byte offset, random garbage, crafted
    depth/length bombs — the decoder must never raise), round-trips for
-   every message and snapshot codec built on it, the corrupt-snapshot
-   regression (truncated and bit-flipped blobs yield a clean [Error] and
-   leave the replica untouched; a rejecting follower re-requests instead
-   of dying), and the first wall-clock end-to-end run: a 3-replica Zab
-   cluster serving the counter workload over real loopback TCP. *)
+   every message and snapshot codec built on it, the golden-bytes table
+   that pins each shape's byte format, the canonicality property every
+   shape reader must satisfy, the corrupt-snapshot regression (truncated
+   and bit-flipped blobs yield a clean [Error] and leave the replica
+   untouched; a rejecting follower re-requests instead of dying), and the
+   first wall-clock end-to-end run: a 3-replica Zab cluster serving the
+   counter workload over real loopback TCP. *)
 
 open Edc_simnet
 open Edc_wire
@@ -16,6 +18,7 @@ module Zab = Edc_replication.Zab
 module Zab_wire = Edc_replication.Zab_wire
 module Pbft = Edc_replication.Pbft
 module Pbft_wire = Edc_replication.Pbft_wire
+module Two_pc = Edc_replication.Two_pc
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -234,11 +237,15 @@ let zab_samples : string Zab.msg list =
     Observer_request { epoch = 9; id = 3 };
   ]
 
+let encode_zab (m : string Zab.msg) =
+  Wire.Writer.with_writer (fun w -> Zab_wire.write ~payload:Wire.Writer.str w m)
+
+let decode_zab s = Wire.Reader.run s (Zab_wire.read ~payload:Wire.Reader.str)
+
 let test_zab_msg_roundtrip () =
   List.iter
     (fun m ->
-      let w = Zab_wire.to_wire ~payload:(fun s -> Wire.Str s) m in
-      match Result.bind (Wire.decode (Wire.encode w)) (Zab_wire.of_wire ~payload:Wire.to_str) with
+      match decode_zab (encode_zab m) with
       | Ok m' -> Alcotest.(check bool) "zab msg" true (m = m')
       | Error e -> Alcotest.failf "zab msg decode: %s" e)
     zab_samples
@@ -261,12 +268,6 @@ let lease_frame_arb =
   in
   QCheck.make gen
 
-let encode_zab (m : string Zab.msg) =
-  Wire.encode (Zab_wire.to_wire ~payload:(fun s -> Wire.Str s) m)
-
-let decode_zab s =
-  Result.bind (Wire.decode s) (Zab_wire.of_wire ~payload:Wire.to_str)
-
 let prop_lease_frames_roundtrip =
   QCheck.Test.make ~name:"lease/observer frames roundtrip" ~count:500
     lease_frame_arb (fun m -> decode_zab (encode_zab m) = Ok m)
@@ -286,15 +287,14 @@ let prop_lease_frames_truncation =
 let prop_zab_decoder_garbage =
   QCheck.Test.make ~name:"zab decoder never raises on garbage frames"
     ~count:500 wire_arb (fun w ->
-      match Zab_wire.of_wire ~payload:Wire.to_str w with
-      | Ok _ | Error _ -> true)
+      match decode_zab (Wire.encode w) with Ok _ | Error _ -> true)
 
 let test_lease_frames_malformed () =
   (* wrong arity / wrong field kinds on the new tags must come back as the
      standard decode error, same convention as the PR 6/7 frames *)
   List.iter
     (fun (name, w) ->
-      match Zab_wire.of_wire ~payload:Wire.to_str w with
+      match decode_zab (Wire.encode w) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s decoded" name)
     [
@@ -325,8 +325,11 @@ let pbft_samples : string Pbft.msg list =
 let test_pbft_msg_roundtrip () =
   List.iter
     (fun m ->
-      let w = Pbft_wire.to_wire ~payload:(fun s -> Wire.Str s) m in
-      match Result.bind (Wire.decode (Wire.encode w)) (Pbft_wire.of_wire ~payload:Wire.to_str) with
+      let s =
+        Wire.Writer.with_writer (fun w ->
+            Pbft_wire.write ~payload:Wire.Writer.str w m)
+      in
+      match Wire.Reader.run s (Pbft_wire.read ~payload:Wire.Reader.str) with
       | Ok m' -> Alcotest.(check bool) "pbft msg" true (m = m')
       | Error e -> Alcotest.failf "pbft msg decode: %s" e)
     pbft_samples
@@ -404,30 +407,443 @@ let server_wire_samples : Zk.Server.wire list =
     Forward_reconnect { origin = 0; session = 9 };
     Forward_close { session = 9 };
     Touch { session = 9 };
+    (* the deployment's payload codec nested inside a Zab frame *)
+    Zab_msg
+      (Propose
+         {
+           epoch = 2;
+           index = 5;
+           prev_zxid = zxid;
+           entries = [ { zxid; payload = App (List.hd txn_samples) } ];
+         });
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Every message shape, with one sample per case tag of its registry   *)
+(* ------------------------------------------------------------------ *)
+
+module W = Wire.Writer
+module R = Wire.Reader
+module WF = Zk.Wire_format
+
+let encode_with write v = W.with_writer (fun w -> write w v)
+
+type shape =
+  | Shape : {
+      name : string;
+      write : W.t -> 'a -> unit;
+      read : R.t -> 'a;
+      samples : 'a list;
+    }
+      -> shape
+
+let zerror_samples : Zk.Zerror.t list =
+  [
+    No_node; Node_exists; Bad_version; Not_empty; No_children_for_ephemerals;
+    Invalid_path; Session_expired; Not_leader; Unsupported; Timeout;
+    Maybe_applied; Extension_error "boom"; Locked; Txn_conflict;
+  ]
+
+let watch_kind_samples =
+  [ P.Node_created; P.Node_deleted; P.Node_changed; P.Children_changed ]
+
+let wop_samples =
+  [
+    Two_pc.Wcreate { path = "/s0/a"; data = "\x00d" };
+    Two_pc.Wset { path = "/s1/b"; data = "" };
+    Two_pc.Wdelete { path = "/s1/c" };
+  ]
+
+let frame_samples =
+  [
+    Two_pc.Prepare
+      { txid = "s0.e1.7"; coord = 0; participants = [ 0; 1 ]; ops = wop_samples };
+    Two_pc.Prepare_ack { txid = "s0.e1.7"; shard = 1; ok = true };
+    Two_pc.Commit { txid = "s0.e1.7" };
+    Two_pc.Abort { txid = "s0.e1.8" };
+    Two_pc.Status { txid = "s0.e1.8"; from_shard = 1 };
+  ]
+
+let stat_samples = [ stat; { stat with ephemeral_owner = None; czxid = -3 } ]
+
+let txn_op_samples : Txn.op list =
+  List.concat_map (fun (t : Txn.t) -> t.ops) txn_samples
+  @ [
+      Tprep { txid = "s0.e1.7"; coord = 0; ops = wop_samples };
+      Tdecide { txid = "s0.e1.7"; commit = true; participants = [ 0; 1 ] };
+      Tresolve { txid = "s0.e1.8"; commit = false };
+    ]
+
+let portable_sample : Zk.Data_tree.portable =
+  let node ?(children = []) ?owner ~czxid data =
+    let n = Zk.Znode.create ~data ~czxid ~ephemeral_owner:owner in
+    n.version <- 1;
+    n.children <- Zk.Znode.String_set.of_list children;
+    n.cversion <- List.length children;
+    n
+  in
+  {
+    img_nodes =
+      [
+        ("/", node ~children:[ "a" ] ~czxid:0 "");
+        ("/a", node ~children:[ "b"; "c" ] ~czxid:1 "alpha");
+        ("/a/b", node ~czxid:2 "beta");
+        ("/a/c", node ~owner:42 ~czxid:3 "\xff");
+      ];
+    img_next_czxid = 4;
+  }
+
+let shapes =
+  [
+    Shape
+      {
+        name = "zab";
+        write = Zab_wire.write ~payload:W.str;
+        read = Zab_wire.read ~payload:R.str;
+        samples = zab_samples;
+      };
+    Shape
+      {
+        name = "pbft";
+        write = Pbft_wire.write ~payload:W.str;
+        read = Pbft_wire.read ~payload:R.str;
+        samples = pbft_samples;
+      };
+    Shape
+      {
+        name = "server_wire";
+        write = Zk.Server_wire.write;
+        read = Zk.Server_wire.read;
+        samples = server_wire_samples;
+      };
+    Shape
+      {
+        name = "client_msg";
+        write = WF.write_client_msg;
+        read = WF.read_client_msg;
+        samples =
+          [
+            Connect;
+            Reconnect { session = 9 };
+            Request { session = 9; xid = 1; op = P.Sync };
+            Ping { session = 9 };
+            Close_session { session = 9 };
+          ];
+      };
+    Shape
+      {
+        name = "server_msg";
+        write = WF.write_server_msg;
+        read = WF.read_server_msg;
+        samples =
+          [
+            Connect_ok { session = 9 };
+            Reply { xid = 1; result = P.Synced };
+            Watch_event { path = "/w"; kind = P.Node_deleted };
+            Expired;
+          ];
+      };
+    Shape
+      {
+        name = "op";
+        write = WF.write_op;
+        read = WF.read_op;
+        samples = op_samples @ [ P.Multi { ops = wop_samples } ];
+      };
+    Shape
+      {
+        name = "result";
+        write = WF.write_result;
+        read = WF.read_result;
+        samples = result_samples @ [ P.Multi_ok ];
+      };
+    Shape
+      {
+        name = "zerror";
+        write = WF.write_zerror;
+        read = WF.read_zerror;
+        samples = zerror_samples;
+      };
+    Shape
+      {
+        name = "watch_kind";
+        write = WF.write_watch_kind;
+        read = WF.read_watch_kind;
+        samples = watch_kind_samples;
+      };
+    Shape
+      {
+        name = "stat";
+        write = WF.write_stat;
+        read = WF.read_stat;
+        samples = stat_samples;
+      };
+    Shape
+      {
+        name = "txn_op";
+        write = WF.write_txn_op;
+        read = WF.read_txn_op;
+        samples = txn_op_samples;
+      };
+    Shape
+      {
+        name = "txn";
+        write = WF.write_txn;
+        read = WF.read_txn;
+        samples = txn_samples;
+      };
+    Shape
+      {
+        name = "portable";
+        write = WF.write_portable;
+        read = WF.read_portable;
+        samples = [ portable_sample ];
+      };
+    Shape
+      {
+        name = "2pc_wop";
+        write = Two_pc.write_wop;
+        read = Two_pc.read_wop;
+        samples = wop_samples;
+      };
+    Shape
+      {
+        name = "2pc_frame";
+        write = Two_pc.write_frame;
+        read = Two_pc.read_frame;
+        samples = frame_samples;
+      };
+  ]
+
+(* encoded samples keyed "<shape>/<index>", the golden table's keys *)
+let shape_encodings (Shape { name; write; samples; _ }) =
+  List.mapi
+    (fun i v -> (Printf.sprintf "%s/%d" name i, encode_with write v))
+    samples
+
+(* The replica state that [test_snapshot_corrupt_blob_rejected] corrupts:
+   a seed-11 cluster after a handful of writes. *)
+let seed11_server () =
+  let sim = Sim.create ~seed:11 () in
+  let cluster = Zk.Cluster.create sim in
+  Proc.spawn sim (fun () ->
+      let c = Zk.Cluster.connected_client cluster () in
+      ignore (Zk.Client.create_node c "/a" "alpha");
+      ignore (Zk.Client.create_node c "/a/b" "beta");
+      for i = 1 to 5 do
+        ignore (Zk.Client.set_data c "/a" (string_of_int i))
+      done);
+  Sim.run ~until:(Sim_time.sec 2) sim;
+  (Zk.Cluster.servers cluster).(0)
+
+let to_hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Golden bytes: one encoding per sample of [shapes], keyed like
+   [shape_encodings], plus the seed-11 snapshot blob.  The table was
+   captured from an encoder independent of the streaming writers (the
+   generic tree encoder, fed per-shape trees); it pins the byte format,
+   so a codec edit that changes any byte fails here. *)
+let golden =
+  [
+    ("zab/0", "031001010001010201010e010580cee4cd02");
+    ("zab/1", "030c010100010104010100010100");
+    ( "zab/2",
+      "033601010201010401010a030601010601015203230310030601010601015203"
+       ^ "06010100020161030f030601010601015403050101000200" );
+    ( "zab/3",
+      "035801010201010401010e030601010601015203450326030601010601015603"
+       ^ "1c0101020309010100010102010104030c010100010102010104010106031b03"
+       ^ "060101060101580311010104030c010100010102010104010106" );
+    ("zab/4", "030901010401010401010c");
+    ("zab/5", "030901010601010401010c");
+    ("zab/6", "03110101080101080101020306010106010152");
+    ("zab/7", "030601010a010108");
+    ("zab/8", "030901010c010108010106");
+    ( "zab/9",
+      "032001010e010108010108031203100306010106010152030601010002017001"
+       ^ "010a" );
+    ( "zab/10",
+      "032401010e010108010108031603140306010106010152030a01010203030101"
+       ^ "00030001010a" );
+    ( "zab/11",
+      "03290101100101080102c80101028018010280080201640102c601030e010100"
+       ^ "0309010100010102010104" );
+    ( "zab/12",
+      "033401011001010a0102c80101028018010280080201640102c6010319010102"
+       ^ "03090101000101020101040309010102010104010106" );
+    ( "zab/13",
+      "034f0101120101080102c8010101020240000000000000000000000000000000"
+       ^ "0000000000000000000000000000000000000000000000000000000000000000"
+       ^ "0000000000000000000000000000000000" );
+    ("zab/14", "030d0101140101080102c801010104");
+    ("zab/15", "0309010116010100010108");
+    ("zab/16", "030901011601010c010106");
+    ("zab/17", "030601011801010c");
+    ("zab/18", "030d01011a01010c010580e2ea9809");
+    ("zab/19", "030901011a010102010100");
+    ("zab/20", "030c01011a0101040104fface204");
+    ("zab/21", "030901011c01010001010a");
+    ("zab/22", "030901011c010112010106");
+    ( "pbft/0",
+      "031f010100010100010106030e030c030601011201010402026f70010480ade2"
+       ^ "04" );
+    ("pbft/1", "0309010102010100010106");
+    ("pbft/2", "0309010104010100010106");
+    ("pbft/3", "0317010106010102030d030b03060101120101040201610300");
+    ("pbft/4", "0306010108010102");
+    ("pbft/5", "030301010a");
+    ("pbft/6", "030601010c010102");
+    ("server_wire/0", "03080101000303010100");
+    ("server_wire/1", "030b0101000306010102010112");
+    ( "server_wire/2",
+      "0320010100031b010104010112010102031001010002022f6102016401010201"
+       ^ "0100" );
+    ("server_wire/3", "030b0101000306010106010112");
+    ("server_wire/4", "030b0101000306010108010112");
+    ("server_wire/5", "030b0101020306010100010112");
+    ("server_wire/6", "0310010102030b0101020101020303010102");
+    ("server_wire/7", "030f010102030a01010402022f77010106");
+    ("server_wire/8", "03080101020303010106");
+    ("server_wire/9", "0314010104030f010100010102010100010480c2d72f");
+    ("server_wire/10", "0311010106010104010112010106030301010e");
+    ("server_wire/11", "030a0101080101040102d20f");
+    ("server_wire/12", "030901010a010100010112");
+    ("server_wire/13", "030601010c010112");
+    ("server_wire/14", "030601010e010112");
+    ( "server_wire/15",
+      "03be0101010403b80101010201010401010a030601010601015203a40103a101"
+       ^ "0306010106010152039601010100039001030301010201015401010e0377030f"
+       ^ "01010002022f610201640303010154030701010202022f62030d01010402022f"
+       ^ "61020178010106030d0101060101540102d00f01010203060101080101520309"
+       ^ "01010a010154010104031301010c01015401010201010e02052f676174650310"
+       ^ "01010e01015402052f676174650101000303010110030701010002022f610101"
+       ^ "00" );
+    ("client_msg/0", "0303010100");
+    ("client_msg/1", "0306010102010112");
+    ("client_msg/2", "030e010104010112010102030301010e");
+    ("client_msg/3", "0306010106010112");
+    ("client_msg/4", "0306010108010112");
+    ("server_msg/0", "0306010100010112");
+    ("server_msg/1", "030b0101020101020303010110");
+    ("server_msg/2", "030a01010402022f77010102");
+    ("server_msg/3", "0303010106");
+    ("op/0", "031001010002022f61020164010102010100");
+    ("op/1", "030c01010202022f610303010104");
+    ("op/2", "030901010202022f610300");
+    ("op/3", "030b01010402022f6102000300");
+    ("op/4", "030a01010602022f61010102");
+    ("op/5", "030901010802012f010100");
+    ("op/6", "030a01010a02022f78010102");
+    ("op/7", "030701010c02022f62");
+    ("op/8", "030301010e");
+    ( "op/9",
+      "032f010110032a030e01010002052f73302f6102020064030c01010202052f73"
+       ^ "312f620200030a01010402052f73312f63" );
+    ("result/0", "0311010100020c2f6130303030303030303031");
+    ("result/1", "0303010102");
+    ("result/2", "0306010104010108");
+    ( "result/3",
+      "031f0101060207627974657300ff0311010104010122030301010a0101020101"
+       ^ "06" );
+    ("result/4", "030b0101080306020161020162");
+    ("result/5", "031801010a03130311010104010122030301010a010102010106");
+    ("result/6", "030501010a0300");
+    ("result/7", "030601010c020176");
+    ("result/8", "030f01010e020a73657269616c697a6564");
+    ("result/9", "0303010110");
+    ("result/10", "0306010112010100");
+    ("result/11", "030e01011203090101160204626f6f6d");
+    ("result/12", "0303010114");
+    ("zerror/0", "010100");
+    ("zerror/1", "010102");
+    ("zerror/2", "010104");
+    ("zerror/3", "010106");
+    ("zerror/4", "010108");
+    ("zerror/5", "01010a");
+    ("zerror/6", "01010c");
+    ("zerror/7", "01010e");
+    ("zerror/8", "010110");
+    ("zerror/9", "010112");
+    ("zerror/10", "010114");
+    ("zerror/11", "03090101160204626f6f6d");
+    ("zerror/12", "010118");
+    ("zerror/13", "01011a");
+    ("watch_kind/0", "010100");
+    ("watch_kind/1", "010102");
+    ("watch_kind/2", "010104");
+    ("watch_kind/3", "010106");
+    ("stat/0", "0311010104010122030301010a010102010106");
+    ("stat/1", "030e0101040101050300010102010106");
+    ("txn_op/0", "030f01010002022f610201640303010154");
+    ("txn_op/1", "030701010202022f62");
+    ("txn_op/2", "030d01010402022f61020178010106");
+    ("txn_op/3", "030d0101060101540102d00f010102");
+    ("txn_op/4", "0306010108010152");
+    ("txn_op/5", "030901010a010154010104");
+    ("txn_op/6", "031301010c01015401010201010e02052f67617465");
+    ("txn_op/7", "031001010e01015402052f67617465010100");
+    ("txn_op/8", "0303010110");
+    ("txn_op/9", "030901010202042f746d70");
+    ( "txn_op/10",
+      "033b010112020773302e65312e37010100032a030e01010002052f73302f6102"
+       ^ "020064030c01010202052f73312f620200030a01010402052f73312f63" );
+    ("txn_op/11", "0317010114020773302e65312e370101020306010100010102");
+    ("txn_op/12", "030f010116020773302e65312e38010100");
+    ( "txn/0",
+      "039001030301010201015401010e0377030f01010002022f6102016403030101"
+       ^ "54030701010202022f62030d01010402022f61020178010106030d0101060101"
+       ^ "540102d00f0101020306010108010152030901010a010154010104031301010c"
+       ^ "01015401010201010e02052f67617465031001010e01015402052f6761746501"
+       ^ "01000303010110030701010002022f61010100" );
+    ("txn/1", "031d0300010100010100030b030901010202042f746d700303010110010102");
+    ( "portable/0",
+      "037a0375031702012f0312020001010203030201610101020101000300032002"
+       ^ "022f61031a0205616c7068610101020306020162020163010104010102030003"
+       ^ "1b02042f612f62031302046265746101010203000101000101040300031b0204"
+       ^ "2f612f6303130201ff01010203000101000101060303010154010108" );
+    ("2pc_wop/0", "030e01010002052f73302f6102020064");
+    ("2pc_wop/1", "030c01010202052f73312f620200");
+    ("2pc_wop/2", "030a01010402052f73312f63");
+    ( "2pc_frame/0",
+      "0343010100020773302e65312e370101000306010100010102032a030e010100"
+       ^ "02052f73302f6102020064030c01010202052f73312f620200030a0101040205"
+       ^ "2f73312f63" );
+    ("2pc_frame/1", "0312010102020773302e65312e37010102010102");
+    ("2pc_frame/2", "030c010104020773302e65312e37");
+    ("2pc_frame/3", "030c010106020773302e65312e38");
+    ("2pc_frame/4", "030f010108020773302e65312e38010102");
+    ( "snapshot/seed11",
+      "037203560351031702012f031202000101000303020161010102010100030003"
+       ^ "1902022f61031302013501010a03030201620101020101020300031b02042f61"
+       ^ "2f62031302046265746101010003000101000101040300010106030e030c0103"
+       ^ "82897a0102d00f01010003000300030003000300" );
+  ]
+
+let test_golden_bytes () =
+  let check key bytes =
+    match List.assoc_opt key golden with
+    | None -> Alcotest.failf "%s: no golden bytes" key
+    | Some hex -> Alcotest.(check string) key hex (to_hex bytes)
+  in
+  let encodings =
+    List.concat_map shape_encodings shapes
+    @ [ ("snapshot/seed11", Zk.Server.snapshot_bytes (seed11_server ())) ]
+  in
+  List.iter (fun (k, b) -> check k b) encodings;
+  Alcotest.(check int) "every golden entry is exercised" (List.length golden)
+    (List.length encodings)
+
 let test_protocol_roundtrip () =
-  let module WF = Zk.Wire_format in
-  List.iter
-    (fun op ->
-      match Result.bind (Wire.decode (Wire.encode (WF.op_to_wire op))) WF.op_of_wire with
-      | Ok op' -> Alcotest.(check bool) "op" true (op = op')
-      | Error e -> Alcotest.failf "op decode: %s" e)
-    op_samples;
-  List.iter
-    (fun r ->
-      match
-        Result.bind (Wire.decode (Wire.encode (WF.result_to_wire r))) WF.result_of_wire
-      with
-      | Ok r' -> Alcotest.(check bool) "result" true (r = r')
-      | Error e -> Alcotest.failf "result decode: %s" e)
-    result_samples;
-  List.iter
-    (fun t ->
-      match Result.bind (Wire.decode (Wire.encode (WF.txn_to_wire t))) WF.txn_of_wire with
-      | Ok t' -> Alcotest.(check bool) "txn" true (t = t')
-      | Error e -> Alcotest.failf "txn decode: %s" e)
-    txn_samples
+  let roundtrip name write read v =
+    match R.run (encode_with write v) read with
+    | Ok v' -> Alcotest.(check bool) name true (v = v')
+    | Error e -> Alcotest.failf "%s decode: %s" name e
+  in
+  List.iter (roundtrip "op" WF.write_op WF.read_op) op_samples;
+  List.iter (roundtrip "result" WF.write_result WF.read_result) result_samples;
+  List.iter (roundtrip "txn" WF.write_txn WF.read_txn) txn_samples
 
 let test_server_wire_roundtrip () =
   List.iter
@@ -445,15 +861,12 @@ let test_server_wire_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Streaming codec (§6g): the zero-tree writer must be byte-identical  *)
-(* to the tree encoder, and the slice reader must accept exactly what  *)
-(* the tree decoder accepts — on the fuzz corpus AND on every message  *)
-(* shape above.  Byte-identity is what lets the hot paths skip the     *)
-(* tree without weakening the canonical-form guarantee.                *)
+(* Streaming codec (§6g): [Writer.tree] must be byte-identical to      *)
+(* [Wire.encode], and [Reader.tree] must accept exactly what           *)
+(* [Wire.decode] accepts, so the streaming primitives every shape      *)
+(* codec is built from keep the frame format's canonical-form and      *)
+(* totality guarantees.                                                *)
 (* ------------------------------------------------------------------ *)
-
-module W = Wire.Writer
-module R = Wire.Reader
 
 let stream_of_tree v = W.with_writer (fun w -> W.tree w v)
 let tree_of_stream s = R.run s R.tree
@@ -538,90 +951,120 @@ let test_writer_rejects_overdeep () =
   | _ -> Alcotest.fail "over-deep tree must not stream-encode"
   | exception Invalid_argument _ -> ()
 
-(* every message shape in this file: streaming writer output is
-   byte-identical to the tree encoder, and the streaming reader gets the
-   value back *)
-let check_identity name tree_bytes stream_bytes =
-  if not (String.equal tree_bytes stream_bytes) then
-    Alcotest.failf "%s: streaming encode differs from tree encode" name
+(* Canonicality.  Each shape has one codec, so there is no second decoder
+   to agree with; instead every reader must accept only the bytes its
+   writer produces.  On any input the reader must not raise, and when it
+   accepts, re-encoding the value must give back exactly the input, which
+   the generic [Wire.decode] must accept too. *)
+let canonical_violation ~write ~read s =
+  match R.run s read with
+  | exception e -> Some ("reader raised " ^ Printexc.to_string e)
+  | Error _ -> None
+  | Ok v ->
+      if not (String.equal (encode_with write v) s) then
+        Some "accepted bytes re-encode differently"
+      else if Result.is_error (Wire.decode s) then
+        Some "Wire.decode rejects accepted bytes"
+      else None
 
-let test_stream_messages_byte_identical () =
-  let module WF = Zk.Wire_format in
-  List.iter
-    (fun m ->
-      let s = W.with_writer (fun w -> Zab_wire.write ~payload:W.str w m) in
-      check_identity "zab" (encode_zab m) s;
-      match R.run s (Zab_wire.read ~payload:R.str) with
-      | Ok m' when m = m' -> ()
-      | Ok _ -> Alcotest.fail "zab stream read mismatch"
-      | Error e -> Alcotest.failf "zab stream read: %s" e)
-    zab_samples;
-  List.iter
-    (fun m ->
-      let s = W.with_writer (fun w -> Pbft_wire.write ~payload:W.str w m) in
-      check_identity "pbft"
-        (Wire.encode (Pbft_wire.to_wire ~payload:(fun p -> Wire.Str p) m))
-        s;
-      match R.run s (Pbft_wire.read ~payload:R.str) with
-      | Ok m' when m = m' -> ()
-      | Ok _ -> Alcotest.fail "pbft stream read mismatch"
-      | Error e -> Alcotest.failf "pbft stream read: %s" e)
-    pbft_samples;
-  List.iter
-    (fun op ->
-      let s = W.with_writer (fun w -> WF.write_op w op) in
-      check_identity "op" (Wire.encode (WF.op_to_wire op)) s;
-      match R.run s WF.read_op with
-      | Ok op' when op = op' -> ()
-      | _ -> Alcotest.fail "op stream read mismatch")
-    op_samples;
-  List.iter
-    (fun r_ ->
-      let s = W.with_writer (fun w -> WF.write_result w r_) in
-      check_identity "result" (Wire.encode (WF.result_to_wire r_)) s;
-      match R.run s WF.read_result with
-      | Ok r' when r_ = r' -> ()
-      | _ -> Alcotest.fail "result stream read mismatch")
-    result_samples;
-  List.iter
-    (fun t ->
-      let s = W.with_writer (fun w -> WF.write_txn w t) in
-      check_identity "txn" (Wire.encode (WF.txn_to_wire t)) s;
-      match R.run s WF.read_txn with
-      | Ok t' when t = t' -> ()
-      | _ -> Alcotest.fail "txn stream read mismatch")
-    txn_samples;
-  List.iter
-    (fun m ->
-      check_identity "server wire" (Zk.Server_wire.encode_tree m)
-        (Zk.Server_wire.encode m))
-    server_wire_samples
+(* [s], every proper prefix, and every single-byte substitution: the
+   first violation found, as (mutant, reason) *)
+let first_violation ~write ~read s =
+  let found = ref None in
+  let check what s' =
+    if !found = None then
+      Option.iter
+        (fun why -> found := Some (what, why))
+        (canonical_violation ~write ~read s')
+  in
+  check "intact" s;
+  for k = 0 to String.length s - 1 do
+    check (Printf.sprintf "truncated to %d bytes" k) (String.sub s 0 k)
+  done;
+  String.iteri
+    (fun i c ->
+      for v = 0 to 255 do
+        if v <> Char.code c then begin
+          let b = Bytes.of_string s in
+          Bytes.set b i (Char.chr v);
+          check (Printf.sprintf "byte %d set to 0x%02x" i v) (Bytes.to_string b)
+        end
+      done)
+    s;
+  !found
 
-(* the server-wire streaming decoder (the TCP hot path) agrees with the
-   tree decoder on the corpus, every truncation, and every bit flip *)
-let test_server_wire_decode_differential () =
-  let agree name s =
-    match (Zk.Server_wire.decode s, Zk.Server_wire.decode_tree s) with
-    | Ok a, Ok b when a = b -> ()
-    | Error _, Error _ -> ()
-    | Ok _, Ok _ -> Alcotest.failf "%s: decoders return different values" name
-    | Ok _, Error _ -> Alcotest.failf "%s: streaming accepts, tree rejects" name
-    | Error _, Ok _ -> Alcotest.failf "%s: tree accepts, streaming rejects" name
+(* The seed-11 blob with its four empty 2PC tables (locks, prepared,
+   decisions, audit) filled in, so the snapshot reader's 2PC arms are
+   mutated too. *)
+let with_2pc_tables blob =
+  let open Wire in
+  match decode blob with
+  | Ok (List [ tree; sessions; blocked; List []; List []; List []; List [] ])
+    ->
+      encode
+        (List
+           [
+             tree;
+             sessions;
+             blocked;
+             List [ List [ Str "/s1/y"; Str "s0.e1.7" ] ];
+             List
+               [
+                 List
+                   [
+                     Str "s0.e1.7"; Int 0;
+                     List [ List [ Int 0; Str "/s1/y"; Str "r" ] ];
+                   ];
+               ];
+             List [ List [ Str "s0.e1.6"; Int 1 ] ];
+             List
+               [ List [ Str "s0.e1.5"; Int 0 ]; List [ Str "s0.e1.6"; Int 1 ] ];
+           ])
+  | _ -> Alcotest.fail "seed-11 snapshot blob has an unexpected layout"
+
+let test_readers_canonical () =
+  let check name ~write ~read s =
+    (match R.run s read with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: intact encoding rejected: %s" name e);
+    match first_violation ~write ~read s with
+    | None -> ()
+    | Some (what, why) -> Alcotest.failf "%s, %s: %s" name what why
   in
   List.iter
-    (fun m ->
-      let s = Zk.Server_wire.encode m in
-      agree "intact" s;
-      for k = 0 to String.length s - 1 do
-        agree (Printf.sprintf "truncation %d" k) (String.sub s 0 k)
-      done;
-      String.iteri
-        (fun i c ->
-          let b = Bytes.of_string s in
-          Bytes.set b i (Char.chr (Char.code c lxor 0x11));
-          agree (Printf.sprintf "bitflip %d" i) (Bytes.to_string b))
-        s)
-    server_wire_samples
+    (fun (Shape { write; read; _ } as sh) ->
+      List.iter (fun (k, s) -> check k ~write ~read s) (shape_encodings sh))
+    shapes;
+  let blob = Zk.Server.snapshot_bytes (seed11_server ()) in
+  List.iter
+    (fun (k, s) ->
+      check k ~write:Zk.Server.write_snapshot ~read:Zk.Server.read_snapshot s)
+    [ ("snapshot/seed11", blob); ("snapshot/seed11+2pc", with_2pc_tables blob) ]
+
+(* The property has teeth: a [read_stat] that skips trailing fields
+   instead of rejecting them is caught.  Emptying the ephemeral-owner
+   option strands the last field, which the lax reader accepts and the
+   writer then drops. *)
+let test_canonicality_catches_lax_reader () =
+  let lax_read_stat r =
+    R.begin_list r;
+    let version = R.int r in
+    let czxid = R.int r in
+    let ephemeral_owner = R.option r R.int in
+    let num_children = R.int r in
+    let data_length = R.int r in
+    while R.has_more r do
+      ignore (R.tree r : Wire.t)
+    done;
+    R.end_list r;
+    { Zk.Znode.version; czxid; ephemeral_owner; num_children; data_length }
+  in
+  let s = encode_with WF.write_stat stat in
+  Alcotest.(check bool) "read_stat is canonical" true
+    (first_violation ~write:WF.write_stat ~read:WF.read_stat s = None);
+  match first_violation ~write:WF.write_stat ~read:lax_read_stat s with
+  | Some _ -> ()
+  | None -> Alcotest.fail "the lax read_stat was not caught"
 
 (* decode_sub reads a frame out of the middle of a reassembly buffer
    without copying; bytes outside [pos, pos+len) are invisible *)
@@ -705,27 +1148,12 @@ let run_until sim ~step ~limit pred =
   in
   go ()
 
+(* the blob's bytes are pinned by the golden table ("snapshot/seed11") *)
 let test_snapshot_corrupt_blob_rejected () =
-  let sim = Sim.create ~seed:11 () in
-  let cluster = Zk.Cluster.create sim in
-  Proc.spawn sim (fun () ->
-      let c = Zk.Cluster.connected_client cluster () in
-      ignore (Zk.Client.create_node c "/a" "alpha");
-      ignore (Zk.Client.create_node c "/a/b" "beta");
-      for i = 1 to 5 do
-        ignore (Zk.Client.set_data c "/a" (string_of_int i))
-      done);
-  Sim.run ~until:(Sim_time.sec 2) sim;
-  let s0 = (Zk.Cluster.servers cluster).(0) in
+  let s0 = seed11_server () in
   let blob = Zk.Server.snapshot_bytes s0 in
   Alcotest.(check bool) "capture is deterministic" true
     (String.equal blob (Zk.Server.snapshot_bytes s0));
-  (* the streaming snapshot writer (§6g) and the tree-building oracle
-     must produce the same bytes — snapshot digests stay comparable
-     across the two paths *)
-  Alcotest.(check bool) "streaming snapshot writer byte-identical to tree oracle"
-    true
-    (String.equal blob (Zk.Server.snapshot_bytes_tree s0));
   (* victim replica in a second deployment; corrupt installs must leave
      its state byte-identical *)
   let vsim = Sim.create ~seed:12 () in
@@ -778,19 +1206,14 @@ let hist_encode (hist : (Zab.zxid * string) list) =
           hist))
 
 let hist_decode blob =
-  let ( let* ) = Result.bind in
-  let* w = Wire.decode blob in
-  Wire.map_list
-    (fun item ->
-      let* l = Wire.to_list item in
-      match l with
-      | [ e; c; s ] ->
-          let* epoch = Wire.to_int e in
-          let* counter = Wire.to_int c in
-          let* s = Wire.to_str s in
-          Ok (({ Zab.epoch; counter } : Zab.zxid), s)
-      | _ -> Error "history entry shape")
-    w
+  R.run blob (fun r ->
+      R.list r (fun r ->
+          R.begin_list r;
+          let epoch = R.int r in
+          let counter = R.int r in
+          let s = R.str r in
+          R.end_list r;
+          (({ Zab.epoch; counter } : Zab.zxid), s)))
 
 let test_follower_rerequests_on_reject () =
   let n = 3 in
@@ -947,7 +1370,6 @@ let test_tcp_garbage_is_dropped () =
 (* 2PC frames and shard-map payloads (§6j)                             *)
 (* ------------------------------------------------------------------ *)
 
-module Two_pc = Edc_replication.Two_pc
 module Shard_map = Edc_sharding.Shard_map
 
 let twopc_wop_gen =
@@ -967,15 +1389,22 @@ let twopc_wop_gen =
     ]
 
 (* the wop streaming writer feeds the snapshot blob's prepared-txn
-   section: byte-identity with the tree encoder, and the streaming
-   reader inverts it *)
+   section: its bytes are the documented frame layout (tag, path[, data]),
+   and the streaming reader inverts it *)
 let prop_twopc_wop_stream_identity =
   QCheck.Test.make ~name:"2pc wop streaming writer byte-identical, reads back"
     ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Two_pc.pp_wop) twopc_wop_gen)
     (fun op ->
       let stream = Wire.Writer.with_writer (fun w -> Two_pc.write_wop w op) in
-      String.equal stream (Wire.encode (Two_pc.wop_to_wire op))
+      let layout =
+        match op with
+        | Two_pc.Wcreate { path; data } ->
+            Wire.List [ Int 0; Str path; Str data ]
+        | Two_pc.Wset { path; data } -> Wire.List [ Int 1; Str path; Str data ]
+        | Two_pc.Wdelete { path } -> Wire.List [ Int 2; Str path ]
+      in
+      String.equal stream (Wire.encode layout)
       && Wire.Reader.run stream Two_pc.read_wop = Ok op)
 
 let twopc_frame_arb =
@@ -1008,12 +1437,8 @@ let twopc_frame_arb =
     ~print:(fun f -> Format.asprintf "%a" Two_pc.pp_frame f)
     frame
 
-let twopc_encode f = Wire.encode (Two_pc.frame_to_wire f)
-
-let twopc_decode s =
-  match Wire.decode s with
-  | Error _ as e -> e
-  | Ok w -> Two_pc.frame_of_wire w
+let twopc_encode f = Wire.Writer.with_writer (fun w -> Two_pc.write_frame w f)
+let twopc_decode s = Wire.Reader.run s Two_pc.read_frame
 
 let prop_twopc_roundtrip =
   QCheck.Test.make ~name:"2pc frames roundtrip" ~count:500 twopc_frame_arb
@@ -1046,7 +1471,7 @@ let prop_twopc_garbage =
 let prop_twopc_wrong_shape =
   QCheck.Test.make ~name:"2pc decoder refuses foreign wire trees" ~count:500
     wire_arb (fun w ->
-      match Two_pc.frame_of_wire w with Ok _ | Error _ -> true)
+      match twopc_decode (Wire.encode w) with Ok _ | Error _ -> true)
 
 let test_twopc_crafted_malformed () =
   let reject name s =
@@ -1162,10 +1587,12 @@ let () =
             test_reader_errors_carry_offsets;
           Alcotest.test_case "writer rejects over-deep trees" `Quick
             test_writer_rejects_overdeep;
-          Alcotest.test_case "message writers byte-identical to tree encodes"
-            `Quick test_stream_messages_byte_identical;
-          Alcotest.test_case "server-wire streaming decoder ≡ tree decoder"
-            `Quick test_server_wire_decode_differential;
+          Alcotest.test_case "golden bytes pin every message shape" `Quick
+            test_golden_bytes;
+          Alcotest.test_case "every shape reader accepts only canonical bytes"
+            `Quick test_readers_canonical;
+          Alcotest.test_case "canonicality check catches a lax reader" `Quick
+            test_canonicality_catches_lax_reader;
           Alcotest.test_case "decode_sub reads frames out of a padded buffer"
             `Quick test_decode_sub_slice;
           Alcotest.test_case "outbuf survives short writes and stalls" `Quick
