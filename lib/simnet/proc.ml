@@ -88,10 +88,12 @@ let join ps = List.iter (fun p -> ignore (await p)) ps
 
 (** [await_timeout sim p ~timeout] awaits [p] but gives up after [timeout],
     returning [None].  [p] itself is left untouched and may still be
-    fulfilled later. *)
+    fulfilled later.  If [p] wins, the timer is cancelled there and then,
+    so an answered wait leaves nothing in the event heap. *)
 let await_timeout sim p ~timeout =
   let r = promise sim in
-  Sim.schedule sim ~after:timeout (fun () ->
-      ignore (try_fulfill r None : bool));
-  on_fulfill p (fun v -> ignore (try_fulfill r (Some v) : bool));
+  let timer =
+    Sim.timer sim ~after:timeout (fun () -> ignore (try_fulfill r None : bool))
+  in
+  on_fulfill p (fun v -> if try_fulfill r (Some v) then Sim.cancel sim timer);
   await r

@@ -43,5 +43,6 @@ val yield : Sim.t -> unit
 val join : 'a promise list -> unit
 
 (** [await_timeout sim p ~timeout] — [None] on timeout; [p] itself may
-    still resolve later. *)
+    still resolve later.  The timeout is a {!Sim.timer} that lives until
+    it fires or [p] resolves first, which cancels it. *)
 val await_timeout : Sim.t -> 'a promise -> timeout:Sim_time.t -> 'a option

@@ -30,11 +30,21 @@ let rng t = t.rng
     as a runaway guard). *)
 let executed_events t = t.executed
 
-(** [schedule t ~after f] runs [f] at [now + after].  Negative delays are
-    clamped to zero. *)
-let schedule t ~after f =
+type timer = (unit -> unit) Event_queue.entry
+
+(** [timer t ~after f] runs [f] at [now + after] unless cancelled first.
+    Negative delays are clamped to zero. *)
+let timer t ~after f =
   let after = Sim_time.max after Sim_time.zero in
-  Event_queue.push t.events ~time:(Sim_time.add t.now after) f
+  Event_queue.add t.events ~time:(Sim_time.add t.now after) f
+
+(** [cancel t timer] removes [timer] from the heap, dropping its closure;
+    a no-op once it has fired or been cancelled.  Consumes no sequence
+    number, so every other event keeps its place in the firing order. *)
+let cancel t timer = Event_queue.remove t.events timer
+
+(** [schedule t ~after f] is an uncancellable {!timer}. *)
+let schedule t ~after f = ignore (timer t ~after f : timer)
 
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
 let schedule_at t ~at f =
@@ -83,5 +93,6 @@ let run ?until ?max_events t =
       t.now <- Sim_time.max t.now horizon
   | _ -> ()
 
-(** [pending t] is the number of queued events. *)
+(** [pending t] is the number of queued events; cancelled timers are not
+    counted. *)
 let pending t = Event_queue.length t.events

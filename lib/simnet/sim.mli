@@ -22,6 +22,21 @@ val executed_events : t -> int
 (** [schedule t ~after f] runs [f] at [now + after] (clamped to now). *)
 val schedule : t -> after:Sim_time.t -> (unit -> unit) -> unit
 
+(** A scheduled event that can be withdrawn before it fires. *)
+type timer
+
+(** [timer t ~after f] is {!schedule} returning a handle for {!cancel}.
+    The heap holds the closure [f] until it fires or is cancelled,
+    whichever comes first; a timeout that can be beaten should be
+    cancelled when it is, so the heap holds only live events. *)
+val timer : t -> after:Sim_time.t -> (unit -> unit) -> timer
+
+(** [cancel t timer] removes [timer] in O(log n) and drops its closure; a
+    no-op once it has fired or been cancelled.  Cancelling consumes no
+    sequence number, so every surviving event fires in the same order as
+    if the cancelled one had stayed queued as a no-op. *)
+val cancel : t -> timer -> unit
+
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
 val schedule_at : t -> at:Sim_time.t -> (unit -> unit) -> unit
 
@@ -36,5 +51,5 @@ val step : t -> bool
     advances to [until]), after [max_events], or on {!stop}. *)
 val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
 
-(** Queued events. *)
+(** Queued events; cancelled timers are not counted. *)
 val pending : t -> int

@@ -16,6 +16,15 @@ type config = {
 let default_config =
   { request_timeout = Sim_time.sec 4; ping_interval = Sim_time.sec 2 }
 
+(* A request awaiting its reply.  [timeout] is the request-timeout timer
+   ([None] for blocking ops, which never time out); it lives exactly as
+   long as the entry: the reply cancels it, or it fires, resolves [reply]
+   with [Error Timeout] and removes the entry itself. *)
+type pending = {
+  reply : P.result Proc.promise;
+  mutable timeout : Sim.timer option;
+}
+
 type t = {
   sim : Sim.t;
   net : Server.wire Transport.t;
@@ -26,7 +35,7 @@ type t = {
   mutable xid : int;
   mutable connected : bool;
   mutable closed : bool;
-  outstanding : (int, P.result Proc.promise) Hashtbl.t;
+  outstanding : (int, pending) Hashtbl.t;
   mutable connect_waiter : int Proc.promise option;
   watch_waiters : (string, (string * P.watch_kind) Proc.promise list ref) Hashtbl.t;
   mutable on_watch_event : string -> P.watch_kind -> unit;
@@ -42,6 +51,7 @@ let session t = t.session
 let addr t = t.addr
 let requests_sent t = t.requests_sent
 let is_connected t = t.connected
+let outstanding t = Hashtbl.length t.outstanding
 
 let handle_server_msg t msg =
   match msg with
@@ -56,9 +66,10 @@ let handle_server_msg t msg =
   | P.Reply { xid; result } -> (
       t.replies_received <- t.replies_received + 1;
       match Hashtbl.find_opt t.outstanding xid with
-      | Some p ->
+      | Some { reply; timeout } ->
           Hashtbl.remove t.outstanding xid;
-          ignore (Proc.try_fulfill p result : bool)
+          (match timeout with Some timer -> Sim.cancel t.sim timer | None -> ());
+          ignore (Proc.try_fulfill reply result : bool)
       | None -> () (* reply raced with a timeout; drop *))
   | P.Watch_event { path; kind } -> (
       t.on_watch_event path kind;
@@ -139,53 +150,44 @@ let reconnect t ~replica =
   | Some _ -> true
   | None -> false
 
-(** [request t op] issues one operation and blocks the fiber for the
-    result.  Times out with [Error Timeout] (the request may still execute
-    server-side — same ambiguity as a real network client). *)
-let request t op =
-  if not t.connected then P.Error Zerror.Session_expired
-  else begin
-    t.xid <- t.xid + 1;
-    let xid = t.xid in
-    let p = Proc.promise t.sim in
-    Hashtbl.replace t.outstanding xid p;
-    t.requests_sent <- t.requests_sent + 1;
-    send_client_msg t (P.Request { session = t.session; xid; op });
-    (* blocking calls park server-side for arbitrarily long; everything
-       else times out *)
-    match op with
-    | P.Block _ -> Proc.await p
-    | _ -> (
-        match Proc.await_timeout t.sim p ~timeout:t.config.request_timeout with
-        | Some result -> result
-        | None ->
-            Hashtbl.remove t.outstanding xid;
-            P.Error Zerror.Timeout)
-  end
-
 (** [request_async t op] issues one operation without blocking: the
-    returned promise fulfills with the result (or [Error Timeout] after
-    [request_timeout]; blocking ops never time out).  Lets one fiber keep
-    a window of requests in flight — the TCP transport corks the whole
-    window into one write, and replies pipeline back.  [request] stays
-    the one-in-flight path the recipes are written against. *)
+    returned promise fulfills with the result, or with [Error Timeout]
+    exactly [request_timeout] after the send (the request may still
+    execute server-side — same ambiguity as a real network client).
+    Blocking ops park server-side for arbitrarily long and never time
+    out.  The timeout timer is cancelled when the reply arrives, so an
+    answered request leaves nothing in the event heap.  Lets one fiber
+    keep a window of requests in flight — the TCP transport corks the
+    whole window into one write, and replies pipeline back. *)
 let request_async t op =
   let p = Proc.promise t.sim in
   if not t.connected then ignore (Proc.try_fulfill p (P.Error Zerror.Session_expired) : bool)
   else begin
     t.xid <- t.xid + 1;
     let xid = t.xid in
-    Hashtbl.replace t.outstanding xid p;
+    let entry = { reply = p; timeout = None } in
+    Hashtbl.replace t.outstanding xid entry;
     t.requests_sent <- t.requests_sent + 1;
     send_client_msg t (P.Request { session = t.session; xid; op });
     match op with
     | P.Block _ -> ()
     | _ ->
-        Sim.schedule t.sim ~after:t.config.request_timeout (fun () ->
-            if Proc.try_fulfill p (P.Error Zerror.Timeout) then
-              Hashtbl.remove t.outstanding xid)
+        (* armed after the send: the send's delivery events take their
+           sequence numbers first, the order same-seed traces pin *)
+        entry.timeout <-
+          Some
+            (Sim.timer t.sim ~after:t.config.request_timeout (fun () ->
+                 Hashtbl.remove t.outstanding xid;
+                 ignore (Proc.try_fulfill p (P.Error Zerror.Timeout) : bool)))
   end;
   p
+
+(** [request t op] issues one operation and blocks the fiber for the
+    result: {!request_async} awaited.  A client without a session gets
+    [Error Session_expired] at once. *)
+let request t op =
+  if not t.connected then P.Error Zerror.Session_expired
+  else Proc.await (request_async t op)
 
 (** [watch_waiter t path] registers interest in the next event on [path];
     must be called before issuing the read that sets the server watch. *)

@@ -27,6 +27,9 @@ val addr : t -> int
 val requests_sent : t -> int
 val is_connected : t -> bool
 
+(** Requests sent and still awaiting a reply or their timeout. *)
+val outstanding : t -> int
+
 (** [connect t] establishes the session; retries until the cluster
     answers. *)
 val connect : t -> unit
@@ -35,13 +38,18 @@ val connect : t -> unit
     replica (client failover). *)
 val reconnect : t -> replica:int -> bool
 
-(** [request t op] — one raw operation; blocking calls ([Block]) wait
-    indefinitely, everything else times out with [Error Timeout]. *)
+(** [request t op] — one raw operation: {!request_async} awaited.
+    Blocking calls ([Block]) wait indefinitely, everything else times out
+    with [Error Timeout]; without a session, [Error Session_expired] at
+    once. *)
 val request : t -> P.op -> P.result
 
 (** [request_async t op] — issue without blocking; the promise fulfills
-    with the result, or [Error Timeout] after [request_timeout] ([Block]
-    never times out).  One fiber can keep a window of requests in flight:
+    with the result, or [Error Timeout] exactly [request_timeout] after
+    the send ([Block] never times out).  The timeout is a {!Sim.timer}
+    held beside the promise and cancelled when the reply arrives, so the
+    event heap carries one timer per request still in flight, none per
+    request answered.  One fiber can keep a window of requests in flight:
     the TCP transport corks the window into a single write and replies
     pipeline back. *)
 val request_async : t -> P.op -> P.result Proc.promise

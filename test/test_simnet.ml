@@ -80,6 +80,98 @@ let prop_queue_sorted =
       let out = drain [] in
       out = List.sort compare times)
 
+(* A random interleaving of add/push/remove/pop against a sorted-list
+   model: every pop returns the model's least [(time, seq)], [length]
+   tracks the model after every step, and removing an entry that was
+   already popped or removed changes nothing. *)
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"event_queue add/push/remove/pop matches a sorted list"
+    ~count:300
+    QCheck.(list (pair (int_bound 3) (int_bound 50)))
+    (fun steps ->
+      let q = Event_queue.create () in
+      let model = ref [] (* (time, seq), sorted *) in
+      let handles = ref [||] in
+      let seq = ref 0 in
+      let insert time =
+        let key = (time, !seq) in
+        incr seq;
+        model := List.merge compare !model [ key ];
+        key
+      in
+      let check_pop () =
+        match (Event_queue.pop q, !model) with
+        | None, [] -> true
+        | Some (time, id), (time', id') :: rest ->
+            model := rest;
+            time = time' && id = id'
+        | _ -> false
+      in
+      let step (kind, v) =
+        (match kind with
+        | 0 ->
+            let ((time, id) as key) = insert v in
+            handles := Array.append !handles [| (key, Event_queue.add q ~time id) |];
+            true
+        | 1 ->
+            let time, id = insert v in
+            Event_queue.push q ~time id;
+            true
+        | 2 ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let key, e = !handles.(v mod n) in
+              Event_queue.remove q e;
+              model := List.filter (fun k -> k <> key) !model
+            end;
+            true
+        | _ -> check_pop ())
+        && Event_queue.length q = List.length !model
+      in
+      List.for_all step steps
+      && List.for_all (fun _ -> check_pop ()) (List.init (List.length !model + 1) Fun.id))
+
+(* Payloads the queue has dropped must be collectable: weak pointers to
+   them are cleared by a full major collection.  Each payload is a fresh
+   heap block reachable only from the queue, as the simulator's closures
+   are. *)
+let dropped_payloads_collectable fill drop =
+  let n = 64 in
+  let weak = Weak.create n in
+  let q = Event_queue.create () in
+  fill q (fun i ->
+      let payload = Sys.opaque_identity (ref i) in
+      Weak.set weak i (Some payload);
+      payload);
+  drop q;
+  Gc.full_major ();
+  Alcotest.(check int) "queue empty" 0 (Event_queue.length q);
+  Alcotest.(check int) "dropped payloads still reachable" 0
+    (List.length (List.filter (fun i -> Weak.check weak i) (List.init n Fun.id)))
+
+let test_queue_clear_releases () =
+  dropped_payloads_collectable
+    (fun q payload -> for i = 0 to 63 do Event_queue.push q ~time:i (payload i) done)
+    Event_queue.clear
+
+let test_queue_pop_releases () =
+  (* one entry popped at a time, the queue emptying after each *)
+  dropped_payloads_collectable
+    (fun q payload ->
+      for i = 0 to 63 do
+        Event_queue.push q ~time:i (payload i);
+        ignore (Sys.opaque_identity (Event_queue.pop q))
+      done)
+    ignore
+
+let test_queue_remove_releases () =
+  dropped_payloads_collectable
+    (fun q payload ->
+      let entries = List.init 64 (fun i -> Event_queue.add q ~time:i (payload i)) in
+      (* last first, so each removal vacates the tail slot itself *)
+      List.iter (Event_queue.remove q) (List.rev entries))
+    ignore
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -158,6 +250,28 @@ let test_sim_max_events () =
   tick ();
   Sim.run ~max_events:100 sim;
   Alcotest.(check int) "bounded" 100 (Sim.executed_events sim)
+
+let test_sim_cancel () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Sim.schedule sim ~after:(Sim_time.ms 2) (note "a");
+  let doomed = Sim.timer sim ~after:(Sim_time.ms 2) (note "cancelled") in
+  Sim.schedule sim ~after:(Sim_time.ms 2) (note "b");
+  Sim.schedule sim ~after:(Sim_time.ms 1) (note "first");
+  Alcotest.(check int) "queued" 4 (Sim.pending sim);
+  Sim.cancel sim doomed;
+  Alcotest.(check int) "cancel removes at once" 3 (Sim.pending sim);
+  Sim.cancel sim doomed;
+  Alcotest.(check int) "second cancel is a no-op" 3 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "survivors keep their order"
+    [ "first"; "a"; "b" ] (List.rev !log);
+  Alcotest.(check int) "cancelled never executes" 3 (Sim.executed_events sim);
+  let fired = Sim.timer sim ~after:Sim_time.zero (note "fired") in
+  Sim.run sim;
+  Sim.cancel sim fired;
+  Alcotest.(check int) "cancel after firing is a no-op" 0 (Sim.pending sim)
 
 let test_sim_stop () =
   let sim = Sim.create () in
@@ -240,12 +354,15 @@ let test_proc_await_timeout_expires () =
 let test_proc_await_timeout_wins () =
   let sim = Sim.create () in
   let p = Proc.promise sim in
-  let got = ref None in
+  let got = ref None and pending = ref (-1) in
   Proc.spawn sim (fun () ->
-      got := Proc.await_timeout sim p ~timeout:(Sim_time.ms 10));
+      got := Proc.await_timeout sim p ~timeout:(Sim_time.ms 10);
+      pending := Sim.pending sim);
   Sim.schedule sim ~after:(Sim_time.ms 1) (fun () -> Proc.fulfill p 5);
   Sim.run sim;
-  Alcotest.(check (option int)) "value before timeout" (Some 5) !got
+  Alcotest.(check (option int)) "value before timeout" (Some 5) !got;
+  Alcotest.(check int) "beaten timer left the heap" 0 !pending;
+  Alcotest.check time "clock stops at the value" (Sim_time.ms 1) (Sim.now sim)
 
 let test_proc_join () =
   let sim = Sim.create () in
@@ -500,6 +617,10 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "clear" `Quick test_queue_clear;
           qc prop_queue_sorted;
+          qc prop_queue_matches_model;
+          Alcotest.test_case "clear releases payloads" `Quick test_queue_clear_releases;
+          Alcotest.test_case "emptying pop releases payload" `Quick test_queue_pop_releases;
+          Alcotest.test_case "remove releases payload" `Quick test_queue_remove_releases;
         ] );
       ( "rng",
         [
@@ -514,6 +635,7 @@ let () =
           Alcotest.test_case "run until" `Quick test_sim_until;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "max events" `Quick test_sim_max_events;
+          Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "stop" `Quick test_sim_stop;
         ] );
       ( "proc",

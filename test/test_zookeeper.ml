@@ -7,6 +7,7 @@ open Edc_zookeeper
 module P = Protocol
 
 let zerror = Alcotest.testable Zerror.pp Zerror.equal
+let time = Alcotest.testable Sim_time.pp Sim_time.equal
 
 (* ------------------------------------------------------------------ *)
 (* Zpath                                                               *)
@@ -581,6 +582,69 @@ let test_cluster_deterministic () =
   in
   Alcotest.(check bool) "same trace both runs" true (run () = run ())
 
+(* A pipelined client keeps 64 requests in flight for 5120 writes.  Each
+   answered request cancels its timeout, so the event heap holds the live
+   window (a timer and a message per request) and the cluster's own timers,
+   not one dead 4 s timer per request answered. *)
+let test_client_window_keeps_heap_small () =
+  let window = 64 and windows = 80 in
+  let peak = ref 0 and answered = ref 0 in
+  in_cluster (fun cluster ->
+      let sim = Cluster.sim cluster in
+      let c = Cluster.connected_client ~replica:1 cluster () in
+      ignore (ok "create" (Client.create_node c "/w" "") : string);
+      for _ = 1 to windows do
+        let replies =
+          List.init window (fun i ->
+              Client.request_async c
+                (P.Set_data { path = "/w"; data = string_of_int i; expected_version = None }))
+        in
+        (* the window's timers and messages in flight *)
+        peak := max !peak (Sim.pending sim);
+        List.iter
+          (fun p ->
+            match Proc.await p with
+            | P.Set _ -> incr answered
+            | r -> Alcotest.failf "write failed: %a" P.pp_result r)
+          replies;
+        peak := max !peak (Sim.pending sim)
+      done;
+      Alcotest.(check int) "every request answered" 0 (Client.outstanding c));
+  Alcotest.(check int) "all writes answered" (window * windows) !answered;
+  if !peak >= 3 * window then
+    Alcotest.failf "pending events peaked at %d over %d requests" !peak (window * windows)
+
+(* The timeout path is untouched by cancellation: a request whose replica
+   is cut off resolves [Error Timeout] exactly [request_timeout] after it
+   was sent, through both the pipelined and the blocking call, and leaves
+   no outstanding entry behind. *)
+let test_client_timeout_when_partitioned () =
+  let finished = ref false in
+  in_cluster (fun cluster ->
+      let sim = Cluster.sim cluster in
+      let c = Cluster.connected_client ~replica:1 cluster () in
+      ignore (ok "create" (Client.create_node c "/p" "") : string);
+      Net.cut_link (Cluster.net cluster) (Client.addr c) 1;
+      let timeout = Client.default_config.request_timeout in
+      let sent = Sim.now sim in
+      let p = Client.request_async c (P.Get_data { path = "/p"; watch = false }) in
+      Alcotest.(check int) "one outstanding" 1 (Client.outstanding c);
+      (match Proc.await p with
+      | P.Error Zerror.Timeout -> ()
+      | r -> Alcotest.failf "expected Timeout, got %a" P.pp_result r);
+      Alcotest.check time "async timed out at request_timeout" timeout
+        (Sim_time.sub (Sim.now sim) sent);
+      Alcotest.(check int) "outstanding empty after async timeout" 0 (Client.outstanding c);
+      let sent = Sim.now sim in
+      (match Client.get_data c "/p" with
+      | Error Zerror.Timeout -> ()
+      | _ -> Alcotest.fail "expected Timeout from the blocking call");
+      Alcotest.check time "blocking call timed out at request_timeout" timeout
+        (Sim_time.sub (Sim.now sim) sent);
+      Alcotest.(check int) "outstanding empty after blocking timeout" 0 (Client.outstanding c);
+      finished := true);
+  Alcotest.(check bool) "both requests resolved" true !finished
+
 let qc = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -703,5 +767,9 @@ let () =
           Alcotest.test_case "snapshot state transfer" `Quick
             test_cluster_snapshot_state_transfer;
           Alcotest.test_case "deterministic" `Quick test_cluster_deterministic;
+          Alcotest.test_case "answered requests leave the heap" `Quick
+            test_client_window_keeps_heap_small;
+          Alcotest.test_case "timeout when partitioned" `Quick
+            test_client_timeout_when_partitioned;
         ] );
     ]
