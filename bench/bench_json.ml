@@ -232,6 +232,12 @@ let parse (s : string) : (t, string) result =
     else Ok v
   with Parse_fail m -> Error m
 
+(* The WGL verdict as it appears in every BENCH file's linearizability rows. *)
+let of_verdict = function
+  | Edc_checker.Wgl.Linearizable _ -> Str "linearizable"
+  | Edc_checker.Wgl.Non_linearizable _ -> Str "violation"
+  | Edc_checker.Wgl.Budget_exhausted _ -> Str "inconclusive"
+
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let to_list = function List l -> Some l | _ -> None
 

@@ -490,28 +490,11 @@ let chaos quick =
 (* ------------------------------------------------------------------ *)
 
 module Ck_history = Edc_checker.History
-module Ck_model = Edc_checker.Model
 module Ck_wgl = Edc_checker.Wgl
 module Instrument = Edc_checker.Instrument
 module Counter = Edc_recipes.Counter
 module Queue = Edc_recipes.Queue
-
-let fail_on_error what = function
-  | Ok _ -> ()
-  | Error e -> failwith (what ^ ": " ^ e)
-
-let ack_if_ext (api : Edc_recipes.Coord_api.t) name =
-  match api.Edc_recipes.Coord_api.ext with
-  | Some ext -> (
-      match ext.Edc_recipes.Coord_api.acknowledge name with
-      | Ok () -> ()
-      | Error e -> failwith ("acknowledge: " ^ e))
-  | None -> ()
-
-let verdict_cell = function
-  | Ck_wgl.Linearizable { states; _ } -> Printf.sprintf "ok(%d states)" states
-  | Ck_wgl.Non_linearizable _ -> "VIOLATION"
-  | Ck_wgl.Budget_exhausted _ -> "INCONCLUSIVE"
+module Zab = Edc_replication.Zab
 
 (* A partitioned leader keeps accepting writes it cannot commit, so on
    heal it holds a divergent uncommitted tail — the state log matching
@@ -559,7 +542,7 @@ let linearize quick =
             seed p.E.ch_history_events
             (String.concat "  "
                (List.map
-                  (fun (obj, v) -> obj ^ "=" ^ verdict_cell v)
+                  (fun (obj, v) -> obj ^ "=" ^ E.verdict_cell v)
                   p.E.ch_lin));
           assert_verdicts
             ~what:(Printf.sprintf "%s seed=%d" (S.kind_name kind) seed)
@@ -587,17 +570,17 @@ let linearize quick =
             ops_per_iteration = 3;
             setup =
               (fun api ->
-                fail_on_error "counter setup" (Counter.setup api);
-                fail_on_error "queue setup" (Queue.setup api);
+                E.fail_on_error "counter setup" (Counter.setup api);
+                E.fail_on_error "queue setup" (Queue.setup api);
                 if extensible then begin
-                  fail_on_error "register" (Counter.register api);
-                  fail_on_error "register" (Queue.register api)
+                  E.fail_on_error "register" (Counter.register api);
+                  E.fail_on_error "register" (Queue.register api)
                 end);
             prepare =
               (fun api ->
                 if extensible then begin
-                  ack_if_ext api Counter.extension_name;
-                  ack_if_ext api Queue.extension_name
+                  E.ack_if_ext api Counter.extension_name;
+                  E.ack_if_ext api Queue.extension_name
                 end);
             op =
               (fun api ->
@@ -620,17 +603,11 @@ let linearize quick =
                         match r with Ok _ -> Ok 3 | Error e -> Error e)));
           }
       in
-      let verdicts =
-        Ck_history.entries history
-        |> Ck_history.split
-        |> List.filter_map (fun (obj, es) ->
-               Ck_model.for_object obj
-               |> Option.map (fun m -> (obj, Ck_wgl.check m es)))
-      in
+      let verdicts = Ck_wgl.check_objects history in
       Printf.printf "  %-10s %5d events  %s\n%!" (S.kind_name kind)
         (Ck_history.n_events history)
         (String.concat "  "
-           (List.map (fun (obj, v) -> obj ^ "=" ^ verdict_cell v) verdicts));
+           (List.map (fun (obj, v) -> obj ^ "=" ^ E.verdict_cell v) verdicts));
       assert_verdicts ~what:(S.kind_name kind ^ " stress") verdicts)
     S.all;
   (* 3. Blocking recipes at recipe granularity: leadership as a mutex,
@@ -641,7 +618,7 @@ let linearize quick =
       let p = E.lin_recipes_point ~seed:5 kind in
       Printf.printf "  %-10s %5d events  lock=%s  barrier=%s\n%!"
         (S.kind_name kind) p.E.lp_events
-        (verdict_cell p.E.lp_lock)
+        (E.verdict_cell p.E.lp_lock)
         (match p.E.lp_barrier with Ok () -> "ok" | Error _ -> "VIOLATION");
       assert_verdicts ~what:(S.kind_name kind ^ " recipes")
         [ ("lock", p.E.lp_lock) ];
@@ -656,8 +633,8 @@ let linearize quick =
   Printf.printf "\n  mutation self-test (unsafe_skip_log_matching = true):\n";
   let zab_config =
     {
-      Edc_replication.Zab.default_config with
-      Edc_replication.Zab.unsafe_skip_log_matching = true;
+      Zab.default_config with
+      Zab.unsafe_skip_log_matching = true;
     }
   in
   let mutation_seeds = if quick then [ 42 ] else [ 42; 43; 44 ] in
@@ -694,49 +671,45 @@ let linearize quick =
 (* Elastic membership: 3 -> 5 -> 3 autoscaling under chaos             *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_json = function
-  | Ck_wgl.Linearizable _ -> "linearizable"
-  | Ck_wgl.Non_linearizable _ -> "violation"
-  | Ck_wgl.Budget_exhausted _ -> "inconclusive"
-
 let json_of_membership (p : E.membership_point) =
-  let r = p.E.mp_reconfig in
+  let c = p.E.mp_run in
+  let r = c.E.ch_reconfig in
   let floats fs = Bench_json.List (List.map (fun f -> Bench_json.Float f) fs) in
   Bench_json.Obj
     [
-      ("system", Bench_json.Str (S.kind_name p.E.mp_kind));
-      ("seed", Bench_json.Int p.E.mp_seed);
-      ("ops_ok", Bench_json.Int p.E.mp_ops_ok);
-      ("ops_maybe", Bench_json.Int p.E.mp_ops_maybe);
-      ("ops_failed", Bench_json.Int p.E.mp_ops_failed);
+      ("system", Bench_json.Str (S.kind_name c.E.ch_kind));
+      ("seed", Bench_json.Int c.E.ch_seed);
+      ("ops_ok", Bench_json.Int c.E.ch_ops_ok);
+      ("ops_maybe", Bench_json.Int c.E.ch_ops_maybe);
+      ("ops_failed", Bench_json.Int c.E.ch_ops_failed);
       ( "members_final",
         Bench_json.List
           (List.map (fun i -> Bench_json.Int i) p.E.mp_members_final) );
       ("grow_ms", floats p.E.mp_grow_ms);
       ("shrink_ms", floats p.E.mp_shrink_ms);
-      ("joins_attempted", Bench_json.Int r.E.rs_joins_attempted);
-      ("joins_completed", Bench_json.Int r.E.rs_joins_completed);
-      ("leaves_attempted", Bench_json.Int r.E.rs_leaves_attempted);
-      ("leaves_completed", Bench_json.Int r.E.rs_leaves_completed);
-      ("joint_commits", Bench_json.Int r.E.rs_joint_commits);
-      ("finals_committed", Bench_json.Int r.E.rs_finals_committed);
-      ("aborted", Bench_json.Int r.E.rs_aborted);
-      ("fenced", Bench_json.Int r.E.rs_fenced);
-      ("catchup_ms", floats r.E.rs_catchup_ms);
-      ("reconfig_kills", Bench_json.Int p.E.mp_reconfig_kills);
-      ("crashes", Bench_json.Int p.E.mp_crashes);
-      ("leader_kills", Bench_json.Int p.E.mp_leader_kills);
+      ("joins_attempted", Bench_json.Int r.Zab.joins_requested);
+      ("joins_completed", Bench_json.Int r.Zab.joins_completed);
+      ("leaves_attempted", Bench_json.Int r.Zab.leaves_requested);
+      ("leaves_completed", Bench_json.Int r.Zab.leaves_completed);
+      ("joint_commits", Bench_json.Int r.Zab.joint_commits);
+      ("finals_committed", Bench_json.Int r.Zab.finals_committed);
+      ("aborted", Bench_json.Int r.Zab.aborted);
+      ("fenced", Bench_json.Int r.Zab.fences);
+      ("catchup_ms", floats r.Zab.catchup_ms);
+      ("reconfig_kills", Bench_json.Int c.E.ch_reconfig_kills);
+      ("crashes", Bench_json.Int c.E.ch_crashes);
+      ("leader_kills", Bench_json.Int c.E.ch_leader_kills);
       ("steady_ops_s", Bench_json.Float p.E.mp_steady_ops_s);
       ("trough_ops_s", Bench_json.Float p.E.mp_trough_ops_s);
       ("recovery_s", floats p.E.mp_recovery_s);
       ("unrecovered", Bench_json.Int p.E.mp_unrecovered);
       ( "bootstrap_resume_from_chunk",
-        Bench_json.Int p.E.mp_snap.S.ss_last_resume_from );
-      ("snapshot_resumes", Bench_json.Int p.E.mp_snap.S.ss_resumes);
-      ("anomalies", Bench_json.Int p.E.mp_anomalies);
+        Bench_json.Int c.E.ch_snap.S.ss_last_resume_from );
+      ("snapshot_resumes", Bench_json.Int c.E.ch_snap.S.ss_resumes);
+      ("anomalies", Bench_json.Int c.E.ch_anomalies);
       ( "invariant_failures",
         Bench_json.List
-          (List.map (fun s -> Bench_json.Str s) p.E.mp_invariant_failures) );
+          (List.map (fun s -> Bench_json.Str s) c.E.ch_invariant_failures) );
       ( "linearizability",
         Bench_json.List
           (List.map
@@ -744,10 +717,10 @@ let json_of_membership (p : E.membership_point) =
                Bench_json.Obj
                  [
                    ("object", Bench_json.Str obj);
-                   ("verdict", Bench_json.Str (verdict_json v));
+                   ("verdict", Bench_json.of_verdict v);
                  ])
-             p.E.mp_lin) );
-      ("history_events", Bench_json.Int p.E.mp_history_events);
+             c.E.ch_lin) );
+      ("history_events", Bench_json.Int c.E.ch_history_events);
     ]
 
 let membership quick =
@@ -772,31 +745,31 @@ let membership quick =
           seeds)
       kinds
   in
+  let runs = List.map (fun p -> p.E.mp_run) points in
   Report.membership_table points;
-  Report.membership_reconfig_summary points;
-  Report.membership_invariant_failures points;
-  let p0 = List.hd points in
-  Printf.printf "\nfault trace (%s, seed %d):\n%s"
-    (S.kind_name p0.E.mp_kind) p0.E.mp_seed p0.E.mp_trace;
+  Report.reconfig_summary runs;
+  Report.invariant_failures runs;
+  let r0 = List.hd runs in
+  Report.fault_trace r0;
   (* Determinism: the same seed must reproduce the same fault trace. *)
-  let rerun = E.membership_point ~seed:p0.E.mp_seed p0.E.mp_kind in
-  let deterministic = String.equal rerun.E.mp_trace p0.E.mp_trace in
+  let rerun = E.membership_point ~seed:r0.E.ch_seed r0.E.ch_kind in
+  let deterministic = String.equal rerun.E.mp_run.E.ch_trace r0.E.ch_trace in
   Printf.printf "\nsame-seed rerun reproduces the fault trace: %b\n"
     deterministic;
-  let broken = List.exists (fun p -> p.E.mp_invariant_failures <> []) points in
+  let broken = List.exists (fun r -> r.E.ch_invariant_failures <> []) runs in
   let violations =
     List.concat_map
-      (fun p ->
+      (fun r ->
         List.filter_map
           (fun (obj, v) ->
             match v with
             | Ck_wgl.Non_linearizable _ ->
-                Some (S.kind_name p.E.mp_kind, p.E.mp_seed, obj)
+                Some (S.kind_name r.E.ch_kind, r.E.ch_seed, obj)
             | _ -> None)
-          p.E.mp_lin)
-      points
+          r.E.ch_lin)
+      runs
   in
-  let kills = List.fold_left (fun a p -> a + p.E.mp_reconfig_kills) 0 points in
+  let kills = List.fold_left (fun a r -> a + r.E.ch_reconfig_kills) 0 runs in
   let unrecovered = List.fold_left (fun a p -> a + p.E.mp_unrecovered) 0 points in
   let worst_recovery =
     List.fold_left

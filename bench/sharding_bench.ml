@@ -9,13 +9,13 @@ open Edc_sharding
 module Zk = Edc_zookeeper
 module Two_pc = Edc_replication.Two_pc
 module Ck_history = Edc_checker.History
-module Ck_model = Edc_checker.Model
 module Ck_wgl = Edc_checker.Wgl
 module Instrument = Edc_checker.Instrument
 module Atomicity = Edc_checker.Atomicity
 module Counter = Edc_recipes.Counter
 module Coord_zk = Edc_recipes.Coord_zk
 module Report = Edc_harness.Report
+module E = Edc_harness.Experiment
 
 let shard_map n =
   Shard_map.v
@@ -24,9 +24,8 @@ let shard_map n =
            { Shard_map.prefix = Printf.sprintf "/s%d" i; shard = i }))
     n
 
-let fail_on_error what = function
-  | Ok _ -> ()
-  | Error e -> failwith (what ^ ": " ^ Zk.Zerror.to_string e)
+let fail_on_zerror what r =
+  E.fail_on_error what (Result.map_error Zk.Zerror.to_string r)
 
 let mean = function
   | [] -> 0.0
@@ -73,11 +72,11 @@ let scaling_point ~quick n_groups =
         for s = 0 to n_groups - 1 do
           Proc.spawn sim (fun () ->
               let admin = Shard_cluster.connected_client cluster ~shard:s () in
-              fail_on_error "shard root"
+              fail_on_zerror "shard root"
                 (Zk.Client.create_node admin (Printf.sprintf "/s%d" s) "");
               for w = 0 to writers_per_shard - 1 do
                 let path = Printf.sprintf "/s%d/w%d" s w in
-                fail_on_error "writer node"
+                fail_on_zerror "writer node"
                   (Zk.Client.create_node admin path "");
                 Proc.spawn sim (fun () ->
                     let c =
@@ -152,17 +151,17 @@ let ablation_point ~quick cross_pct =
         (* per-shard roots, then per-worker subtrees on home + partner *)
         let admin = Shard_session.connect cluster in
         for s = 0 to n_groups - 1 do
-          fail_on_error "root"
+          fail_on_zerror "root"
             (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
         done;
         for w = 0 to n_workers - 1 do
           let home = w mod n_groups and partner = (w + 1) mod n_groups in
           List.iter
             (fun s ->
-              fail_on_error "subtree"
+              fail_on_zerror "subtree"
                 (Shard_session.create_node admin
                    (Printf.sprintf "/s%d/w%d" s w) "");
-              fail_on_error "target"
+              fail_on_zerror "target"
                 (Shard_session.create_node admin
                    (Printf.sprintf "/s%d/w%d/n" s w) ""))
             [ home; partner ]
@@ -304,17 +303,17 @@ let chaos_point ~quick seed =
         done;
         let admin = Shard_session.connect cluster in
         for s = 0 to n_groups - 1 do
-          fail_on_error "root"
+          fail_on_zerror "root"
             (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
         done;
         for w = 0 to n_groups - 1 do
           let home = w and partner = (w + 1) mod n_groups in
           List.iter
             (fun s ->
-              fail_on_error "subtree"
+              fail_on_zerror "subtree"
                 (Shard_session.create_node admin
                    (Printf.sprintf "/s%d/w%d" s w) "");
-              fail_on_error "target"
+              fail_on_zerror "target"
                 (Shard_session.create_node admin
                    (Printf.sprintf "/s%d/w%d/n" s w) ""))
             [ home; partner ]
@@ -427,11 +426,9 @@ let chaos_point ~quick seed =
   let wgl =
     List.concat
       (List.init n_groups (fun s ->
-           Ck_history.entries histories.(s)
-           |> Ck_history.split
-           |> List.filter_map (fun (obj, es) ->
-                  Ck_model.for_object obj
-                  |> Option.map (fun m -> (s, obj, Ck_wgl.check m es)))))
+           List.map
+             (fun (obj, v) -> (s, obj, v))
+             (Ck_wgl.check_objects histories.(s))))
   in
   let audits = Shard_cluster.audits cluster in
   let atomicity =
@@ -458,11 +455,6 @@ let chaos_point ~quick seed =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let verdict_cell = function
-  | Ck_wgl.Linearizable { states; _ } -> Printf.sprintf "ok(%d states)" states
-  | Ck_wgl.Non_linearizable _ -> "VIOLATION"
-  | Ck_wgl.Budget_exhausted _ -> "INCONCLUSIVE"
 
 let json_of_scaling base (p : scaling_point) =
   Bench_json.Obj
@@ -514,12 +506,7 @@ let json_of_chaos deterministic (p : chaos_point) =
                  [
                    ("shard", Bench_json.Int s);
                    ("object", Bench_json.Str obj);
-                   ( "verdict",
-                     Bench_json.Str
-                       (match v with
-                       | Ck_wgl.Linearizable _ -> "linearizable"
-                       | Ck_wgl.Non_linearizable _ -> "violation"
-                       | Ck_wgl.Budget_exhausted _ -> "inconclusive") );
+                   ("verdict", Bench_json.of_verdict v);
                  ])
              p.cp_wgl) );
       ("deterministic", Bench_json.Bool deterministic);
@@ -600,7 +587,7 @@ let run ~quick =
         p.cp_cross_failed p.cp_leader_kills p.cp_shard_cuts p.cp_resolved;
       List.iter
         (fun (s, obj, v) ->
-          Printf.printf "    shard %d %s: %s\n" s obj (verdict_cell v);
+          Printf.printf "    shard %d %s: %s\n" s obj (E.verdict_cell v);
           match v with
           | Ck_wgl.Non_linearizable _ ->
               fail "seed %d: shard %d object %s not linearizable" p.cp_seed s

@@ -88,7 +88,7 @@ val n_events : t -> int
 val object_of_op : op -> string
 
 val split : entry list -> (string * entry list) list
-(** Objects in first-appearance order; entry order preserved. *)
+(** Objects in reverse first-appearance order; entry order preserved. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_response : Format.formatter -> response -> unit

@@ -40,7 +40,11 @@ val check :
 (** [max_steps] bounds each search attempt (the full history and each
     minimization probe separately); default 300_000. *)
 
-val check_history : ?max_steps:int -> Model.t -> History.t -> verdict
+val check_objects :
+  ?max_steps:int -> History.t -> (string * verdict) list
+(** The compositional pass: one {!check} per object of the history (in
+    {!History.split} order) against its {!Model.for_object} model;
+    objects without a model are skipped. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_window : Format.formatter -> History.entry list -> unit

@@ -119,23 +119,6 @@ val lin_recipes_point :
   Systems.kind ->
   lin_point
 
-(** Membership-change outcomes aggregated over a run's replicas (see
-    {!Systems.t.reconfig_stats} for the aggregation rules). *)
-type reconfig_summary = {
-  rs_joins_attempted : int;
-  rs_joins_completed : int;
-  rs_leaves_attempted : int;
-  rs_leaves_completed : int;
-  rs_joint_commits : int;  (** joint \{old ∪ new\} entries committed *)
-  rs_finals_committed : int;  (** finalizing entries committed *)
-  rs_aborted : int;  (** joint entries truncated by a new leader's sync *)
-  rs_fenced : int;  (** fence notices sent to removed/stale replicas *)
-  rs_catchup_ms : float list;  (** learner bootstrap-to-promotion times *)
-}
-
-val reconfig_summary_of_stats :
-  Edc_replication.Zab.reconfig_stats -> reconfig_summary
-
 (** Availability under fault injection: counter + queue recipes on
     resilient sessions while a {!Edc_simnet.Nemesis} runs [schedule] until
     [horizon]; final state is read back and checked against what clients
@@ -182,8 +165,10 @@ type chaos_point = {
       (** serializer work during the run: frames encoded vs per-destination
           sends — the gap is the encode-once broadcast saving (zeros for
           the BFT deployments) *)
-  ch_reconfig : reconfig_summary;
-      (** membership-change activity (all-zero unless the run reconfigures) *)
+  ch_reconfig : Edc_replication.Zab.reconfig_stats;
+      (** membership-change activity aggregated over the run's replicas
+          (see {!Systems.t.reconfig_stats}; all-zero unless the run
+          reconfigures) *)
   ch_reconfig_kills : int;
       (** leader kills the nemesis timed against an in-flight reconfig *)
 }
@@ -207,44 +192,29 @@ val chaos_point :
   Systems.kind ->
   chaos_point
 
-(** Elastic membership under chaos: a 3-replica ensemble grows to 5 and
-    shrinks back to 3 through the joint-consensus log path while clients
-    drive a diurnal write curve.  The first joiner's links are cut while
-    its chunked snapshot bootstrap is in flight (the transfer must resume
-    from a nonzero chunk); from t=8s a reconfiguration-targeted nemesis
-    kills the leader within 120 ms of any in-flight config change. *)
+(** Elastic membership under chaos: the {!chaos_point} fault run (one
+    queue producer/consumer pair, diurnal incrementer think time) plus an
+    autoscaling driver that grows a 3-replica ensemble to 5 and shrinks it
+    back to 3 through the joint-consensus log path.  The first joiner's
+    links are cut while its chunked snapshot bootstrap is in flight (the
+    transfer must resume from a nonzero chunk); from t=8s a
+    reconfiguration-targeted nemesis kills the leader within 120 ms of any
+    in-flight config change. *)
 type membership_point = {
-  mp_kind : Systems.kind;
-  mp_seed : int;
-  mp_ops_ok : int;
-  mp_ops_maybe : int;
-  mp_ops_failed : int;
-  mp_errors : (string * int) list;
+  mp_run : chaos_point;
+      (** the fault run itself; its [ch_invariant_failures] end with the
+          membership life-cycle checks, and its [ch_lin] verdicts span
+          every configuration boundary *)
   mp_members_final : int list;
   mp_grow_ms : float list;
       (** add_replica call -> stable grown config, per join *)
   mp_shrink_ms : float list;  (** removal requested -> stable config *)
-  mp_reconfig : reconfig_summary;
-  mp_reconfig_kills : int;
-  mp_crashes : int;
-  mp_leader_kills : int;
   mp_steady_ops_s : float;  (** write throughput before any reconfig *)
   mp_trough_ops_s : float;  (** worst 500 ms bucket of the elastic phase *)
   mp_recovery_s : float list;
       (** per reconfiguration event: time until bucket throughput is back
           to >= 90% of steady state *)
   mp_unrecovered : int;
-  mp_counter_confirmed : int;
-  mp_counter_maybe : int;
-  mp_counter_final : int;
-  mp_anomalies : int;
-  mp_invariant_failures : string list;  (** empty = all invariants intact *)
-  mp_lin : (string * Edc_checker.Wgl.verdict) list;
-      (** per-object WGL verdicts over the full history, which spans
-          every configuration boundary *)
-  mp_history_events : int;
-  mp_trace : string;  (** equal seeds produce equal traces *)
-  mp_snap : Systems.snapshot_stats;
 }
 
 (** Meaningful for the Zab deployments (ZooKeeper/EZK); the static BFT
@@ -341,3 +311,16 @@ val stale_read_point :
   unsafe:bool ->
   unit ->
   stale_read_point
+
+(** {2 Helpers shared with the bench drivers} *)
+
+(** [fail_on_error what r] raises [Failure] naming [what] when [r] is an
+    [Error]. *)
+val fail_on_error : string -> ('a, string) result -> unit
+
+(** Acknowledge extension [name] on the session when it is extensible. *)
+val ack_if_ext : Edc_recipes.Coord_api.t -> string -> unit
+
+(** Short table cell for a WGL verdict: [ok(N states)], [VIOLATION] or
+    [INCONCLUSIVE]. *)
+val verdict_cell : Edc_checker.Wgl.verdict -> string

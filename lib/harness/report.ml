@@ -206,48 +206,43 @@ let wire_summary points =
       points
   end
 
-let reconfig_active (r : Experiment.reconfig_summary) =
-  r.Experiment.rs_joins_attempted + r.Experiment.rs_leaves_attempted
-  + r.Experiment.rs_joint_commits + r.Experiment.rs_fenced
-  > 0
-
-let reconfig_row ~kind ~seed (r : Experiment.reconfig_summary) ~kills =
-  let catchup =
-    match r.Experiment.rs_catchup_ms with
-    | [] -> "-"
-    | ms ->
-        let n = List.length ms in
-        let sum = List.fold_left ( +. ) 0.0 ms in
-        let mx = List.fold_left Float.max 0.0 ms in
-        Printf.sprintf "%.0f/%.0f (%d)" (sum /. float_of_int n) mx n
-  in
-  Printf.printf "%-10s %5d | %4d/%-4d %4d/%-4d | %5d %5d %5d | %6d %5d | %s\n"
-    (Systems.kind_name kind) seed r.Experiment.rs_joins_attempted
-    r.Experiment.rs_joins_completed r.Experiment.rs_leaves_attempted
-    r.Experiment.rs_leaves_completed r.Experiment.rs_joint_commits
-    r.Experiment.rs_finals_committed r.Experiment.rs_aborted
-    r.Experiment.rs_fenced kills catchup
-
-let reconfig_header () =
-  Printf.printf "\n%-10s %5s | %9s %9s | %5s %5s %5s | %6s %5s | %s\n" "system"
-    "seed" "joins a/c" "leave a/c" "joint" "final" "abort" "fences" "kills"
-    "catchup ms avg/max (n)";
-  hline 96
+module Zab = Edc_replication.Zab
 
 let reconfig_summary points =
   (* membership-change activity; silent unless some run reconfigured *)
-  let active =
-    List.exists
-      (fun (p : Experiment.chaos_point) ->
-        reconfig_active p.Experiment.ch_reconfig)
-      points
+  let active (r : Zab.reconfig_stats) =
+    r.Zab.joins_requested + r.Zab.leaves_requested + r.Zab.joint_commits
+    + r.Zab.fences
+    > 0
   in
-  if active then begin
-    reconfig_header ();
+  if
+    List.exists
+      (fun (p : Experiment.chaos_point) -> active p.Experiment.ch_reconfig)
+      points
+  then begin
+    Printf.printf "\n%-10s %5s | %9s %9s | %5s %5s %5s | %6s %5s | %s\n"
+      "system" "seed" "joins a/c" "leave a/c" "joint" "final" "abort" "fences"
+      "kills" "catchup ms avg/max (n)";
+    hline 96;
     List.iter
       (fun (p : Experiment.chaos_point) ->
-        reconfig_row ~kind:p.Experiment.ch_kind ~seed:p.Experiment.ch_seed
-          p.Experiment.ch_reconfig ~kills:p.Experiment.ch_reconfig_kills)
+        let r = p.Experiment.ch_reconfig in
+        let catchup =
+          match r.Zab.catchup_ms with
+          | [] -> "-"
+          | ms ->
+              let n = List.length ms in
+              let sum = List.fold_left ( +. ) 0.0 ms in
+              let mx = List.fold_left Float.max 0.0 ms in
+              Printf.sprintf "%.0f/%.0f (%d)" (sum /. float_of_int n) mx n
+        in
+        Printf.printf
+          "%-10s %5d | %4d/%-4d %4d/%-4d | %5d %5d %5d | %6d %5d | %s\n"
+          (Systems.kind_name p.Experiment.ch_kind)
+          p.Experiment.ch_seed r.Zab.joins_requested r.Zab.joins_completed
+          r.Zab.leaves_requested r.Zab.leaves_completed r.Zab.joint_commits
+          r.Zab.finals_committed r.Zab.aborted r.Zab.fences
+          p.Experiment.ch_reconfig_kills catchup)
       points
   end
 
@@ -263,6 +258,7 @@ let membership_table points =
   hline 100;
   List.iter
     (fun (p : Experiment.membership_point) ->
+      let r = p.Experiment.mp_run in
       let recov =
         match p.Experiment.mp_recovery_s with
         | [] -> "-"
@@ -274,34 +270,15 @@ let membership_table points =
       in
       Printf.printf
         "%-10s %5d | %6d %5d %4d | %7s | %6.0f %6.0f | %9s %5d | %6d %6s\n"
-        (Systems.kind_name p.Experiment.mp_kind)
-        p.Experiment.mp_seed p.Experiment.mp_ops_ok p.Experiment.mp_ops_maybe
-        p.Experiment.mp_ops_failed
+        (Systems.kind_name r.Experiment.ch_kind)
+        r.Experiment.ch_seed r.Experiment.ch_ops_ok r.Experiment.ch_ops_maybe
+        r.Experiment.ch_ops_failed
         (String.concat ","
            (List.map string_of_int p.Experiment.mp_members_final))
         p.Experiment.mp_steady_ops_s p.Experiment.mp_trough_ops_s recov
         p.Experiment.mp_unrecovered
-        p.Experiment.mp_snap.Systems.ss_last_resume_from
-        (if p.Experiment.mp_invariant_failures = [] then "OK" else "BROKEN"))
-    points
-
-let membership_reconfig_summary points =
-  reconfig_header ();
-  List.iter
-    (fun (p : Experiment.membership_point) ->
-      reconfig_row ~kind:p.Experiment.mp_kind ~seed:p.Experiment.mp_seed
-        p.Experiment.mp_reconfig ~kills:p.Experiment.mp_reconfig_kills)
-    points
-
-let membership_invariant_failures points =
-  List.iter
-    (fun (p : Experiment.membership_point) ->
-      List.iter
-        (fun f ->
-          Printf.printf "INVARIANT VIOLATED [%s seed=%d]: %s\n"
-            (Systems.kind_name p.Experiment.mp_kind)
-            p.Experiment.mp_seed f)
-        p.Experiment.mp_invariant_failures)
+        r.Experiment.ch_snap.Systems.ss_last_resume_from
+        (if r.Experiment.ch_invariant_failures = [] then "OK" else "BROKEN"))
     points
 
 let error_taxonomy points =

@@ -71,13 +71,6 @@ val reconfig_summary : Experiment.chaos_point list -> unit
     and invariant verdict. *)
 val membership_table : Experiment.membership_point list -> unit
 
-(** The reconfiguration recap (same columns as {!reconfig_summary}) over
-    membership runs. *)
-val membership_reconfig_summary : Experiment.membership_point list -> unit
-
-(** Print every broken membership invariant (silent when intact). *)
-val membership_invariant_failures : Experiment.membership_point list -> unit
-
 (** Aggregate non-ok outcome counts across runs, most frequent first. *)
 val error_taxonomy : Experiment.chaos_point list -> unit
 

@@ -354,6 +354,40 @@ let test_recorder () =
     (List.length (List.assoc "counter" parts));
   Alcotest.(check int) "queue part" 2 (List.length (List.assoc "queue" parts))
 
+(* check_objects: one verdict per modelled object in split order; the
+   barrier entry has no sequential model and is skipped *)
+let test_check_objects () =
+  let record ~second_incr =
+    let sim = Sim.create ~seed:1 () in
+    let h = H.create ~sim () in
+    Proc.spawn sim (fun () ->
+        let step client op response =
+          let id = H.invoke h ~client op in
+          Proc.sleep sim (Sim_time.ms 10);
+          H.ok h id response
+        in
+        step 3 (H.Enter "b") H.R_unit;
+        step 1 (H.Enq { eid = "a"; data = "da" }) H.R_unit;
+        step 2 H.Incr (H.R_int 1);
+        step 1 H.Deq (H.R_opt (Some "da"));
+        step 2 H.Incr (H.R_int second_incr));
+    Sim.run ~until:(Sim_time.sec 1) sim;
+    (List.map fst (H.split (H.entries h)), W.check_objects h)
+  in
+  let split_order, verdicts = record ~second_incr:2 in
+  Alcotest.(check (list string)) "modelled objects in split order"
+    (List.filter (fun o -> o <> "barrier") split_order)
+    (List.map fst verdicts);
+  Alcotest.(check int) "one verdict per modelled object" 2
+    (List.length verdicts);
+  Alcotest.check lin "queue" ok_v (List.assoc "queue" verdicts);
+  Alcotest.check lin "counter" ok_v (List.assoc "counter" verdicts);
+  (* a double-applied increment: both callers told 1 *)
+  let _, verdicts = record ~second_incr:1 in
+  Alcotest.check lin "queue untouched by the plant" ok_v
+    (List.assoc "queue" verdicts);
+  Alcotest.check lin "counter convicted" bad_v (List.assoc "counter" verdicts)
+
 let test_error_classification () =
   Alcotest.(check bool) "node exists is definite" true
     (Instrument.is_definite_error "node exists");
@@ -387,6 +421,35 @@ let test_chaos_healthy_checked () =
     (Experiment.chaos_point ~seed:7 ~horizon:(Sim_time.sec 12) Systems.Ezk);
   assert_all_linearizable "EDS"
     (Experiment.chaos_point ~seed:7 ~horizon:(Sim_time.sec 12) Systems.Eds)
+
+(* The membership run is the chaos fault run plus an autoscaling driver:
+   same invariants, same per-object WGL pass, and the 3 -> 5 -> 3 life
+   cycle must complete and reproduce under the same seed. *)
+let test_membership_checked () =
+  let p = Experiment.membership_point ~seed:42 Systems.Ezk in
+  let r = p.Experiment.mp_run in
+  assert_all_linearizable "membership" r;
+  Alcotest.(check (list int)) "back to the original three" [ 0; 1; 2 ]
+    p.Experiment.mp_members_final;
+  Alcotest.(check int) "two grows" 2 (List.length p.Experiment.mp_grow_ms);
+  Alcotest.(check int) "two shrinks" 2 (List.length p.Experiment.mp_shrink_ms);
+  let again = Experiment.membership_point ~seed:42 Systems.Ezk in
+  let r' = again.Experiment.mp_run in
+  Alcotest.(check string) "same-seed fault trace" r.Experiment.ch_trace
+    r'.Experiment.ch_trace;
+  Alcotest.(check (list int)) "same-seed counters"
+    [
+      r.Experiment.ch_counter_confirmed;
+      r.Experiment.ch_counter_maybe;
+      r.Experiment.ch_counter_final;
+    ]
+    [
+      r'.Experiment.ch_counter_confirmed;
+      r'.Experiment.ch_counter_maybe;
+      r'.Experiment.ch_counter_final;
+    ];
+  Alcotest.(check (list (float 0.))) "same-seed recovery windows"
+    p.Experiment.mp_recovery_s again.Experiment.mp_recovery_s
 
 let test_lin_recipes_healthy () =
   let p = Experiment.lin_recipes_point ~seed:5 Systems.Ezk in
@@ -589,6 +652,8 @@ let () =
           Alcotest.test_case "recorder" `Quick test_recorder;
           Alcotest.test_case "error classification" `Quick
             test_error_classification;
+          Alcotest.test_case "check_objects per object" `Quick
+            test_check_objects;
         ] );
       ( "freshness",
         [
@@ -607,6 +672,8 @@ let () =
         [
           Alcotest.test_case "healthy chaos is linearizable" `Slow
             test_chaos_healthy_checked;
+          Alcotest.test_case "membership run is the checked chaos run" `Slow
+            test_membership_checked;
           Alcotest.test_case "blocking recipes are linearizable" `Slow
             test_lin_recipes_healthy;
           Alcotest.test_case "zab mutation is caught" `Slow
