@@ -10,8 +10,9 @@
      no longer link.  Byte-identity of the streaming output is pinned by
      the golden table in test/test_wire.ml, not re-checked here.  The
      streaming rows are gated: in full mode they must land within 2x of
-     Marshal both ways on both shapes; in quick mode (CI) the measured
-     stream-vs-marshal ratios are compared against the committed
+     Marshal both ways on both shapes; in quick mode (CI) the
+     stream-vs-marshal ratios (median over interleaved rounds, see
+     [codec_experiment]) are compared against the committed
      bench/wire_baseline.json with a 2x tolerance, so a codec regression
      fails the job without depending on absolute runner speed.
    - decode_reject: time to reject corrupt input (truncated and
@@ -103,85 +104,114 @@ type codec_row = {
   c_decode_us : float;
 }
 
+(* Stream and Marshal are timed in alternating rounds, the order flipped
+   every round, and each gate reads the median of the per-round
+   stream/marshal ratios: a host that speeds up or slows down for a
+   while shifts both halves of a round alike instead of one codec's
+   whole block.  Every timed block starts after a full major GC, so no
+   block pays for the garbage the block before it left. *)
+let rounds = 9
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
 let codec_experiment ~quick =
-  let reps = if quick then 200 else 2_000 in
+  let per_round = (if quick then 200 else 2_000) / rounds in
   let batch = txn_batch 64 in
   let portable = snapshot_portable (if quick then 2_000 else 10_000) in
   let write_batch w m = Zab_wire.write ~payload:Zk.Wire_format.write_txn w m in
   let read_batch r = Zab_wire.read ~payload:Zk.Wire_format.read_txn r in
-  let stream_shapes =
+  (* shape, (stream encode, decode), (marshal encode, decode) *)
+  let shapes =
     [
       ( "txn_batch_64",
-        (fun () -> Wire.Writer.with_writer (fun w -> write_batch w batch)),
-        fun s ->
-          match Wire.Reader.run s read_batch with
-          | Ok _ -> ()
-          | Error e -> failwith e );
+        ( (fun () -> Wire.Writer.with_writer (fun w -> write_batch w batch)),
+          fun s ->
+            match Wire.Reader.run s read_batch with
+            | Ok _ -> ()
+            | Error e -> failwith e ),
+        ( (fun () -> Marshal.to_string batch []),
+          fun s -> ignore (Marshal.from_string s 0 : Txn.t Zab.msg) ) );
       ( "snapshot_10k",
-        (fun () ->
-          Wire.Writer.with_writer (fun w ->
-              Zk.Wire_format.write_portable w portable)),
-        fun s ->
-          match Wire.Reader.run s Zk.Wire_format.read_portable with
-          | Ok _ -> ()
-          | Error e -> failwith e );
+        ( (fun () ->
+            Wire.Writer.with_writer (fun w ->
+                Zk.Wire_format.write_portable w portable)),
+          fun s ->
+            match Wire.Reader.run s Zk.Wire_format.read_portable with
+            | Ok _ -> ()
+            | Error e -> failwith e ),
+        ( (fun () -> Marshal.to_string portable []),
+          fun s -> ignore (Marshal.from_string s 0 : Dt.portable) ) );
     ]
   in
-  let marshal_shapes =
-    [
-      ( "txn_batch_64",
-        (fun () -> Marshal.to_string batch []),
-        fun s -> ignore (Marshal.from_string s 0 : Txn.t Zab.msg) );
-      ( "snapshot_10k",
-        (fun () -> Marshal.to_string portable []),
-        fun s -> ignore (Marshal.from_string s 0 : Dt.portable) );
-    ]
-  in
-  Printf.printf "\n  codec throughput (mean wall clock, %d reps):\n" reps;
+  Printf.printf
+    "\n  codec throughput (mean wall clock, %d reps in %d interleaved rounds):\n"
+    (per_round * rounds) rounds;
   Printf.printf "  %14s %12s %9s %12s %12s\n" "shape" "codec" "bytes"
     "encode us" "decode us";
-  let measure codec (shape, enc, dec) =
-    let bytes = String.length (enc ()) in
-    let blob = enc () in
-    let encode_us = time_us ~reps (fun () -> ignore (enc () : string)) in
-    let decode_us = time_us ~reps (fun () -> dec blob) in
-    Printf.printf "  %14s %12s %9d %12.2f %12.2f\n%!" shape codec bytes
-      encode_us decode_us;
-    { c_shape = shape; c_codec = codec; c_bytes = bytes; c_encode_us = encode_us;
-      c_decode_us = decode_us }
+  let timed f =
+    Gc.full_major ();
+    time_us ~reps:per_round f
   in
-  let stream_rows = List.map (measure "wire_stream") stream_shapes in
-  let marshal_rows = List.map (measure "marshal") marshal_shapes in
-  let rows = stream_rows @ marshal_rows in
+  let time_codec (enc, dec) blob =
+    let e = timed (fun () -> ignore (enc () : string)) in
+    (e, timed (fun () -> dec blob))
+  in
+  let measure (shape, stream, marshal) =
+    let s_blob = fst stream () and m_blob = fst marshal () in
+    let samples =
+      List.init rounds (fun i ->
+          if i mod 2 = 0 then
+            let s = time_codec stream s_blob in
+            (s, time_codec marshal m_blob)
+          else
+            let m = time_codec marshal m_blob in
+            (time_codec stream s_blob, m))
+    in
+    let mean f =
+      List.fold_left (fun acc x -> acc +. f x) 0. samples /. float_of_int rounds
+    in
+    let row codec blob side =
+      let r =
+        { c_shape = shape; c_codec = codec; c_bytes = String.length blob;
+          c_encode_us = mean (fun x -> fst (side x));
+          c_decode_us = mean (fun x -> snd (side x)) }
+      in
+      Printf.printf "  %14s %12s %9d %12.2f %12.2f\n%!" shape codec r.c_bytes
+        r.c_encode_us r.c_decode_us;
+      r
+    in
+    let stream_row = row "wire_stream" s_blob fst in
+    let rows = [ stream_row; row "marshal" m_blob snd ] in
+    let ratio f = median (List.map (fun (s, m) -> f s /. f m) samples) in
+    (rows, (shape, ratio fst, ratio snd))
+  in
+  let measured = List.map measure shapes in
   Printf.printf
     "  (marshal is the unchecked baseline the servers no longer link)\n";
-  rows
+  Printf.printf "  stream/marshal ratio, median of %d rounds:\n" rounds;
+  let ratios = List.map snd measured in
+  List.iter
+    (fun (shape, enc, dec) ->
+      Printf.printf "  %14s encode %.2f decode %.2f\n" shape enc dec)
+    ratios;
+  (List.concat_map fst measured, ratios)
 
 (* ------------------------------------------------------------------ *)
 (* Codec gates                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let find_row rows ~codec ~shape =
-  List.find (fun r -> r.c_codec = codec && r.c_shape = shape) rows
-
-(* stream-vs-marshal cost ratios per shape: the unit the gates and the
-   committed baseline speak (machine-independent, unlike raw us) *)
-let stream_ratios rows =
-  List.map
-    (fun shape ->
-      let s = find_row rows ~codec:"wire_stream" ~shape in
-      let m = find_row rows ~codec:"marshal" ~shape in
-      (shape, s.c_encode_us /. m.c_encode_us, s.c_decode_us /. m.c_decode_us))
-    [ "txn_batch_64"; "snapshot_10k" ]
-
 let baseline_path = Filename.concat "bench" "wire_baseline.json"
 
-(* Full mode: absolute gate — streaming must land within 2x of Marshal
-   both ways on both shapes.  Quick mode (CI): compare the measured
+(* [ratios] are the per-shape stream-vs-marshal cost ratios: the unit
+   the gates and the committed baseline speak (machine-independent,
+   unlike raw us).  Full mode: absolute gate — streaming must land within
+   2x of Marshal both ways on both shapes.  Quick mode (CI): compare the
    ratios against the committed baseline with a 2x tolerance, so the
    guard tracks codec regressions without trusting runner speed. *)
-let codec_gates ~quick rows ~fail_gate =
-  let ratios = stream_ratios rows in
+let codec_gates ~quick ratios ~fail_gate =
   if quick then begin
     match J.of_file baseline_path with
     | Error e ->
@@ -449,11 +479,11 @@ let run ~quick =
     Printf.printf "  [gate] FAILED: %s\n%!" msg;
     gate_failures := msg :: !gate_failures
   in
-  let codec_rows = codec_experiment ~quick in
+  let codec_rows, ratios = codec_experiment ~quick in
   Printf.printf "\n  codec gates (%s):\n"
     (if quick then "ratios vs committed baseline, 2x tolerance"
      else "absolute, <= 2x Marshal");
-  codec_gates ~quick codec_rows ~fail_gate;
+  codec_gates ~quick ratios ~fail_gate;
   let reject_rows = reject_experiment ~quick in
   let e2e_rows = e2e_experiment ~quick in
   (if not quick then

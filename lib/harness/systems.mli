@@ -98,7 +98,7 @@ type t = {
 
 (** [make ?net_config ?batch ?zab_config kind sim] — [batch] configures
     replication group commit uniformly across deployments
-    ({!Edc_replication.Batching.off} when omitted).  [zab_config] applies
+    ({!Edc_replication.Batching.per_turn} when omitted).  [zab_config] applies
     to the Zab-replicated deployments only (ZooKeeper/EZK; ignored for
     the BFT ones) — the linearizability mutation self-test uses it to
     re-enable a known-bad protocol behaviour.  [server_config] likewise

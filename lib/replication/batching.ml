@@ -17,9 +17,12 @@
     arrivals pile up and ride the *next* batch — which is exactly how group
     commit self-clocks under load without any tuned delay.
 
-    With [sync_cost = 0] and [max_delay = 0] every [add] flushes a
-    singleton batch synchronously, making the batcher a no-op: the
-    unbatched protocols behave bit-for-bit as before. *)
+    [add] never flushes inline: it arms one {!Sim.defer}red check, which
+    runs at the end of the current transport turn on a turn-driven sim
+    (the TCP path), so everything a turn proposes leaves as one batch
+    with no timer.  On a simulated run [defer] runs at once, so with
+    [sync_cost = 0] and [max_delay = 0] every [add] flushes a singleton
+    batch synchronously, exactly as the unbatched protocols did. *)
 
 open Edc_simnet
 
@@ -31,9 +34,10 @@ type config = {
       (** serial per-batch agreement cost (log fsync / proposer work) *)
 }
 
-(** Unbatched: one item per proposal, no added latency, no modelled sync
-    cost.  Behaviourally identical to the pre-batching protocols. *)
-let off = { max_batch = 1; max_delay = Sim_time.zero; sync_cost = Sim_time.zero }
+(** No added latency and no modelled sync cost: one item per proposal on
+    a simulated run, one turn's items per proposal over TCP. *)
+let per_turn =
+  { max_batch = 64; max_delay = Sim_time.zero; sync_cost = Sim_time.zero }
 
 let group_commit ?(max_batch = 32) ?(max_delay = Sim_time.zero)
     ?(sync_cost = Sim_time.zero) () =
@@ -52,7 +56,9 @@ type 'a t = {
   mutable oldest : Sim_time.t;  (** arrival time of the oldest pending item *)
   mutable syncing : bool;  (** a flush is paying [sync_cost] right now *)
   mutable timer_armed : bool;
-  mutable generation : int;  (** invalidates timers and in-flight syncs *)
+  mutable turn_armed : bool;  (** a deferred [maybe_flush] is queued *)
+  mutable generation : int;
+      (** invalidates timers, deferred checks and in-flight syncs *)
 }
 
 let create ~sim ~config ~flush =
@@ -65,6 +71,7 @@ let create ~sim ~config ~flush =
     oldest = Sim_time.zero;
     syncing = false;
     timer_armed = false;
+    turn_armed = false;
     generation = 0;
   }
 
@@ -79,6 +86,7 @@ let reset t =
   t.n_pending <- 0;
   t.syncing <- false;
   t.timer_armed <- false;
+  t.turn_armed <- false;
   t.generation <- t.generation + 1
 
 (* Oldest-first batch of at most [max_batch] items; the remainder stays
@@ -136,4 +144,12 @@ let add t x =
   if t.n_pending = 0 then t.oldest <- Sim.now t.sim;
   t.pending <- x :: t.pending;
   t.n_pending <- t.n_pending + 1;
-  maybe_flush t
+  if not t.turn_armed then begin
+    t.turn_armed <- true;
+    let gen = t.generation in
+    Sim.defer t.sim (fun () ->
+        if gen = t.generation then begin
+          t.turn_armed <- false;
+          maybe_flush t
+        end)
+  end

@@ -16,9 +16,13 @@ type config = {
   sync_cost : Sim_time.t;  (** serial per-batch agreement cost *)
 }
 
-(** One item per proposal, zero delay and sync cost: behaviourally
-    identical to unbatched replication. *)
-val off : config
+(** Zero delay and sync cost, at most 64 items per proposal.  On a
+    simulated run every [add] flushes a singleton at once: behaviourally
+    identical to unbatched replication.  On a turn-driven sim (the TCP
+    transport) everything added during one turn is proposed when the turn
+    ends, 64 items per proposal, oldest first — group commit with no
+    timer, so a lone request still leaves in a batch of one. *)
+val per_turn : config
 
 val group_commit :
   ?max_batch:int -> ?max_delay:Sim_time.t -> ?sync_cost:Sim_time.t -> unit ->
@@ -29,16 +33,20 @@ val pp : Format.formatter -> config -> unit
 type 'a t
 
 (** [create ~sim ~config ~flush] — [flush] receives each batch oldest
-    first; it is called synchronously from [add] when both [sync_cost] and
-    the due-wait are zero, from a scheduled event otherwise. *)
+    first.  When both [sync_cost] and the due-wait are zero it is called
+    from the {!Edc_simnet.Sim.defer}red check that [add] arms: at once on
+    a simulated run, at {!Edc_simnet.Sim.end_turn} on a turn-driven sim.
+    Otherwise it is called from a scheduled event. *)
 val create : sim:Sim.t -> config:config -> flush:('a list -> unit) -> 'a t
 
-(** [add t x] enqueues an item and flushes if a batch is due. *)
+(** [add t x] enqueues an item and, unless one is already queued, defers
+    a check that flushes every due batch. *)
 val add : 'a t -> 'a -> unit
 
 (** Items currently waiting (not yet handed to [flush]). *)
 val pending : 'a t -> int
 
-(** [reset t] drops pending items and invalidates armed timers and
-    in-flight syncs (leadership loss / view change / crash). *)
+(** [reset t] drops pending items and invalidates armed timers, the
+    deferred end-of-turn check and in-flight syncs (leadership loss /
+    view change / crash). *)
 val reset : 'a t -> unit

@@ -69,7 +69,7 @@ let default_config =
   {
     order_timeout = Sim_time.ms 400;
     check_interval = Sim_time.ms 50;
-    batch = Batching.off;
+    batch = Batching.per_turn;
   }
 
 type 'p slot = {

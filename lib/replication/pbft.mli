@@ -47,8 +47,8 @@ type config = {
       (** backup patience before suspecting the primary *)
   check_interval : Sim_time.t;
   batch : Batching.config;
-      (** primary-side request batching; {!Batching.off} reproduces
-          unbatched behaviour exactly *)
+      (** primary-side request batching; {!Batching.per_turn} reproduces
+          unbatched behaviour exactly on a simulated run *)
 }
 
 val default_config : config

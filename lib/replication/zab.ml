@@ -219,7 +219,7 @@ let default_config =
     heartbeat_interval = Sim_time.ms 50;
     election_timeout = Sim_time.ms 200;
     election_stagger = Sim_time.ms 40;
-    batch = Batching.off;
+    batch = Batching.per_turn;
     unsafe_skip_log_matching = false;
     unsafe_single_step_reconfig = false;
     snapshot_chunk_size = 8192;
@@ -714,8 +714,8 @@ let set_role t role =
 
 (* [propose_config], [config_committed] and [maybe_promote] recurse
    through [deliver_ready]: committing a joint entry makes the leader
-   propose the final one, and (with batching off) Batching.add flushes
-   synchronously into the append/commit path. *)
+   propose the final one, and (with Batching.per_turn on a simulated run)
+   Batching.add flushes synchronously into the append/commit path. *)
 let rec deliver_ready t =
   while t.delivered < t.committed do
     let e = log_get t t.delivered in
@@ -881,9 +881,11 @@ let commit_batch t items =
   end
 
 (** [propose t payload] — leader only — assigns the next zxid and hands the
-    payload to the group-commit batcher (with batching off it is appended
-    and disseminated synchronously, exactly as without a batcher).  Returns
-    the assigned zxid, or [None] if this replica is not the leader. *)
+    payload to the group-commit batcher (with {!Batching.per_turn} on a
+    simulated run it is appended and disseminated synchronously, exactly
+    as without a batcher; on a turn-driven sim at the end of the turn).
+    Returns the assigned zxid, or [None] if this replica is not the
+    leader. *)
 let propose t payload =
   if (not t.alive) || t.role <> Leader then None
   else begin

@@ -119,8 +119,9 @@ type config = {
   election_timeout : Sim_time.t;
   election_stagger : Sim_time.t;  (** per-replica deterministic stagger *)
   batch : Batching.config;
-      (** leader-side group commit; {!Batching.off} reproduces unbatched
-          behaviour exactly *)
+      (** leader-side group commit; {!Batching.per_turn} reproduces unbatched
+          behaviour exactly on a simulated run and proposes one batch per
+          transport turn over TCP *)
   unsafe_skip_log_matching : bool;
       (** TEST ONLY — resurrects a historical bug: followers accept
           proposals without checking [prev_zxid]/overlap agreement, so a
@@ -195,8 +196,9 @@ val set_on_role_change : 'p t -> (role -> unit) -> unit
 val start : 'p t -> unit
 
 (** [propose t payload] — leader only; assigns a zxid and enqueues the
-    payload on the group-commit batcher (with batching off it is
-    disseminated synchronously).  Returns the assigned zxid, [None] if
+    payload on the group-commit batcher (with {!Batching.per_turn} on a
+    simulated run it is disseminated synchronously; over TCP at the end
+    of the turn).  Returns the assigned zxid, [None] if
     this replica does not lead. *)
 val propose : 'p t -> 'p -> zxid option
 

@@ -12,6 +12,8 @@ type t = {
   rng : Rng.t;
   mutable stopped : bool;
   mutable executed : int;
+  mutable turn_driven : bool;
+  deferred : (unit -> unit) Queue.t;  (** work for the end of this turn *)
 }
 
 let create ?(seed = 42) () =
@@ -21,6 +23,8 @@ let create ?(seed = 42) () =
     rng = Rng.create seed;
     stopped = false;
     executed = 0;
+    turn_driven = false;
+    deferred = Queue.create ();
   }
 
 let now t = t.now
@@ -49,6 +53,21 @@ let schedule t ~after f = ignore (timer t ~after f : timer)
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
 let schedule_at t ~at f =
   Event_queue.push t.events ~time:(Sim_time.max at t.now) f
+
+(** [set_turn_driven t] hands the end of each turn to an outer loop
+    (the TCP transport's poll), which must call {!end_turn}. *)
+let set_turn_driven t = t.turn_driven <- true
+
+(** [defer t f] runs [f] at the next {!end_turn}, after everything queued
+    before it; on a sim nobody marked turn-driven it runs [f] at once. *)
+let defer t f = if t.turn_driven then Queue.push f t.deferred else f ()
+
+(** [end_turn t] runs the deferred work in FIFO order, including work
+    deferred while it runs. *)
+let end_turn t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
 
 (** [stop t] makes [run] return after the current event. *)
 let stop t = t.stopped <- true

@@ -40,6 +40,29 @@ val cancel : t -> timer -> unit
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
 val schedule_at : t -> at:Sim_time.t -> (unit -> unit) -> unit
 
+(** {2 Turns}
+
+    An outer loop that interleaves the simulator with outside work — the TCP
+    transport's poll — calls the span between two of its flushes a
+    {e turn}.  Work deferred to the end of a turn sees everything the
+    turn received, which is what lets the group-commit batcher propose a
+    whole turn's arrivals at once.  A sim nobody marks stays untouched:
+    every {!defer} runs at once, so simulated runs are unchanged. *)
+
+(** [set_turn_driven t] — an outer loop will call {!end_turn}; from
+    now on {!defer} queues instead of running. *)
+val set_turn_driven : t -> unit
+
+(** [defer t f] runs [f] at the end of the current turn, after all work
+    deferred before it; on a sim nobody marked it runs [f] at once.
+    Deferred work is not an event: it is not counted by {!pending} or
+    {!executed_events}. *)
+val defer : t -> (unit -> unit) -> unit
+
+(** [end_turn t] runs deferred work oldest first until none is left,
+    including work deferred while it runs. *)
+val end_turn : t -> unit
+
 (** [stop t] makes {!run} return after the current event. *)
 val stop : t -> unit
 

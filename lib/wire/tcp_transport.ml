@@ -35,6 +35,7 @@ type 'm t = {
 }
 
 let create ~sim ~base_port ~encode ~decode () =
+  Sim.set_turn_driven sim;
   {
     sim;
     base_port;
@@ -116,6 +117,14 @@ let flush_all t =
    if the caller sends a burst without polling. *)
 let cork_soft_limit = 256 * 1024
 
+(* A frame that would take a cork past this even after an inline flush
+   means the peer has stopped reading; the connection is dropped as on a
+   broken pipe.  Any frame a reader accepts (at most [max_frame] + 4
+   bytes) fits in an empty cork. *)
+let cork_hard_limit = max_frame + 8
+
+let fits oc len = Outbuf.pending oc.obuf + 8 + len <= cork_hard_limit
+
 let out_conn t key dst =
   match Hashtbl.find_opt t.outbound key with
   | Some oc -> Some oc
@@ -147,10 +156,17 @@ let enqueue t ~src ~dst body =
   | None -> ()
   | Some oc ->
       let len = String.length body in
-      Outbuf.add_u32 oc.obuf (4 + len);
-      Outbuf.add_u32 oc.obuf src;
-      Outbuf.add_substring oc.obuf body 0 len;
-      if Outbuf.pending oc.obuf > cork_soft_limit then flush_out t key oc
+      if not (fits oc len) then flush_out t key oc;
+      if fits oc len then begin
+        Outbuf.add_u32 oc.obuf (4 + len);
+        Outbuf.add_u32 oc.obuf src;
+        Outbuf.add_substring oc.obuf body 0 len;
+        if Outbuf.pending oc.obuf > cork_soft_limit then flush_out t key oc
+      end
+      else if Hashtbl.mem t.outbound key then begin
+        t.n_send_failures <- t.n_send_failures + 1;
+        drop_outbound t key
+      end
 
 (* Fire-and-forget, like the simulated network: any socket error drops the
    message, closes the connection, and replication-level retransmission
@@ -245,8 +261,9 @@ let read_conn t conn =
 
 let poll t ~timeout =
   if not t.closed then begin
-    (* uncork first so bytes produced since the last poll hit the wire
-       before we sleep in select *)
+    (* end the turn, then uncork, so proposals batched and bytes produced
+       since the last poll hit the wire before we sleep in select *)
+    Sim.end_turn t.sim;
     flush_all t;
     let listener_fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners [] in
     let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.accepted [] in
@@ -280,7 +297,9 @@ let poll t ~timeout =
                     | exception Unix.Unix_error _ -> ())))
           readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* uncork replies produced by the handlers we just ran *)
+    (* end the turn the handlers we just ran make, and uncork what it
+       produced *)
+    Sim.end_turn t.sim;
     flush_all t
   end
 

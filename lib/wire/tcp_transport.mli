@@ -29,7 +29,17 @@
     Sends remain fire-and-forget, matching {!Edc_simnet.Net}: a refused
     connection or broken pipe drops the message (and is counted), and the
     replication layer's retransmission recovers, exactly as it does from
-    simulated link loss.
+    simulated link loss.  A peer that stops reading is treated the same
+    way: a cork that cannot take the next frame within {!cork_hard_limit}
+    bytes, even after an inline flush, drops its connection and counts a
+    send failure, so a stalled reader cannot grow memory without bound.
+
+    The hub drives the simulator in {e turns}: {!create} marks the sim as
+    turn-driven, and each {!poll} calls {!Edc_simnet.Sim.end_turn} before
+    each of its two uncorks.  Work deferred with
+    {!Edc_simnet.Sim.defer} — the group-commit batcher's flush — thus
+    sees everything the turn received, and its output leaves in the same
+    [write]: a leader proposes all of one poll's requests as one batch.
 
     The event loop bridges wall clock and virtual clock: {!drive} runs the
     simulator's timers against elapsed real time and polls the sockets in
@@ -38,7 +48,8 @@
 
 type 'm t
 
-(** [create ~sim ~base_port ~encode ~decode ()] — a hub for one process.
+(** [create ~sim ~base_port ~encode ~decode ()] — a hub for one process;
+    marks [sim] as turn-driven (see above), so [sim] must be polled.
     [decode s ~pos ~len] is applied to every received message body {e in
     place} in the reassembly buffer (decoders must not retain [s]);
     [Error] counts as a decode failure and the frame is dropped. *)
@@ -53,14 +64,19 @@ val create :
 (** The {!Edc_simnet.Transport} view: hand this to servers and clients. *)
 val transport : 'm t -> 'm Edc_simnet.Transport.t
 
-(** [poll t ~timeout] — accept, read, reassemble, dispatch; returns after
-    [timeout] seconds if nothing is readable. *)
+(** [poll t ~timeout] — end the turn and uncork; then accept, read,
+    reassemble, dispatch; then end that turn and uncork again.  Waits at
+    most [timeout] seconds for something readable. *)
 val poll : 'm t -> timeout:float -> unit
 
 (** [drive t ~wall] — pump loop: advance the simulator's virtual clock in
     step with elapsed wall-clock time and poll sockets, for [wall]
     seconds. *)
 val drive : 'm t -> wall:float -> unit
+
+(** Ceiling on one connection's corked bytes: [max_frame + 8], so any
+    frame a reader accepts fits in an empty cork. *)
+val cork_hard_limit : int
 
 (** Close every socket (listeners and connections). *)
 val shutdown : 'm t -> unit

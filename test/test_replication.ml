@@ -904,6 +904,78 @@ let test_batching_reset_drops_pending () =
     !flushed;
   Alcotest.(check int) "nothing pending" 0 (Batching.pending b)
 
+(* The per_turn default: synchronous singletons on a simulated run, one
+   flush per turn (split at max_batch) on a turn-driven sim. *)
+
+let per_turn_batcher sim =
+  let flushed = ref [] in
+  let b =
+    Batching.create ~sim ~config:Batching.per_turn ~flush:(fun xs ->
+        flushed := !flushed @ [ xs ])
+  in
+  (b, flushed)
+
+let test_batching_per_turn_undriven () =
+  let b, flushed = per_turn_batcher (Sim.create ~seed:3 ()) in
+  Batching.add b 1;
+  Alcotest.(check (list (list int))) "first add flushed at once" [ [ 1 ] ]
+    !flushed;
+  Batching.add b 2;
+  Alcotest.(check (list (list int))) "one singleton per add"
+    [ [ 1 ]; [ 2 ] ] !flushed;
+  Alcotest.(check int) "nothing pending" 0 (Batching.pending b)
+
+let test_batching_per_turn_splits_a_turn () =
+  let sim = Sim.create ~seed:3 () in
+  Sim.set_turn_driven sim;
+  let b, flushed = per_turn_batcher sim in
+  let k = 150 in
+  for i = 1 to k do
+    Batching.add b i
+  done;
+  Alcotest.(check int) "no flush before the turn ends" 0 (List.length !flushed);
+  Alcotest.(check int) "all pending" k (Batching.pending b);
+  Sim.end_turn sim;
+  Alcotest.(check (list int)) "ceil(k/64) batches of at most 64"
+    [ 64; 64; 22 ] (List.map List.length !flushed);
+  Alcotest.(check (list int)) "oldest first, nothing lost"
+    (List.init k (fun i -> i + 1))
+    (List.concat !flushed)
+
+let test_batching_per_turn_drains_reentrant_adds () =
+  let sim = Sim.create ~seed:3 () in
+  Sim.set_turn_driven sim;
+  let flushed = ref [] in
+  let b = ref None in
+  let batcher =
+    Batching.create ~sim ~config:Batching.per_turn ~flush:(fun xs ->
+        flushed := !flushed @ [ xs ];
+        (* a flush that proposes more, as a committed joint config does *)
+        if xs = [ "a"; "b" ] then Batching.add (Option.get !b) "c")
+  in
+  b := Some batcher;
+  Batching.add batcher "a";
+  Batching.add batcher "b";
+  Sim.end_turn sim;
+  Alcotest.(check (list (list string))) "the follow-up leaves in the same turn"
+    [ [ "a"; "b" ]; [ "c" ] ] !flushed;
+  Alcotest.(check int) "nothing pending" 0 (Batching.pending batcher)
+
+let test_batching_per_turn_reset_drops () =
+  let sim = Sim.create ~seed:3 () in
+  Sim.set_turn_driven sim;
+  let b, flushed = per_turn_batcher sim in
+  Batching.add b "doomed";
+  Batching.add b "also doomed";
+  Batching.reset b;
+  Sim.end_turn sim;
+  Alcotest.(check (list (list string))) "reset drops the turn's batch" []
+    !flushed;
+  Batching.add b "next";
+  Sim.end_turn sim;
+  Alcotest.(check (list (list string))) "a later add re-arms the turn"
+    [ [ "next" ] ] !flushed
+
 (* Batched and unbatched replication runs must end in identical state. *)
 
 let test_zab_batched_equals_unbatched () =
@@ -920,7 +992,7 @@ let test_zab_batched_equals_unbatched () =
     run_for c (Sim_time.sec 1);
     List.init 3 (zab_log c)
   in
-  let unbatched = run Batching.off in
+  let unbatched = run Batching.per_turn in
   List.iter
     (fun batch ->
       Alcotest.(check (list (list string)))
@@ -970,7 +1042,7 @@ let test_pbft_batched_equals_unbatched () =
     prun_for c (Sim_time.sec 2);
     List.init 4 (pbft_log c)
   in
-  let unbatched = run Batching.off in
+  let unbatched = run Batching.per_turn in
   let batched =
     run (Batching.group_commit ~max_batch:8 ~sync_cost:(Sim_time.us 200) ())
   in
@@ -1390,6 +1462,14 @@ let () =
             test_batching_sync_self_clocking;
           Alcotest.test_case "reset drops pending" `Quick
             test_batching_reset_drops_pending;
+          Alcotest.test_case "per_turn: synchronous singletons on a plain sim"
+            `Quick test_batching_per_turn_undriven;
+          Alcotest.test_case "per_turn: one turn splits into 64-item batches"
+            `Quick test_batching_per_turn_splits_a_turn;
+          Alcotest.test_case "per_turn: adds made by a flush drain in the turn"
+            `Quick test_batching_per_turn_drains_reentrant_adds;
+          Alcotest.test_case "per_turn: reset before the turn ends drops it"
+            `Quick test_batching_per_turn_reset_drops;
           Alcotest.test_case "zab batched = unbatched" `Quick
             test_zab_batched_equals_unbatched;
           Alcotest.test_case "zab batch atomic" `Quick

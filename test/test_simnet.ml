@@ -283,6 +283,37 @@ let test_sim_stop () =
   Sim.run sim;
   Alcotest.(check int) "stopped after first" 1 !fired
 
+(* Turns: [defer] runs at once unless an outer loop owns the end of the
+   turn. *)
+
+let test_sim_defer_undriven () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.defer sim (fun () -> log := "a" :: !log);
+  Alcotest.(check (list string)) "ran before defer returned" [ "a" ] !log;
+  Sim.end_turn sim;
+  Alcotest.(check (list string)) "end_turn has nothing to rerun" [ "a" ] !log
+
+let test_sim_defer_turn_driven () =
+  let sim = Sim.create () in
+  Sim.set_turn_driven sim;
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Sim.defer sim (note "a");
+  Sim.defer sim (fun () ->
+      note "b" ();
+      (* deferred while the turn ends: drained by the same end_turn *)
+      Sim.defer sim (note "d"));
+  Sim.defer sim (note "c");
+  Alcotest.(check (list string)) "nothing runs before the turn ends" [] !log;
+  Alcotest.(check int) "deferred work is not an event" 0 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "nor does Sim.run end the turn" [] !log;
+  Sim.end_turn sim;
+  Alcotest.(check (list string)) "FIFO, nested work drained in the same call"
+    [ "a"; "b"; "c"; "d" ] (List.rev !log);
+  Alcotest.(check int) "no events executed" 0 (Sim.executed_events sim)
+
 (* ------------------------------------------------------------------ *)
 (* Proc                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -637,6 +668,10 @@ let () =
           Alcotest.test_case "max events" `Quick test_sim_max_events;
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "stop" `Quick test_sim_stop;
+          Alcotest.test_case "defer on a plain sim runs at once" `Quick
+            test_sim_defer_undriven;
+          Alcotest.test_case "defer on a turn-driven sim waits for end_turn"
+            `Quick test_sim_defer_turn_driven;
         ] );
       ( "proc",
         [

@@ -1366,6 +1366,145 @@ let test_tcp_garbage_is_dropped () =
     (Tcp_transport.decode_errors hub);
   Alcotest.(check int) "garbage not dispatched" 0 !received
 
+(* Pipelined writes over TCP: a window of in-flight set_data reaches the
+   leader in a few turns, and each turn's proposals leave as one Zab
+   Propose.  Every reply is checked, and every replica must end with each
+   key's last acknowledged value. *)
+let test_tcp_pipelined_group_commit () =
+  let sim = Sim.create ~seed:33 () in
+  let base_port = 30000 + (Unix.getpid () mod 9000) in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
+      ~decode:Zk.Server_wire.decode_sub ()
+  in
+  let proposes = ref 0 and entries = ref 0 in
+  let count (m : Zk.Server.wire) =
+    match m with
+    | Zk.Server.Zab_msg (Zab.Propose p) ->
+        incr proposes;
+        entries := !entries + List.length p.entries
+    | _ -> ()
+  in
+  let tr =
+    let t = Tcp_transport.transport hub in
+    {
+      t with
+      Transport.send =
+        (fun ~src ~dst ~size m ->
+          count m;
+          t.send ~src ~dst ~size m);
+      send_many =
+        (fun ~src ~dsts ~size m ->
+          count m;
+          t.send_many ~src ~dsts ~size m);
+    }
+  in
+  let replica_ids = [ 0; 1; 2 ] in
+  let servers =
+    List.map
+      (fun id ->
+        Zk.Server.create ~sim ~net:tr ~id ~replica_ids ~initial_leader:0 ())
+      replica_ids
+  in
+  List.iter Zk.Server.start servers;
+  let client = Zk.Client.create ~sim ~net:tr ~addr:100 ~replica:1 () in
+  let keys = 200 and ops = 1_000 and window = 32 in
+  let path k = Printf.sprintf "/k%03d" k in
+  let last_acked = Array.make keys "" in
+  let bad_replies = ref 0 in
+  let pipeline n op on_reply =
+    let q = Queue.create () in
+    for i = 0 to n - 1 do
+      if Queue.length q >= window then ignore (Proc.await (Queue.pop q) : P.result);
+      let p = Zk.Client.request_async client (op i) in
+      Proc.on_fulfill p (on_reply i);
+      Queue.add p q
+    done;
+    Queue.iter (fun p -> ignore (Proc.await p : P.result)) q
+  in
+  let outcome =
+    Proc.async sim (fun () ->
+        Zk.Client.connect client;
+        pipeline keys
+          (fun k ->
+            P.Create { path = path k; data = ""; ephemeral = false; sequential = false })
+          (fun _ r -> match r with P.Created _ -> () | _ -> incr bad_replies);
+        let value i = Printf.sprintf "v%04d" i in
+        pipeline ops
+          (fun i ->
+            P.Set_data
+              { path = path (i mod keys); data = value i; expected_version = None })
+          (fun i r ->
+            match r with
+            | P.Set _ -> last_acked.(i mod keys) <- value i
+            | _ -> incr bad_replies))
+  in
+  let agreed () =
+    List.for_all
+      (fun srv ->
+        let tree = Zk.Server.tree srv in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun k v ->
+               match Zk.Data_tree.get_data tree (path k) with
+               | Ok (d, _) -> String.equal d v
+               | Error _ -> false)
+             last_acked))
+      servers
+  in
+  let deadline = Unix.gettimeofday () +. 60. in
+  while
+    (not (Proc.is_fulfilled outcome && agreed ()))
+    && Unix.gettimeofday () < deadline
+  do
+    Tcp_transport.drive hub ~wall:0.02
+  done;
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "workload finished" true (Proc.is_fulfilled outcome);
+  Alcotest.(check int) "every reply is Created / Set" 0 !bad_replies;
+  Alcotest.(check bool) "every replica holds each key's last acked value" true
+    (agreed ());
+  Alcotest.(check int) "no undecodable frames" 0 (Tcp_transport.decode_errors hub);
+  if not (!entries > !proposes) then
+    Alcotest.failf "Propose entries per proposal %d/%d, want > 1" !entries
+      !proposes
+
+(* A peer that accepts and never reads: the cork grows to the hard limit,
+   then the connection is dropped and counted as a send failure, like a
+   broken pipe.  Every frame up to the limit is taken first. *)
+let test_tcp_stalled_reader_bounded () =
+  let sim = Sim.create ~seed:34 () in
+  let base_port = 21000 + (Unix.getpid () mod 9000) in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
+      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
+      ()
+  in
+  let tr = Tcp_transport.transport hub in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 1));
+  Unix.listen listener 1;
+  let body = String.make (1 lsl 20) 'x' in
+  let frame = String.length body + 8 in
+  tr.send ~src:0 ~dst:1 ~size:0 body;
+  let peer, _ = Unix.accept listener in
+  let sent = ref 1 in
+  while Tcp_transport.send_failures hub = 0 && !sent < 1_000 do
+    tr.send ~src:0 ~dst:1 ~size:0 body;
+    incr sent
+  done;
+  Tcp_transport.shutdown hub;
+  Unix.close peer;
+  Unix.close listener;
+  Alcotest.(check int) "one send failure" 1 (Tcp_transport.send_failures hub);
+  let fit = Tcp_transport.cork_hard_limit / frame in
+  if !sent <= fit then
+    Alcotest.failf "dropped after %d frames, before the cork held %d" !sent fit;
+  (* what the kernel buffers on loopback is far below another cork's worth *)
+  if !sent > 2 * fit then
+    Alcotest.failf "cork unbounded: %d frames sent to a stalled reader" !sent
+
 (* ------------------------------------------------------------------ *)
 (* 2PC frames and shard-map payloads (§6j)                             *)
 (* ------------------------------------------------------------------ *)
@@ -1611,6 +1750,10 @@ let () =
             test_tcp_counter_workload;
           Alcotest.test_case "garbage frames dropped, not fatal" `Quick
             test_tcp_garbage_is_dropped;
+          Alcotest.test_case "pipelined writes group-commit per turn" `Quick
+            test_tcp_pipelined_group_commit;
+          Alcotest.test_case "stalled reader: cork bounded, conn dropped"
+            `Quick test_tcp_stalled_reader_bounded;
         ] );
       ( "2pc",
         [
