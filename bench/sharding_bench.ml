@@ -325,7 +325,9 @@ let chaos_point ~quick seed =
         nemesis_a :=
           Some
             (Nemesis.start ~sim
-               ~target:(Shard_cluster.nemesis_target cluster ~shard:0)
+               ~target:
+                 (Zk.Cluster.nemesis_target ~name:"shard0"
+                    (Shard_cluster.group cluster 0))
                ~horizon
                [
                  {

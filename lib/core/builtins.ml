@@ -146,5 +146,3 @@ let table : (string * t) list =
 
 let find name = List.assoc_opt name table
 let names = List.map fst table
-let is_deterministic name =
-  match find name with Some b -> b.deterministic | None -> false

@@ -19,4 +19,3 @@ val table : (string * t) list
 
 val find : string -> t option
 val names : string list
-val is_deterministic : string -> bool

@@ -41,6 +41,3 @@ let builtin_calls t =
   let h = function None -> [] | Some body -> Ast.stmts_calls [] body in
   h t.on_operation @ h t.on_event
 
-let svc_ops_used t =
-  let h = function None -> [] | Some body -> Ast.stmts_svcs [] body in
-  h t.on_operation @ h t.on_event

@@ -32,4 +32,3 @@ val nodes : t -> int
 val depth : t -> int
 val loop_nesting : t -> int
 val builtin_calls : t -> string list
-val svc_ops_used : t -> Ast.svc_op list

@@ -41,8 +41,6 @@ let error_to_string = function
   | Service_error msg -> "service error: " ^ msg
   | Aborted msg -> "aborted: " ^ msg
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 (** Host-provided state proxy.  [oid]s are abstract object identifiers
     (paths for EZK, tuple names for EDS). *)
 type proxy = {

@@ -27,7 +27,6 @@ type error =
   | Aborted of string
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 (** Host-provided state proxy.  [oid]s are abstract object identifiers
     (paths for EZK, tuple names for EDS). *)

@@ -11,11 +11,12 @@ module P = Ds_protocol
 
 type config = {
   request_timeout : Sim_time.t;  (** for non-blocking operations *)
-  renew_interval : Sim_time.t;  (** how often lease renewals are sent *)
 }
 
-let default_config =
-  { request_timeout = Sim_time.sec 4; renew_interval = Sim_time.sec 2 }
+let default_config = { request_timeout = Sim_time.sec 4 }
+
+(** how often lease renewals are sent *)
+let renew_interval = Sim_time.sec 2
 
 type vote = {
   mutable replies : (P.result * int list) list;  (** result -> voters *)
@@ -45,7 +46,6 @@ type t = {
 let addr t = t.addr
 let requests_sent t = t.requests_sent
 let sim t = t.sim
-let is_closed t = t.closed
 
 let record_reply t ~src ~rseq result =
   match Hashtbl.find_opt t.pending rseq with
@@ -222,7 +222,7 @@ let rec renew_loop t () =
         List.iter
           (fun (template, lease) -> ignore (renew t template lease))
           t.renewing);
-    Sim.schedule t.sim ~after:t.config.renew_interval (renew_loop t)
+    Sim.schedule t.sim ~after:renew_interval (renew_loop t)
   end
 
 (** [ensure_renewing t template lease] starts periodic renewal of the
@@ -232,7 +232,7 @@ let ensure_renewing t template lease =
     let was_empty = t.renewing = [] in
     t.renewing <- (template, lease) :: t.renewing;
     if was_empty then
-      Sim.schedule t.sim ~after:t.config.renew_interval (renew_loop t)
+      Sim.schedule t.sim ~after:renew_interval (renew_loop t)
   end
 
 (** [monitor t tuple ~lease] inserts [tuple] with a lease and keeps

@@ -10,7 +10,6 @@ module P = Ds_protocol
 
 type config = {
   request_timeout : Sim_time.t;  (** for non-blocking operations *)
-  renew_interval : Sim_time.t;  (** cadence of lease renewals *)
 }
 
 val default_config : config
@@ -30,7 +29,6 @@ val create :
 val addr : t -> int
 val requests_sent : t -> int
 val sim : t -> Sim.t
-val is_closed : t -> bool
 
 (** [request t op] — raw request/vote cycle (fiber-blocking).  Blocking
     space operations ([Rd]/[In_]) wait indefinitely; others time out. *)

@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Ds_server.config ->
   ?pbft_config:Edc_replication.Pbft.config ->
-  ?batch:Edc_replication.Batching.config ->
   Sim.t ->
   t
 
@@ -27,5 +26,13 @@ val crash_server : t -> int -> unit
 
 (** Revive a crashed replica (network + PBFT view/state recovery). *)
 val restart_server : t -> int -> unit
+
+(** Bind the {!Edc_simnet.Nemesis} fault injector to this ensemble: the
+    leader is the PBFT primary, membership is static and there is no
+    virtual clock to skew.  [restart] defaults to {!restart_server}; EDS
+    passes its own so a restarted replica also reloads its extension
+    manager. *)
+val nemesis_target :
+  name:string -> ?restart:(int -> unit) -> t -> Nemesis.target
 
 val run_for : t -> Sim_time.t -> unit

@@ -54,8 +54,6 @@ type t = {
     t -> client:int -> Tuple.template -> Tuple.t -> [ `Proceed | `Reblock ];
   mutable hook_on_deleted : t -> ts:Sim_time.t -> Tuple.t -> unit;
   mutable hook_on_inserted : t -> ts:Sim_time.t -> owner:int -> Tuple.t -> unit;
-  (* statistics *)
-  mutable executed : int;
 }
 
 let sim t = t.sim
@@ -63,7 +61,6 @@ let space t = t.space
 let access t = t.access
 let policy t = t.policy
 let id t = t.id
-let executed_ops t = t.executed
 let pbft t = match t.pbft with Some p -> p | None -> invalid_arg "not wired"
 
 let reply t ~client ~rseq result =
@@ -208,7 +205,6 @@ let purge_expired t ~ts =
   List.iter (fun tuple -> t.hook_on_deleted t ~ts tuple) dead
 
 let deliver t (_rid : Pbft.request_id) (req : P.request) ~ts =
-  t.executed <- t.executed + 1;
   purge_expired t ~ts;
   match t.hook_intercept t ~client:req.client ~rseq:req.rseq ~ts req.op with
   | Handled result -> reply t ~client:req.client ~rseq:req.rseq result
@@ -232,8 +228,7 @@ let handle_wire t ~src msg =
            (and without mutating it: expired leases are filtered, not
            purged); the client masks divergence by requiring 2f+1 matching
            replies *)
-        t.executed <- t.executed + 1;
-        let now = Sim.now t.sim in
+              let now = Sim.now t.sim in
         let result =
           match Policy.check t.policy t.space (policy_view ~client:src op) with
           | Error why -> P.Denied why
@@ -282,7 +277,6 @@ let create ?(config = default_config) ?pbft_config ~sim ~net ~id ~replica_ids
       hook_on_unblock = (fun _ ~client:_ _ _ -> `Proceed);
       hook_on_deleted = (fun _ ~ts:_ _ -> ());
       hook_on_inserted = (fun _ ~ts:_ ~owner:_ _ -> ());
-      executed = 0;
     }
   in
   let send ~dst msg =

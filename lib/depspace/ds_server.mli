@@ -50,7 +50,6 @@ val space : t -> Space.t
 val access : t -> Access.t
 val policy : t -> Policy.t
 val id : t -> int
-val executed_ops : t -> int
 val pbft : t -> P.request Pbft.t
 
 (** The unblock cascade after an insert (also used by the EDS extension

@@ -65,8 +65,6 @@ let pp_matcher ppf = function
   | Any -> Fmt.string ppf "*"
   | Prefix s -> Fmt.pf ppf "%S*" s
 
-let pp_template ppf t = Fmt.pf ppf "<%a>" Fmt.(list ~sep:comma pp_matcher) t
-
 (** Total order on fields and tuples: gives replicas a deterministic
     tie-break rule where needed. *)
 let field_compare a b =

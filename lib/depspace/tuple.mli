@@ -41,4 +41,3 @@ val compare : t -> t -> int
 val pp_field : Format.formatter -> field -> unit
 val pp : Format.formatter -> t -> unit
 val pp_matcher : Format.formatter -> matcher -> unit
-val pp_template : Format.formatter -> template -> unit

@@ -10,10 +10,9 @@ type t = {
   monitor_lease : Sim_time.t option;  (* re-used when a replica restarts *)
 }
 
-let create ?f ?net_config ?server_config ?pbft_config ?batch ?monitor_lease
-    sim =
+let create ?f ?net_config ?server_config ?pbft_config ?monitor_lease sim =
   let cluster =
-    Ds_cluster.create ?f ?net_config ?server_config ?pbft_config ?batch sim
+    Ds_cluster.create ?f ?net_config ?server_config ?pbft_config sim
   in
   let edss =
     Array.map (fun s -> Eds.install ?monitor_lease s) (Ds_cluster.servers cluster)
@@ -38,35 +37,5 @@ let restart_server t i =
   in
   Eds.reload fresh;
   t.edss.(i) <- fresh
-
-let nemesis_target t =
-  let net = Ds_cluster.net t.cluster in
-  let servers = Ds_cluster.servers t.cluster in
-  let n = Array.length servers in
-  {
-    Nemesis.name = "eds";
-    nodes = List.init n Fun.id;
-    leader =
-      (fun () ->
-        (* the primary of the current PBFT view, if it is alive *)
-        let rec find i =
-          if i >= n then None
-          else if Edc_replication.Pbft.is_primary (Ds_server.pbft servers.(i))
-          then Some i
-          else find (i + 1)
-        in
-        find 0);
-    crash = crash_server t;
-    restart = restart_server t;
-    cut = Net.cut_link net;
-    heal = Net.heal_link net;
-    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-    silence = Net.set_node_down net;
-    unsilence = Net.set_node_up net;
-    (* PBFT membership is static in this deployment *)
-    reconfig_in_flight = (fun () -> false);
-    set_skew = (fun _ _ -> ()) (* no leases, no virtual clock *);
-  }
 
 let run_for t d = Ds_cluster.run_for t.cluster d

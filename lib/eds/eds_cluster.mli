@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Ds_server.config ->
   ?pbft_config:Edc_replication.Pbft.config ->
-  ?batch:Edc_replication.Batching.config ->
   ?monitor_lease:Sim_time.t ->
   Sim.t ->
   t
@@ -27,8 +26,5 @@ val crash_server : t -> int -> unit
 (** Restart a replica and rebuild its extension manager from the
     replicated space (§3.8). *)
 val restart_server : t -> int -> unit
-
-(** Bind nemesis actions to this deployment (leader = PBFT primary). *)
-val nemesis_target : t -> Nemesis.target
 
 val run_for : t -> Sim_time.t -> unit

@@ -2,15 +2,13 @@
     extension manager installed on every replica and the ["/em"] objects
     bootstrapped. *)
 
-open Edc_simnet
 open Edc_zookeeper
 
 type t = { cluster : Cluster.t; mutable ezks : Ezk.t array }
 
-let create ?n_replicas ?net_config ?server_config ?zab_config ?batch sim =
+let create ?n_replicas ?net_config ?server_config ?zab_config sim =
   let cluster =
-    Cluster.create ?n_replicas ?net_config ?server_config ?zab_config ?batch
-      sim
+    Cluster.create ?n_replicas ?net_config ?server_config ?zab_config sim
   in
   let ezks = Array.map Ezk.install (Cluster.servers cluster) in
   (* replica 0 is the initial leader *)
@@ -59,47 +57,5 @@ let restart_server t i =
   let fresh = Ezk.install (Cluster.servers t.cluster).(i) in
   Ezk.reload fresh;
   t.ezks.(i) <- fresh
-
-let nemesis_target t =
-  let net = Cluster.net t.cluster in
-  (* re-read the server array in every closure: it grows via add_server *)
-  {
-    Nemesis.name = "ezk";
-    nodes = List.init (Array.length (Cluster.servers t.cluster)) Fun.id;
-    leader =
-      (fun () ->
-        let servers = Cluster.servers t.cluster in
-        let rec find i =
-          if i >= Array.length servers then None
-          else if Server.is_leader servers.(i) then Some i
-          else find (i + 1)
-        in
-        find 0);
-    crash = crash_server t;
-    restart = restart_server t;
-    cut = Net.cut_link net;
-    heal = Net.heal_link net;
-    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-    silence = Net.set_node_down net;
-    unsilence = Net.set_node_up net;
-    reconfig_in_flight =
-      (fun () ->
-        (* arm from learner adoption (bootstrap underway) to final commit;
-           skip fenced replicas: a removed node may hold a joint view
-           forever (nobody replicates to it anymore) *)
-        Array.exists
-          (fun s ->
-            let z = Server.zab s in
-            (not (Edc_replication.Zab.is_fenced z))
-            && (Edc_replication.Zab.reconfig_in_flight z
-               || Edc_replication.Zab.learners z <> []))
-          (Cluster.servers t.cluster));
-    set_skew =
-      (fun node skew ->
-        let servers = Cluster.servers t.cluster in
-        if node < Array.length servers then
-          Edc_replication.Zab.set_clock_skew (Server.zab servers.(node)) skew);
-  }
 
 let run_for t d = Cluster.run_for t.cluster d

@@ -1413,37 +1413,7 @@ let stale_read_point ?(seed = 42) ?net_config ~unsafe () =
   let cluster =
     Zk.Cluster.create ~n_replicas:3 ?net_config ~server_config ~zab_config sim
   in
-  let net = Zk.Cluster.net cluster in
-  let servers () = Zk.Cluster.servers cluster in
-  let target =
-    {
-      Nemesis.name = "zookeeper";
-      nodes = [ 0; 1; 2 ];
-      leader =
-        (fun () ->
-          let ss = servers () in
-          let rec find i =
-            if i >= Array.length ss then None
-            else if Zk.Server.is_leader ss.(i) then Some i
-            else find (i + 1)
-          in
-          find 0);
-      crash = Zk.Cluster.crash_server cluster;
-      restart = Zk.Cluster.restart_server cluster;
-      cut = Net.cut_link net;
-      heal = Net.heal_link net;
-      cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-      heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-      silence = Net.set_node_down net;
-      unsilence = Net.set_node_up net;
-      reconfig_in_flight = (fun () -> false);
-      set_skew =
-        (fun node skew ->
-          let ss = servers () in
-          if node < Array.length ss then
-            Edc_replication.Zab.set_clock_skew (Zk.Server.zab ss.(node)) skew);
-    }
-  in
+  let target = Zk.Cluster.nemesis_target ~name:"zookeeper" cluster in
   (* drifts stay inside the protocol's ±ε bound (10 ms): the safe run must
      survive them, which is exactly the 2ε margin's job *)
   let schedule =

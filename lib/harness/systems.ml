@@ -65,12 +65,8 @@ type t = {
           (deadlines, backoff, failover, safe resubmission) with timeouts
           tightened for fault-heavy runs *)
   bytes_sent_by : int -> int;
-  total_bytes : unit -> int;
-  crash_replica : int -> unit;
-  restart_replica : int -> unit;
   nemesis_target : unit -> Nemesis.target;
   dropped_messages : unit -> int;
-  n_replicas : int;
   anomalies : unit -> int;
       (** replication-safety violations detected by the state machines
           (must stay 0 in every run) *)
@@ -141,82 +137,7 @@ let chaos_zk_client_config =
   { Zk.Client.request_timeout = Sim_time.sec 1; ping_interval = Sim_time.ms 500 }
 
 let chaos_ds_client_config =
-  {
-    Ds.Ds_client.default_config with
-    Ds.Ds_client.request_timeout = Sim_time.sec 1;
-  }
-
-(* [servers] is a getter because elastic clusters grow their replica
-   array at runtime; every closure re-reads it. *)
-let zk_nemesis_target name net servers ~crash ~restart =
-  {
-    Nemesis.name;
-    nodes = List.init (Array.length (servers ())) Fun.id;
-    leader =
-      (fun () ->
-        let ss = servers () in
-        let rec find i =
-          if i >= Array.length ss then None
-          else if Zk.Server.is_leader ss.(i) then Some i
-          else find (i + 1)
-        in
-        find 0);
-    crash;
-    restart;
-    cut = Net.cut_link net;
-    heal = Net.heal_link net;
-    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-    silence = Net.set_node_down net;
-    unsilence = Net.set_node_up net;
-    reconfig_in_flight =
-      (fun () ->
-        (* arm from the moment a learner is adopted (bootstrap counts as
-           "change underway") until the final config entry commits; a
-           fenced replica's stale joint view does not count *)
-        Array.exists
-          (fun s ->
-            let z = Zk.Server.zab s in
-            (not (Edc_replication.Zab.is_fenced z))
-            && (Edc_replication.Zab.reconfig_in_flight z
-               || Edc_replication.Zab.learners z <> []))
-          (servers ()));
-    set_skew =
-      (fun node skew ->
-        let ss = servers () in
-        if node < Array.length ss then
-          Edc_replication.Zab.set_clock_skew (Zk.Server.zab ss.(node)) skew);
-  }
-
-let ds_nemesis_target name net servers ~crash ~restart =
-  let n = Array.length servers in
-  {
-    Nemesis.name;
-    nodes = List.init n Fun.id;
-    leader =
-      (fun () ->
-        let rec find i =
-          if i >= n then None
-          else if
-            Edc_replication.Pbft.is_primary (Ds.Ds_server.pbft servers.(i))
-          then Some i
-          else find (i + 1)
-        in
-        find 0);
-    crash;
-    restart;
-    cut = Net.cut_link net;
-    heal = Net.heal_link net;
-    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-    silence = Net.set_node_down net;
-    unsilence = Net.set_node_up net;
-    reconfig_in_flight = (fun () -> false);
-    set_skew = (fun _ _ -> ()) (* PBFT has no leases, no virtual clock *);
-  }
-
-let zk_replica_ids cluster =
-  List.init (Array.length (Zk.Cluster.servers cluster)) Fun.id
+  { Ds.Ds_client.request_timeout = Sim_time.sec 1 }
 
 module Zab = Edc_replication.Zab
 
@@ -281,174 +202,124 @@ let zk_reconfig_in_flight servers () =
       (not (Zab.is_fenced z)) && Zab.reconfig_in_flight z)
     (servers ())
 
+let target_name kind = String.lowercase_ascii (kind_name kind)
+
+(* One arm per replication substrate.  EZK and EDS are the plain ensembles
+   with an extension manager installed on each replica; they differ from
+   ZooKeeper and DepSpace only in the steps that (re)build that manager:
+   restart, and for EZK the two ways of growing the ensemble. *)
 let make ?net_config ?batch ?zab_config ?server_config kind sim =
   match kind with
-  | Zookeeper ->
-      let cluster = Zk.Cluster.create ?net_config ?server_config ?zab_config ?batch sim in
+  | Zookeeper | Ezk ->
+      let zab_config =
+        match batch with
+        | None -> zab_config
+        | Some b ->
+            let base = Option.value zab_config ~default:Zab.default_config in
+            Some { base with Zab.batch = b }
+      in
+      let cluster, restart, add_server, add_observer =
+        if kind = Ezk then
+          let e =
+            Ezk_cluster.create ?net_config ?server_config ?zab_config sim
+          in
+          ( Ezk_cluster.cluster e,
+            Ezk_cluster.restart_server e,
+            (fun () -> Ezk_cluster.add_server e),
+            fun () -> Ezk_cluster.add_observer e )
+        else
+          let c =
+            Zk.Cluster.create ?net_config ?server_config ?zab_config sim
+          in
+          ( c,
+            Zk.Cluster.restart_server c,
+            (fun () -> Zk.Cluster.add_server c),
+            fun () -> Zk.Cluster.add_observer c )
+      in
+      let extensible = is_extensible kind in
+      let servers () = Zk.Cluster.servers cluster in
+      let net = Zk.Cluster.net cluster in
       {
         sim;
         kind;
         new_api =
           (fun () ->
             let c = Zk.Cluster.connected_client cluster () in
-            (Coord_zk.of_client ~extensible:false c, Zk.Client.addr c));
+            (Coord_zk.of_client ~extensible c, Zk.Client.addr c));
         new_resilient_api =
           (fun () ->
             let c =
               Zk.Cluster.connected_client ~config:chaos_zk_client_config
                 cluster ()
             in
-            let s =
-              Zk.Session.wrap ~sim ~replicas:(zk_replica_ids cluster) c
-            in
-            (Coord_zk.of_session ~extensible:false s, Zk.Client.addr c));
-        bytes_sent_by = Net.bytes_sent_by (Zk.Cluster.net cluster);
-        total_bytes = (fun () -> Net.total_bytes_sent (Zk.Cluster.net cluster));
-        crash_replica = Zk.Cluster.crash_server cluster;
-        restart_replica = Zk.Cluster.restart_server cluster;
+            let replicas = List.init (Array.length (servers ())) Fun.id in
+            let s = Zk.Session.wrap ~sim ~replicas c in
+            (Coord_zk.of_session ~extensible s, Zk.Client.addr c));
+        bytes_sent_by = Net.bytes_sent_by net;
         nemesis_target =
           (fun () ->
-            zk_nemesis_target "zookeeper" (Zk.Cluster.net cluster)
-              (fun () -> Zk.Cluster.servers cluster)
-              ~crash:(Zk.Cluster.crash_server cluster)
-              ~restart:(Zk.Cluster.restart_server cluster));
-        dropped_messages =
-          (fun () -> Net.dropped_messages (Zk.Cluster.net cluster));
-        n_replicas = 3;
+            Zk.Cluster.nemesis_target ~name:(target_name kind) ~restart
+              cluster);
+        dropped_messages = (fun () -> Net.dropped_messages net);
         anomalies =
           (fun () ->
             Array.fold_left
               (fun acc s -> acc + Zk.Data_tree.anomalies (Zk.Server.tree s))
-              0 (Zk.Cluster.servers cluster));
-        snapshot_stats =
-          (fun () -> zk_snapshot_stats (Zk.Cluster.servers cluster) ());
-        wire_stats = (fun () -> zk_wire_stats (Zk.Cluster.servers cluster) ());
-        add_replica = (fun () -> Ok (Zk.Cluster.add_server cluster));
-        add_observer = (fun () -> Ok (Zk.Cluster.add_observer cluster));
+              0 (servers ()));
+        snapshot_stats = (fun () -> zk_snapshot_stats (servers ()) ());
+        wire_stats = (fun () -> zk_wire_stats (servers ()) ());
+        add_replica = (fun () -> Ok (add_server ()));
+        add_observer = (fun () -> Ok (add_observer ()));
         remove_replica = (fun id -> Zk.Cluster.remove_server cluster ~id);
-        members = zk_members (fun () -> Zk.Cluster.servers cluster);
-        reconfig_in_flight =
-          zk_reconfig_in_flight (fun () -> Zk.Cluster.servers cluster);
-        reconfig_stats =
-          zk_reconfig_stats (fun () -> Zk.Cluster.servers cluster);
+        members = zk_members servers;
+        reconfig_in_flight = zk_reconfig_in_flight servers;
+        reconfig_stats = zk_reconfig_stats servers;
       }
-  | Ezk ->
-      let cluster = Ezk_cluster.create ?net_config ?server_config ?zab_config ?batch sim in
-      {
-        sim;
-        kind;
-        new_api =
-          (fun () ->
-            let c = Ezk_cluster.connected_client cluster () in
-            (Coord_zk.of_client ~extensible:true c, Zk.Client.addr c));
-        new_resilient_api =
-          (fun () ->
-            let c =
-              Ezk_cluster.connected_client ~config:chaos_zk_client_config
-                cluster ()
-            in
-            let n = Array.length (Ezk_cluster.servers cluster) in
-            let s = Zk.Session.wrap ~sim ~replicas:(List.init n Fun.id) c in
-            (Coord_zk.of_session ~extensible:true s, Zk.Client.addr c));
-        bytes_sent_by = Net.bytes_sent_by (Ezk_cluster.net cluster);
-        total_bytes = (fun () -> Net.total_bytes_sent (Ezk_cluster.net cluster));
-        crash_replica = Ezk_cluster.crash_server cluster;
-        restart_replica = Ezk_cluster.restart_server cluster;
-        nemesis_target = (fun () -> Ezk_cluster.nemesis_target cluster);
-        dropped_messages =
-          (fun () -> Net.dropped_messages (Ezk_cluster.net cluster));
-        n_replicas = 3;
-        anomalies =
-          (fun () ->
-            Array.fold_left
-              (fun acc s -> acc + Zk.Data_tree.anomalies (Zk.Server.tree s))
-              0 (Ezk_cluster.servers cluster));
-        snapshot_stats =
-          (fun () -> zk_snapshot_stats (Ezk_cluster.servers cluster) ());
-        wire_stats = (fun () -> zk_wire_stats (Ezk_cluster.servers cluster) ());
-        add_replica = (fun () -> Ok (Ezk_cluster.add_server cluster));
-        add_observer = (fun () -> Ok (Ezk_cluster.add_observer cluster));
-        remove_replica = (fun id -> Ezk_cluster.remove_server cluster ~id);
-        members = zk_members (fun () -> Ezk_cluster.servers cluster);
-        reconfig_in_flight =
-          zk_reconfig_in_flight (fun () -> Ezk_cluster.servers cluster);
-        reconfig_stats =
-          zk_reconfig_stats (fun () -> Ezk_cluster.servers cluster);
-      }
-  | Depspace ->
+  | Depspace | Eds ->
       ignore zab_config (* BFT deployments do not run Zab *);
-      let cluster = Ds.Ds_cluster.create ?net_config ?batch sim in
+      let pbft_config =
+        Option.map (fun b -> { Edc_replication.Pbft.batch = b }) batch
+      in
+      let cluster, restart =
+        if kind = Eds then
+          let e = Edc_eds.Eds_cluster.create ?net_config ?pbft_config sim in
+          (Edc_eds.Eds_cluster.cluster e, Edc_eds.Eds_cluster.restart_server e)
+        else
+          let c = Ds.Ds_cluster.create ?net_config ?pbft_config sim in
+          (c, Ds.Ds_cluster.restart_server c)
+      in
+      let extensible = is_extensible kind in
+      let net = Ds.Ds_cluster.net cluster in
+      let static _ = Error (kind_name kind ^ " membership is static") in
       {
         sim;
         kind;
         new_api =
           (fun () ->
             let c = Ds.Ds_cluster.client cluster () in
-            (Coord_ds.of_client ~extensible:false c, Ds.Ds_client.addr c));
+            (Coord_ds.of_client ~extensible c, Ds.Ds_client.addr c));
         new_resilient_api =
           (fun () ->
             let c =
               Ds.Ds_cluster.client ~config:chaos_ds_client_config cluster ()
             in
             let s = Ds.Ds_session.wrap c in
-            (Coord_ds.of_session ~extensible:false s, Ds.Ds_client.addr c));
-        bytes_sent_by = Net.bytes_sent_by (Ds.Ds_cluster.net cluster);
-        total_bytes = (fun () -> Net.total_bytes_sent (Ds.Ds_cluster.net cluster));
-        crash_replica = Ds.Ds_cluster.crash_server cluster;
-        restart_replica = Ds.Ds_cluster.restart_server cluster;
+            (Coord_ds.of_session ~extensible s, Ds.Ds_client.addr c));
+        bytes_sent_by = Net.bytes_sent_by net;
         nemesis_target =
           (fun () ->
-            ds_nemesis_target "depspace" (Ds.Ds_cluster.net cluster)
-              (Ds.Ds_cluster.servers cluster)
-              ~crash:(Ds.Ds_cluster.crash_server cluster)
-              ~restart:(Ds.Ds_cluster.restart_server cluster));
-        dropped_messages =
-          (fun () -> Net.dropped_messages (Ds.Ds_cluster.net cluster));
-        n_replicas = 4;
+            Ds.Ds_cluster.nemesis_target ~name:(target_name kind) ~restart
+              cluster);
+        dropped_messages = (fun () -> Net.dropped_messages net);
         anomalies = (fun () -> 0);
         snapshot_stats = (fun () -> snapshot_stats_zero);
         wire_stats = (fun () -> wire_stats_zero);
-        add_replica = (fun () -> Error "DepSpace membership is static");
-        add_observer = (fun () -> Error "DepSpace membership is static");
-        remove_replica = (fun _ -> Error "DepSpace membership is static");
-        members = (fun () -> List.init 4 Fun.id);
-        reconfig_in_flight = (fun () -> false);
-        reconfig_stats = (fun () -> reconfig_stats_zero ());
-      }
-  | Eds ->
-      ignore zab_config;
-      let cluster = Edc_eds.Eds_cluster.create ?net_config ?batch sim in
-      {
-        sim;
-        kind;
-        new_api =
+        add_replica = static;
+        add_observer = static;
+        remove_replica = static;
+        members =
           (fun () ->
-            let c = Edc_eds.Eds_cluster.client cluster () in
-            (Coord_ds.of_client ~extensible:true c, Ds.Ds_client.addr c));
-        new_resilient_api =
-          (fun () ->
-            let c =
-              Edc_eds.Eds_cluster.client ~config:chaos_ds_client_config
-                cluster ()
-            in
-            let s = Ds.Ds_session.wrap c in
-            (Coord_ds.of_session ~extensible:true s, Ds.Ds_client.addr c));
-        bytes_sent_by = Net.bytes_sent_by (Edc_eds.Eds_cluster.net cluster);
-        total_bytes = (fun () -> Net.total_bytes_sent (Edc_eds.Eds_cluster.net cluster));
-        crash_replica = Edc_eds.Eds_cluster.crash_server cluster;
-        restart_replica = Edc_eds.Eds_cluster.restart_server cluster;
-        nemesis_target =
-          (fun () -> Edc_eds.Eds_cluster.nemesis_target cluster);
-        dropped_messages =
-          (fun () -> Net.dropped_messages (Edc_eds.Eds_cluster.net cluster));
-        n_replicas = 4;
-        anomalies = (fun () -> 0);
-        snapshot_stats = (fun () -> snapshot_stats_zero);
-        wire_stats = (fun () -> wire_stats_zero);
-        add_replica = (fun () -> Error "EDS membership is static");
-        add_observer = (fun () -> Error "EDS membership is static");
-        remove_replica = (fun _ -> Error "EDS membership is static");
-        members = (fun () -> List.init 4 Fun.id);
+            List.init (Array.length (Ds.Ds_cluster.servers cluster)) Fun.id);
         reconfig_in_flight = (fun () -> false);
         reconfig_stats = (fun () -> reconfig_stats_zero ());
       }

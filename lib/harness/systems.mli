@@ -55,16 +55,14 @@ type t = {
           (deadlines, backoff, replica failover, safe resubmission) with
           client timeouts tightened for fault-heavy runs *)
   bytes_sent_by : int -> int;
-  total_bytes : unit -> int;
-  crash_replica : int -> unit;
-  restart_replica : int -> unit;
   nemesis_target : unit -> Nemesis.target;
-      (** adapter handing the deployment's replicas, leader probe and
-          network knobs to the {!Edc_simnet.Nemesis} fault injector *)
+      (** the substrate's one target builder
+          ({!Edc_zookeeper.Cluster.nemesis_target} or
+          {!Edc_depspace.Ds_cluster.nemesis_target}), with EZK's and EDS's
+          restart that also reloads the extension manager *)
   dropped_messages : unit -> int;
       (** messages discarded so far by the simulated network (down nodes,
           cut links, loss) *)
-  n_replicas : int;
   anomalies : unit -> int;
       (** replication-safety violations detected by the state machines
           (must stay 0 in every run) *)
@@ -97,8 +95,10 @@ type t = {
 }
 
 (** [make ?net_config ?batch ?zab_config kind sim] — [batch] configures
-    replication group commit uniformly across deployments
-    ({!Edc_replication.Batching.per_turn} when omitted).  [zab_config] applies
+    replication group commit uniformly across deployments: it is written
+    into the Zab config (over [zab_config]) or the PBFT config, and the
+    substrate's default ({!Edc_replication.Batching.per_turn}) holds when it
+    is omitted.  [zab_config] applies
     to the Zab-replicated deployments only (ZooKeeper/EZK; ignored for
     the BFT ones) — the linearizability mutation self-test uses it to
     re-enable a known-bad protocol behaviour.  [server_config] likewise

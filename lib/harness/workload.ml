@@ -19,10 +19,6 @@ type results = {
   attempts_per_op : float;  (** retry amplification (1.0 = no retries) *)
 }
 
-let pp_results ppf r =
-  Fmt.pf ppf "%d ops, %.1f ops/s, %.3f ms avg, %.2f KB/op" r.ops r.throughput
-    r.mean_latency_ms r.kb_per_op
-
 type spec = {
   n_clients : int;
   warmup : Sim_time.t;

@@ -18,8 +18,6 @@ type results = {
   attempts_per_op : float;  (** retry amplification (1.0 = none) *)
 }
 
-val pp_results : Format.formatter -> results -> unit
-
 type spec = {
   n_clients : int;
   warmup : Sim_time.t;

@@ -5,47 +5,38 @@
     single fsync (group commit), and BFT-SMaRt's proposer packs every
     request that arrived during the previous consensus instance into the
     next PRE-PREPARE.  This module factors that mechanism out: items are
-    accumulated and handed to [flush] in arrival order, as one batch,
-    when either
-
-    - the batch is full ([max_batch] items), or
-    - the oldest pending item has waited [max_delay], and
-
-    a previous flush is not still syncing.  [sync_cost] models the serial
-    per-batch cost of the agreement round itself (the leader's log fsync,
-    the proposer's per-instance protocol work): while a flush is paying it,
-    arrivals pile up and ride the *next* batch — which is exactly how group
-    commit self-clocks under load without any tuned delay.
+    accumulated and handed to [flush] in arrival order, in batches of at
+    most [max_batch], whenever a previous flush is not still syncing.
+    [sync_cost] models the serial per-batch cost of the agreement round
+    itself (the leader's log fsync, the proposer's per-instance protocol
+    work): while a flush is paying it, arrivals pile up and ride the
+    *next* batch — which is exactly how group commit self-clocks under
+    load without any tuned delay.
 
     [add] never flushes inline: it arms one {!Sim.defer}red check, which
     runs at the end of the current transport turn on a turn-driven sim
     (the TCP path), so everything a turn proposes leaves as one batch
     with no timer.  On a simulated run [defer] runs at once, so with
-    [sync_cost = 0] and [max_delay = 0] every [add] flushes a singleton
-    batch synchronously, exactly as the unbatched protocols did. *)
+    [sync_cost = 0] every [add] flushes a singleton batch synchronously,
+    exactly as the unbatched protocols did. *)
 
 open Edc_simnet
 
 type config = {
   max_batch : int;  (** maximum items packed into one proposal (>= 1) *)
-  max_delay : Sim_time.t;
-      (** how long the oldest pending item may wait for company *)
   sync_cost : Sim_time.t;
       (** serial per-batch agreement cost (log fsync / proposer work) *)
 }
 
 (** No added latency and no modelled sync cost: one item per proposal on
     a simulated run, one turn's items per proposal over TCP. *)
-let per_turn =
-  { max_batch = 64; max_delay = Sim_time.zero; sync_cost = Sim_time.zero }
+let per_turn = { max_batch = 64; sync_cost = Sim_time.zero }
 
-let group_commit ?(max_batch = 32) ?(max_delay = Sim_time.zero)
-    ?(sync_cost = Sim_time.zero) () =
-  { max_batch = Stdlib.max 1 max_batch; max_delay; sync_cost }
+let group_commit ?(max_batch = 32) ?(sync_cost = Sim_time.zero) () =
+  { max_batch = Stdlib.max 1 max_batch; sync_cost }
 
 let pp ppf c =
-  Fmt.pf ppf "batch<=%d delay=%a sync=%a" c.max_batch Sim_time.pp c.max_delay
-    Sim_time.pp c.sync_cost
+  Fmt.pf ppf "batch<=%d sync=%a" c.max_batch Sim_time.pp c.sync_cost
 
 type 'a t = {
   sim : Sim.t;
@@ -53,12 +44,10 @@ type 'a t = {
   flush : 'a list -> unit;
   mutable pending : 'a list;  (** newest first *)
   mutable n_pending : int;
-  mutable oldest : Sim_time.t;  (** arrival time of the oldest pending item *)
   mutable syncing : bool;  (** a flush is paying [sync_cost] right now *)
-  mutable timer_armed : bool;
   mutable turn_armed : bool;  (** a deferred [maybe_flush] is queued *)
   mutable generation : int;
-      (** invalidates timers, deferred checks and in-flight syncs *)
+      (** invalidates deferred checks and in-flight syncs *)
 }
 
 let create ~sim ~config ~flush =
@@ -68,29 +57,26 @@ let create ~sim ~config ~flush =
     flush;
     pending = [];
     n_pending = 0;
-    oldest = Sim_time.zero;
     syncing = false;
-    timer_armed = false;
     turn_armed = false;
     generation = 0;
   }
 
 let pending t = t.n_pending
 
-(** [reset t] drops pending items and invalidates any armed timer or
-    in-flight sync (leadership loss, view change, crash).  Dropped items
+(** [reset t] drops pending items and invalidates the deferred check and
+    any in-flight sync (leadership loss, view change, crash).  Dropped items
     are exactly the proposals that would have been lost had they been
     proposed individually at the same instant. *)
 let reset t =
   t.pending <- [];
   t.n_pending <- 0;
   t.syncing <- false;
-  t.timer_armed <- false;
   t.turn_armed <- false;
   t.generation <- t.generation + 1
 
 (* Oldest-first batch of at most [max_batch] items; the remainder stays
-   pending with its wait clock restarted. *)
+   pending. *)
 let take_batch t =
   let rec split k acc rest =
     match rest with
@@ -101,47 +87,28 @@ let take_batch t =
   let batch, rest = split t.config.max_batch [] (List.rev t.pending) in
   t.pending <- List.rev rest;
   t.n_pending <- List.length rest;
-  if rest <> [] then t.oldest <- Sim.now t.sim;
   batch
 
 let rec maybe_flush t =
   if (not t.syncing) && t.n_pending > 0 then begin
-    let due =
-      t.n_pending >= t.config.max_batch
-      || Sim_time.(Sim_time.add t.oldest t.config.max_delay <= Sim.now t.sim)
-    in
-    if due then begin
-      let batch = take_batch t in
-      if Sim_time.(t.config.sync_cost <= Sim_time.zero) then begin
-        t.flush batch;
-        maybe_flush t
-      end
-      else begin
-        t.syncing <- true;
-        let gen = t.generation in
-        Sim.schedule t.sim ~after:t.config.sync_cost (fun () ->
-            if gen = t.generation then begin
-              t.syncing <- false;
-              t.flush batch;
-              maybe_flush t
-            end)
-      end
+    let batch = take_batch t in
+    if Sim_time.(t.config.sync_cost <= Sim_time.zero) then begin
+      t.flush batch;
+      maybe_flush t
     end
-    else if not t.timer_armed then begin
-      t.timer_armed <- true;
+    else begin
+      t.syncing <- true;
       let gen = t.generation in
-      Sim.schedule_at t.sim
-        ~at:(Sim_time.add t.oldest t.config.max_delay)
-        (fun () ->
+      Sim.schedule t.sim ~after:t.config.sync_cost (fun () ->
           if gen = t.generation then begin
-            t.timer_armed <- false;
+            t.syncing <- false;
+            t.flush batch;
             maybe_flush t
           end)
     end
   end
 
 let add t x =
-  if t.n_pending = 0 then t.oldest <- Sim.now t.sim;
   t.pending <- x :: t.pending;
   t.n_pending <- t.n_pending + 1;
   if not t.turn_armed then begin

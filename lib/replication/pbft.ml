@@ -30,8 +30,6 @@ let request_id_compare a b =
   | 0 -> Int.compare a.rseq b.rseq
   | c -> c
 
-let pp_request_id ppf r = Fmt.pf ppf "%d:%d" r.client r.rseq
-
 type 'p msg =
   | Pre_prepare of {
       view : int;
@@ -55,22 +53,19 @@ type 'p msg =
   | Recover_request
   | Recover_reply of { view : int }
 
+(** how long a backup waits for a submitted request to be ordered before
+    suspecting the primary *)
+let order_timeout = Sim_time.ms 400
+
+let check_interval = Sim_time.ms 50
+
 type config = {
-  order_timeout : Sim_time.t;
-      (** how long a backup waits for a submitted request to be ordered
-          before suspecting the primary *)
-  check_interval : Sim_time.t;
   batch : Batching.config;
       (** primary-side request batching: requests arriving while the
           previous instance syncs ride the next pre-prepare *)
 }
 
-let default_config =
-  {
-    order_timeout = Sim_time.ms 400;
-    check_interval = Sim_time.ms 50;
-    batch = Batching.per_turn;
-  }
+let default_config = { batch = Batching.per_turn }
 
 type 'p slot = {
   s_batch : (request_id * 'p) list;
@@ -371,12 +366,12 @@ let rec tick t generation () =
         Hashtbl.fold
           (fun _ (_, since) acc ->
             acc
-            || Sim_time.(t.config.order_timeout <= Sim_time.sub now since))
+            || Sim_time.(order_timeout <= Sim_time.sub now since))
           t.pending false
       in
       if stuck then start_view_change t
     end;
-    Sim.schedule t.sim ~after:t.config.check_interval (tick t generation)
+    Sim.schedule t.sim ~after:check_interval (tick t generation)
   end
 
 let start t =
@@ -437,7 +432,7 @@ let rec recover_tick t generation () =
     (* Re-ask until enough of the ensemble is reachable; requests are lost
        if we restarted into a partition. *)
     broadcast t Recover_request;
-    Sim.schedule t.sim ~after:t.config.order_timeout (recover_tick t generation)
+    Sim.schedule t.sim ~after:order_timeout (recover_tick t generation)
   end
 
 (** [restart t] revives a crashed replica with its durable state (delivered
@@ -458,11 +453,6 @@ let restart t =
     start t;
     Sim.schedule t.sim ~after:Sim_time.zero (recover_tick t t.generation)
   end
-
-let delivered_count t = List.length t.delivered
-
-(** Delivered history, oldest first (test observability). *)
-let delivered_log t = List.rev t.delivered
 
 (** [msg_size ~payload_size msg] models wire sizes; View_change carries a
     full history so its size reflects that. *)

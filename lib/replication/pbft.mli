@@ -19,7 +19,6 @@ open Edc_simnet
 type request_id = { client : int; rseq : int }
 
 val request_id_compare : request_id -> request_id -> int
-val pp_request_id : Format.formatter -> request_id -> unit
 
 type 'p msg =
   | Pre_prepare of {
@@ -43,9 +42,6 @@ type 'p msg =
   | Recover_reply of { view : int }
 
 type config = {
-  order_timeout : Sim_time.t;
-      (** backup patience before suspecting the primary *)
-  check_interval : Sim_time.t;
   batch : Batching.config;
       (** primary-side request batching; {!Batching.per_turn} reproduces
           unbatched behaviour exactly on a simulated run *)
@@ -91,10 +87,5 @@ val crash : 'p t -> unit
     view change transfers the full delivered history, so the rejoiner
     re-executes exactly the suffix it missed (dedup by request id). *)
 val restart : 'p t -> unit
-
-val delivered_count : 'p t -> int
-
-(** Delivered history, oldest first (test observability). *)
-val delivered_log : 'p t -> (request_id * 'p) list
 
 val msg_size : payload_size:('p -> int) -> 'p msg -> int

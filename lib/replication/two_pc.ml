@@ -60,13 +60,6 @@ type frame =
   | Status of { txid : string; from_shard : int }
       (** in-doubt participant asks the coordinator shard for the outcome *)
 
-let frame_txid = function
-  | Prepare { txid; _ }
-  | Prepare_ack { txid; _ }
-  | Commit { txid }
-  | Abort { txid }
-  | Status { txid; _ } ->
-      txid
 
 let frame_size = function
   | Prepare { txid; participants; ops; _ } ->

@@ -24,7 +24,6 @@ type frame =
   | Abort of { txid : string }
   | Status of { txid : string; from_shard : int }
 
-val frame_txid : frame -> string
 val frame_size : frame -> int
 
 (** Canonical binary codec: streaming writers and total readers

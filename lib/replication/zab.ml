@@ -49,8 +49,6 @@ let zxid_compare a b =
 
 let zxid_geq a b = zxid_compare a b >= 0
 
-let pp_zxid ppf z = Fmt.pf ppf "%d.%d" z.epoch z.counter
-
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -165,12 +163,24 @@ let pp_role ppf = function
   | Follower -> Fmt.string ppf "follower"
   | Candidate -> Fmt.string ppf "candidate"
 
+let heartbeat_interval = Sim_time.ms 50
+
+(** base timeout; each replica adds [id * election_stagger] so that
+    timeouts are staggered deterministically *)
+let election_timeout = Sim_time.ms 200
+
+(** per-replica deterministic stagger *)
+let election_stagger = Sim_time.ms 40
+
+(** ε: the assumed bound on any replica's virtual-clock offset from real
+    time.  The leader subtracts 2ε from every grant (its own clock may
+    read up to ε late at expiry while the follower's read up to ε early at
+    the promise), so lease reads stay linearizable for any skew within
+    ±ε; skew beyond the bound voids the safety argument (which is what
+    the clock-skew nemesis probes) *)
+let clock_skew_bound = Sim_time.ms 10
+
 type config = {
-  heartbeat_interval : Sim_time.t;
-  election_timeout : Sim_time.t;
-      (** base timeout; each replica adds [id * election_stagger] so that
-          timeouts are staggered deterministically *)
-  election_stagger : Sim_time.t;
   batch : Batching.config;
       (** leader-side group commit: proposals accumulated while the
           previous batch syncs ride the next one *)
@@ -199,13 +209,6 @@ type config = {
           [election_timeout], so a promise never outlives the silence
           that triggers elections and availability is unaffected.
           [Sim_time.zero] disables leases entirely. *)
-  clock_skew_bound : Sim_time.t;
-      (** ε: the assumed bound on any replica's virtual-clock offset from
-          real time.  The leader subtracts 2ε from every grant (its own
-          clock may read up to ε late at expiry while the follower's read
-          up to ε early at the promise), so lease reads stay linearizable
-          for any skew within ±ε; skew beyond the bound voids the
-          safety argument (which is what the clock-skew nemesis probes) *)
   unsafe_ignore_lease_expiry : bool;
       (** TEST ONLY: the leader treats every grant it ever received as
           live forever, so a deposed leader keeps serving "linearizable"
@@ -216,16 +219,12 @@ type config = {
 
 let default_config =
   {
-    heartbeat_interval = Sim_time.ms 50;
-    election_timeout = Sim_time.ms 200;
-    election_stagger = Sim_time.ms 40;
     batch = Batching.per_turn;
     unsafe_skip_log_matching = false;
     unsafe_single_step_reconfig = false;
     snapshot_chunk_size = 8192;
     snapshot_window = 8;
     lease_duration = Sim_time.ms 120;
-    clock_skew_bound = Sim_time.ms 10;
     unsafe_ignore_lease_expiry = false;
   }
 
@@ -1433,7 +1432,7 @@ let rec handle t ~src msg =
                   x.x_acked <- received;
                   x.x_sent <- received;
                   x.x_retx_after <-
-                    Sim_time.add (Sim.now t.sim) t.config.heartbeat_interval;
+                    Sim_time.add (Sim.now t.sim) heartbeat_interval;
                   send_chunks t ~dst:src
                 end);
             match Hashtbl.find_opt t.xfers src with
@@ -1483,7 +1482,7 @@ let rec handle t ~src msg =
           let expiry =
             Sim_time.sub
               (Sim_time.add sent t.config.lease_duration)
-              (Sim_time.scale t.config.clock_skew_bound 2.)
+              (Sim_time.scale clock_skew_bound 2.)
           in
           let prev =
             Option.value ~default:Sim_time.zero
@@ -1594,8 +1593,8 @@ and finish_snapshot_install t ~src ~epoch =
 (* ------------------------------------------------------------------ *)
 
 let election_deadline t =
-  Sim_time.add t.config.election_timeout
-    (Sim_time.scale t.config.election_stagger (float_of_int t.id))
+  Sim_time.add election_timeout
+    (Sim_time.scale election_stagger (float_of_int t.id))
 
 let rec tick t generation () =
   if t.alive && generation = t.generation then begin
@@ -1637,7 +1636,7 @@ let rec tick t generation () =
                 (Observer_request { epoch = t.current_epoch; id = t.id })
           end
         end);
-    Sim.schedule t.sim ~after:t.config.heartbeat_interval (tick t generation)
+    Sim.schedule t.sim ~after:heartbeat_interval (tick t generation)
   end
 
 (** [start t] begins heartbeats/election timers.  If [t.id] matches
@@ -1827,7 +1826,7 @@ let compact t ~take =
      follower that stopped acking (crashed learner, permanent partition)
      is abandoned after a TTL so one silent peer can't pin the log
      forever. *)
-  let xfer_ttl = Sim_time.scale t.config.heartbeat_interval 20. in
+  let xfer_ttl = Sim_time.scale heartbeat_interval 20. in
   let stale =
     Hashtbl.fold
       (fun dst x acc ->

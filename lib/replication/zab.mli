@@ -25,7 +25,6 @@ type zxid = { epoch : int; counter : int }
 
 val zxid_zero : zxid
 val zxid_compare : zxid -> zxid -> int
-val pp_zxid : Format.formatter -> zxid -> unit
 
 (** A member set: sorted, duplicate-free replica ids. *)
 type member_set = int list
@@ -115,9 +114,6 @@ type role = Leader | Follower | Candidate
 val pp_role : Format.formatter -> role -> unit
 
 type config = {
-  heartbeat_interval : Sim_time.t;
-  election_timeout : Sim_time.t;
-  election_stagger : Sim_time.t;  (** per-replica deterministic stagger *)
   batch : Batching.config;
       (** leader-side group commit; {!Batching.per_turn} reproduces unbatched
           behaviour exactly on a simulated run and proposes one batch per
@@ -145,12 +141,8 @@ type config = {
       (** leader-lease length: voters answering a heartbeat promise not to
           grant votes for this long on their local clocks, and a leader
           holding live grants from a majority serves linearizable reads
-          locally.  Must be below [election_timeout]; [Sim_time.zero]
-          disables leases. *)
-  clock_skew_bound : Sim_time.t;
-      (** ε: assumed bound on any replica's virtual-clock offset from real
-          time.  The leader expires each grant 2ε early, which keeps lease
-          reads linearizable for any skew within ±ε. *)
+          locally.  Must be below the election timeout (200 ms);
+          [Sim_time.zero] disables leases. *)
   unsafe_ignore_lease_expiry : bool;
       (** TEST ONLY — the leader treats grants as live forever, so a
           deposed, partitioned leader keeps serving stale "linearizable"

@@ -42,11 +42,6 @@ val restart_server : t -> shard:int -> int -> unit
 val cut_shard : t -> int -> unit
 val heal_shard : t -> int -> unit
 
-(** Nemesis adapter for one group, same shape as the unsharded
-    deployments': the standard chaos schedules drive crashes, partitions,
-    and clock skew inside that shard. *)
-val nemesis_target : t -> shard:int -> Nemesis.target
-
 (** {2 Deployment-wide 2PC observations (checker inputs)} *)
 
 (** Resolved outcomes per replica: [(shard, replica, oldest-first

@@ -60,7 +60,7 @@ let rule_matches r path =
 
 let route t path =
   match List.find_opt (fun r -> rule_matches r path) t.rules with
-  | Some r -> r.shard (* validated in range by [v] and [of_wire] *)
+  | Some r -> r.shard (* validated in range by [v] *)
   | None -> stable_hash (first_component path) mod t.n_shards
 
 (** Shards a subscription pattern can reach.  A pattern whose matches all
@@ -84,42 +84,6 @@ let shards_of_pattern t (p : Edc_core.Subscription.oid_pattern) =
       then single prefix
       else all
   | Edc_core.Subscription.Any_oid -> all
-
-(* --- wire codec (the map is pushed to clients and servers) --- *)
-
-let to_wire t =
-  let open Edc_wire.Wire in
-  List
-    [
-      Int t.version;
-      Int t.n_shards;
-      List
-        (List.map (fun r -> List [ Str r.prefix; Int r.shard ]) t.rules);
-    ]
-
-let of_wire w =
-  let open Edc_wire.Wire in
-  match w with
-  | List [ Int version; Int n_shards; List rules ] ->
-      if version < 0 then Error "shard_map: negative version"
-      else if n_shards <= 0 then Error "shard_map: non-positive shard count"
-      else
-        let rec decode acc = function
-          | [] -> Ok (List.rev acc)
-          | List [ Str prefix; Int shard ] :: rest ->
-              if shard < 0 || shard >= n_shards then
-                Error "shard_map: rule shard out of range"
-              else decode ({ prefix; shard } :: acc) rest
-          | _ -> Error "shard_map: malformed rule"
-        in
-        Result.map
-          (fun rules -> { version; n_shards; rules })
-          (decode [] rules)
-  | _ -> Error "shard_map: malformed frame"
-
-let encode t = Edc_wire.Wire.encode (to_wire t)
-
-let decode s = Result.bind (Edc_wire.Wire.decode s) of_wire
 
 let pp ppf t =
   Fmt.pf ppf "map v%d over %d shards%a" t.version t.n_shards

@@ -45,11 +45,10 @@ type 'm t = {
   handlers : (addr, 'm handler) Hashtbl.t;
   down : (addr, unit) Hashtbl.t;
   cut : (addr * addr, unit) Hashtbl.t;
-  cut_one_way : (addr * addr, unit) Hashtbl.t;  (* directed (src, dst) *)
+  one_way_cuts : (addr * addr, unit) Hashtbl.t;  (* directed (src, dst) *)
   node_counters : (addr, counters) Hashtbl.t;
   last_delivery : (addr * addr, Sim_time.t) Hashtbl.t;
   mutable total_sent_bytes : int;
-  mutable total_msgs : int;
   mutable dropped : int;
 }
 
@@ -61,11 +60,10 @@ let create ?(config = lan_config) sim =
     handlers = Hashtbl.create 64;
     down = Hashtbl.create 8;
     cut = Hashtbl.create 8;
-    cut_one_way = Hashtbl.create 8;
+    one_way_cuts = Hashtbl.create 8;
     node_counters = Hashtbl.create 64;
     last_delivery = Hashtbl.create 64;
     total_sent_bytes = 0;
-    total_msgs = 0;
     dropped = 0;
   }
 
@@ -86,7 +84,7 @@ let node_is_down t addr = Hashtbl.mem t.down addr
 let link_key a b = if a <= b then (a, b) else (b, a)
 
 let link_is_cut t a b =
-  Hashtbl.mem t.cut (link_key a b) || Hashtbl.mem t.cut_one_way (a, b)
+  Hashtbl.mem t.cut (link_key a b) || Hashtbl.mem t.one_way_cuts (a, b)
 
 (** [set_node_down t addr] makes the node unreachable: messages to or from
     it are silently dropped (crash model). *)
@@ -102,9 +100,9 @@ let heal_link t a b = Hashtbl.remove t.cut (link_key a b)
 (** [cut_link_one_way t ~src ~dst] drops only [src]→[dst] traffic, leaving
     the reverse direction intact (asymmetric partition: the victim can
     hear the cluster but nobody hears the victim). *)
-let cut_link_one_way t ~src ~dst = Hashtbl.replace t.cut_one_way (src, dst) ()
+let cut_link_one_way t ~src ~dst = Hashtbl.replace t.one_way_cuts (src, dst) ()
 
-let heal_link_one_way t ~src ~dst = Hashtbl.remove t.cut_one_way (src, dst)
+let heal_link_one_way t ~src ~dst = Hashtbl.remove t.one_way_cuts (src, dst)
 
 let delay_for t ~src ~dst ~size =
   let base =
@@ -130,7 +128,6 @@ let send t ~src ~dst ~size msg =
   c.sent_bytes <- c.sent_bytes + size;
   c.sent_msgs <- c.sent_msgs + 1;
   t.total_sent_bytes <- t.total_sent_bytes + size;
-  t.total_msgs <- t.total_msgs + 1;
   if node_is_down t src || node_is_down t dst || link_is_cut t src dst then
     t.dropped <- t.dropped + 1
   else begin
@@ -166,7 +163,6 @@ let bytes_sent_by t addr = (counters_for t addr).sent_bytes
 let bytes_received_by t addr = (counters_for t addr).recv_bytes
 let messages_sent_by t addr = (counters_for t addr).sent_msgs
 let total_bytes_sent t = t.total_sent_bytes
-let total_messages t = t.total_msgs
 let dropped_messages t = t.dropped
 
 (** [reset_counters t] zeroes all byte/message counters; failure state and
@@ -175,5 +171,4 @@ let dropped_messages t = t.dropped
 let reset_counters t =
   Hashtbl.reset t.node_counters;
   t.total_sent_bytes <- 0;
-  t.total_msgs <- 0;
   t.dropped <- 0

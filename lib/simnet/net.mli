@@ -58,7 +58,6 @@ val bytes_sent_by : 'm t -> addr -> int
 val bytes_received_by : 'm t -> addr -> int
 val messages_sent_by : 'm t -> addr -> int
 val total_bytes_sent : 'm t -> int
-val total_messages : 'm t -> int
 val dropped_messages : 'm t -> int
 
 (** [reset_counters t] zeroes the byte/message counters only. *)

@@ -13,28 +13,15 @@ type t = {
   mutable servers : Server.t array;  (** grows via {!add_server}; ids = index *)
   server_config : Server.config option;
   zab_config : Edc_replication.Zab.config option;
-      (** effective config (post [?batch] override), reused by late joiners *)
+      (** reused by late joiners *)
   mutable next_client_addr : int;
   mutable next_replica : int;
 }
 
 let client_addr_base = 1000
 
-let create ?(n_replicas = 3) ?net_config ?server_config ?zab_config ?batch sim
-    =
+let create ?(n_replicas = 3) ?net_config ?server_config ?zab_config sim =
   let net = Net.create ?config:net_config sim in
-  let zab_config =
-    (* [?batch] overrides the batching knob of whatever zab config is in
-       effect, so callers can toggle group commit without restating the
-       timing parameters. *)
-    match batch with
-    | None -> zab_config
-    | Some b ->
-        let base =
-          Option.value zab_config ~default:Edc_replication.Zab.default_config
-        in
-        Some { base with Edc_replication.Zab.batch = b }
-  in
   let replica_ids = List.init n_replicas Fun.id in
   let transport = Transport.of_net net in
   let servers =
@@ -59,13 +46,15 @@ let net t = t.net
 let servers t = t.servers
 let n_replicas t = Array.length t.servers
 
-let leader t =
+let leader_id t =
   let rec find i =
     if i >= Array.length t.servers then None
-    else if Server.is_leader t.servers.(i) then Some t.servers.(i)
+    else if Server.is_leader t.servers.(i) then Some i
     else find (i + 1)
   in
   find 0
+
+let leader t = Option.map (fun i -> t.servers.(i)) (leader_id t)
 
 (** [client t ()] allocates a client endpoint attached round-robin to a
     replica.  The session is established by calling {!Client.connect} from
@@ -141,6 +130,43 @@ let crash_server t i =
 let restart_server t i =
   Net.set_node_up t.net i;
   Server.restart t.servers.(i)
+
+(** [nemesis_target ~name ?restart t] binds the fault injector to this
+    ensemble.  Every closure re-reads the server array, which grows via
+    {!add_server}; [restart] defaults to {!restart_server}. *)
+let nemesis_target ~name ?restart t =
+  let net = t.net in
+  {
+    Nemesis.name;
+    nodes = List.init (Array.length t.servers) Fun.id;
+    leader = (fun () -> leader_id t);
+    crash = crash_server t;
+    restart = Option.value restart ~default:(restart_server t);
+    cut = Net.cut_link net;
+    heal = Net.heal_link net;
+    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
+    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
+    silence = Net.set_node_down net;
+    unsilence = Net.set_node_up net;
+    reconfig_in_flight =
+      (fun () ->
+        (* arm from the moment a learner is adopted (bootstrap counts as
+           "change underway") until the final config entry commits; a
+           fenced replica's stale joint view does not count *)
+        Array.exists
+          (fun s ->
+            let z = Server.zab s in
+            (not (Edc_replication.Zab.is_fenced z))
+            && (Edc_replication.Zab.reconfig_in_flight z
+               || Edc_replication.Zab.learners z <> []))
+          t.servers);
+    set_skew =
+      (fun node skew ->
+        if node < Array.length t.servers then
+          Edc_replication.Zab.set_clock_skew
+            (Server.zab t.servers.(node))
+            skew);
+  }
 
 (** [run_until_quiet t ~timeout] drains the simulation up to a horizon. *)
 let run_for t d = Sim.run ~until:(Sim_time.add (Sim.now t.sim) d) t.sim

@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Server.config ->
   ?zab_config:Edc_replication.Zab.config ->
-  ?batch:Edc_replication.Batching.config ->
   Sim.t ->
   t
 
@@ -53,6 +52,16 @@ val remove_server : t -> id:int -> (unit, string) result
 
 val crash_server : t -> int -> unit
 val restart_server : t -> int -> unit
+
+(** Bind the {!Edc_simnet.Nemesis} fault injector to this ensemble: the
+    leader is the Zab leader, crashes go through {!crash_server}, and a
+    membership change is in flight from learner adoption until the final
+    config entry commits.  [restart] defaults to {!restart_server}; a
+    deployment layered over the ensemble (EZK) passes its own so a
+    restarted replica also reloads that layer.  The closures re-read the
+    server array, so replicas added later are reachable by id. *)
+val nemesis_target :
+  name:string -> ?restart:(int -> unit) -> t -> Nemesis.target
 
 (** Advance the simulation by a duration. *)
 val run_for : t -> Sim_time.t -> unit

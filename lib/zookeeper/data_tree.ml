@@ -320,7 +320,6 @@ let import_portable t (p : portable) =
 
 let import t img = import_portable t (materialize img)
 
-let live_generation t = t.live_gen
 let cow_copies t = t.cow_copies
 let active_images t = List.length t.images
 

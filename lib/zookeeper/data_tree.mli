@@ -91,8 +91,6 @@ val import_portable : t -> portable -> unit
 
 (** COW bookkeeping (benchmarks and tests). *)
 
-val live_generation : t -> int
-
 (** Nodes preserved on first touch since the tree was created. *)
 val cow_copies : t -> int
 

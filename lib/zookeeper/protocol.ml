@@ -95,14 +95,6 @@ let server_msg_size = function
   | Watch_event { path; _ } -> header_size + String.length path + 1
   | Expired -> header_size
 
-let pp_watch_kind ppf k =
-  Fmt.string ppf
-    (match k with
-    | Node_created -> "created"
-    | Node_deleted -> "deleted"
-    | Node_changed -> "changed"
-    | Children_changed -> "children")
-
 let pp_result ppf = function
   | Created p -> Fmt.pf ppf "created %s" p
   | Deleted -> Fmt.string ppf "deleted"

@@ -54,5 +54,4 @@ val result_size : result -> int
 val client_msg_size : client_to_server -> int
 val server_msg_size : server_to_client -> int
 
-val pp_watch_kind : Format.formatter -> watch_kind -> unit
 val pp_result : Format.formatter -> result -> unit

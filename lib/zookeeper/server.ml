@@ -62,9 +62,19 @@ type hook_action =
 
 type session_info = { client_addr : int; mutable owner_replica : int }
 
+let session_timeout = Sim_time.sec 10
+let expiry_check_interval = Sim_time.ms 500
+
+(** 2PC coordinator: re-send [Prepare] to silent participants (§6j) *)
+let txn_retry_interval = Sim_time.ms 400
+
+(** 2PC coordinator: presumed-abort deadline for an open round *)
+let txn_coord_timeout = Sim_time.ms 2500
+
+(** 2PC participant: in-doubt [Status] inquiry cadence *)
+let txn_status_interval = Sim_time.ms 1200
+
 type config = {
-  session_timeout : Sim_time.t;
-  expiry_check_interval : Sim_time.t;
   snapshot_interval : int;
       (** take a snapshot and compact the replicated log every N applied
           transactions; [0] disables (ZooKeeper's snapCount) *)
@@ -76,27 +86,16 @@ type config = {
           through the commit path as a quiet no-op barrier (§6i).  The
           default [false] keeps ZooKeeper's sequentially-consistent local
           read fast path. *)
-  txn_retry_interval : Sim_time.t;
-      (** 2PC coordinator: re-send [Prepare] to silent participants (§6j) *)
-  txn_coord_timeout : Sim_time.t;
-      (** 2PC coordinator: presumed-abort deadline for an open round *)
-  txn_status_interval : Sim_time.t;
-      (** 2PC participant: in-doubt [Status] inquiry cadence *)
 }
 
 let default_config =
   {
-    session_timeout = Sim_time.sec 10;
-    expiry_check_interval = Sim_time.ms 500;
     snapshot_interval = 1000;
     (* calibrated so a saturated leader sustains ~28k updates/s, matching
        the throughput envelope of the paper's 4-core testbed (§6, §7.1) *)
     preprocess_cost = Sim_time.us 35;
     read_cost = Sim_time.us 10;
     linearizable_reads = false;
-    txn_retry_interval = Sim_time.ms 400;
-    txn_coord_timeout = Sim_time.ms 2500;
-    txn_status_interval = Sim_time.ms 1200;
   }
 
 (** One open coordinator round (§6j).  Leader-volatile by design: the
@@ -382,9 +381,9 @@ let arm_status_probe t txid =
           if is_leader t then
             shard_send_frame t coord
               (Two_pc.Status { txid; from_shard = t.shard_id });
-          Sim.schedule t.sim ~after:t.config.txn_status_interval probe
+          Sim.schedule t.sim ~after:txn_status_interval probe
     in
-    Sim.schedule t.sim ~after:t.config.txn_status_interval probe
+    Sim.schedule t.sim ~after:txn_status_interval probe
   end
 
 let rec apply_op t op =
@@ -817,7 +816,7 @@ let decide_round t txid cr commit =
 
 let round_expired t cr =
   Sim_time.(
-    t.config.txn_coord_timeout <= Sim_time.sub (Sim.now t.sim) cr.cr_started)
+    txn_coord_timeout <= Sim_time.sub (Sim.now t.sim) cr.cr_started)
 
 (** Coordinator heartbeat: re-send [Prepare] to silent participants,
     presumed-abort the round past the deadline. *)
@@ -836,7 +835,7 @@ let rec coord_tick t txid () =
                    { txid; coord = t.shard_id;
                      participants = cr.cr_participants; ops }))
           cr.cr_slices;
-        Sim.schedule t.sim ~after:t.config.txn_retry_interval
+        Sim.schedule t.sim ~after:txn_retry_interval
           (coord_tick t txid)
       end
 
@@ -865,7 +864,7 @@ let start_cross_shard t ~session ~xid slices =
       shard_send_frame t shard
         (Two_pc.Prepare { txid; coord = t.shard_id; participants; ops }))
     slices;
-  Sim.schedule t.sim ~after:t.config.txn_retry_interval (coord_tick t txid)
+  Sim.schedule t.sim ~after:txn_retry_interval (coord_tick t txid)
 
 let handle_prepare_ack t txid shard ok =
   match Hashtbl.find_opt t.coord_rounds txid with
@@ -1357,7 +1356,7 @@ let rec expiry_tick t generation () =
         Hashtbl.fold
           (fun session last acc ->
             if
-              Sim_time.(t.config.session_timeout <= Sim_time.sub now last)
+              Sim_time.(session_timeout <= Sim_time.sub now last)
               && session_exists t session
             then session :: acc
             else acc)
@@ -1366,7 +1365,7 @@ let rec expiry_tick t generation () =
       in
       List.iter (fun session -> preprocess_close t ~session) expired
     end;
-    Sim.schedule t.sim ~after:t.config.expiry_check_interval (expiry_tick t generation)
+    Sim.schedule t.sim ~after:expiry_check_interval (expiry_tick t generation)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1492,7 +1491,7 @@ let create ?(config = default_config) ?zab_config ?initial_leader
 let start t =
   t.generation <- t.generation + 1;
   Zab.start (zab t);
-  Sim.schedule t.sim ~after:t.config.expiry_check_interval
+  Sim.schedule t.sim ~after:expiry_check_interval
     (expiry_tick t t.generation)
 
 (** [crash t] takes the replica down (network detached by the caller). *)
@@ -1505,7 +1504,7 @@ let crash t =
 let restart t =
   t.generation <- t.generation + 1;
   Zab.restart (zab t);
-  Sim.schedule t.sim ~after:t.config.expiry_check_interval
+  Sim.schedule t.sim ~after:expiry_check_interval
     (expiry_tick t t.generation)
 
 (** [set_sharding] plugs the replica into a sharded deployment: its own

@@ -37,8 +37,6 @@ type hook_action =
 type session_info = { client_addr : int; mutable owner_replica : int }
 
 type config = {
-  session_timeout : Sim_time.t;
-  expiry_check_interval : Sim_time.t;
   snapshot_interval : int;
       (** snapshot + compact the replicated log every N applied
           transactions; [0] disables (ZooKeeper's snapCount) *)
@@ -50,16 +48,6 @@ type config = {
           through the commit path as a quiet no-op barrier (§6i).  The
           default [false] keeps ZooKeeper's sequentially-consistent local
           read fast path. *)
-  txn_retry_interval : Sim_time.t;
-      (** coordinator heartbeat: re-send [Prepare] to silent participant
-          shards at this interval (§6j) *)
-  txn_coord_timeout : Sim_time.t;
-      (** coordinator presumed-aborts a cross-shard transaction that has
-          not gathered every vote within this budget *)
-  txn_status_interval : Sim_time.t;
-      (** participant in-doubt inquiry interval: while a prepared
-          transaction is unresolved, the participant leader asks the
-          coordinator shard for the outcome this often *)
 }
 
 val default_config : config

@@ -259,5 +259,3 @@ let on_applied_op t = function
   | Txn.Tsession_move _ | Txn.Tblock _ | Txn.Tnotify _ | Txn.Terror
   | Txn.Tprep _ | Txn.Tdecide _ | Txn.Tresolve _ ->
       ()
-
-let pending_count t = Hashtbl.length t.pending

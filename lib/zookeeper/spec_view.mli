@@ -57,5 +57,3 @@ val set_node :
 (** Bookkeeping when a transaction applies at the leader (keeps the
     speculative creation-id counter aligned with the tree's). *)
 val on_applied_op : t -> Txn.op -> unit
-
-val pending_count : t -> int

@@ -46,8 +46,6 @@ let create ~data ~czxid ~ephemeral_owner =
     a field-level copy fully detaches the node from the original. *)
 let copy n = { n with data = n.data }
 
-let is_ephemeral n = n.ephemeral_owner <> None
-
 let stat n =
   {
     version = n.version;

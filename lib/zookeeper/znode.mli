@@ -30,6 +30,5 @@ val create : data:string -> czxid:int -> ephemeral_owner:int option -> t
 
 (** Fresh record with the same contents, sharing no mutable state. *)
 val copy : t -> t
-val is_ephemeral : t -> bool
 val stat : t -> stat
 val pp_stat : Format.formatter -> stat -> unit

@@ -842,36 +842,20 @@ let prop_pbft_agreement =
 
 let test_batching_size_trigger () =
   let sim = Sim.create ~seed:3 () in
+  Sim.set_turn_driven sim;
   let flushed = ref [] in
-  let config =
-    Batching.group_commit ~max_batch:3 ~max_delay:(Sim_time.sec 1) ()
-  in
+  let config = Batching.group_commit ~max_batch:3 () in
   let b =
     Batching.create ~sim ~config ~flush:(fun xs -> flushed := !flushed @ [ xs ])
   in
   Batching.add b 1;
   Batching.add b 2;
-  Alcotest.(check int) "waiting for a full batch" 2 (Batching.pending b);
+  Alcotest.(check int) "waiting for the turn to end" 2 (Batching.pending b);
   Batching.add b 3;
-  Alcotest.(check (list (list int))) "full batch flushed in arrival order"
-    [ [ 1; 2; 3 ] ] !flushed
-
-let test_batching_delay_trigger () =
-  let sim = Sim.create ~seed:3 () in
-  let flushed = ref [] in
-  let config =
-    Batching.group_commit ~max_batch:100 ~max_delay:(Sim_time.ms 5) ()
-  in
-  let b =
-    Batching.create ~sim ~config ~flush:(fun xs ->
-        flushed := !flushed @ [ (Sim.now sim, xs) ])
-  in
-  Batching.add b "a";
-  Batching.add b "b";
-  Sim.run ~until:(Sim_time.ms 20) sim;
-  Alcotest.(check bool) "partial batch flushed when the oldest item expires"
-    true
-    (!flushed = [ (Sim_time.ms 5, [ "a"; "b" ]) ])
+  Batching.add b 4;
+  Sim.end_turn sim;
+  Alcotest.(check (list (list int))) "full batch flushed whole, in arrival order"
+    [ [ 1; 2; 3 ]; [ 4 ] ] !flushed
 
 let test_batching_sync_self_clocking () =
   let sim = Sim.create ~seed:3 () in
@@ -1000,7 +984,6 @@ let test_zab_batched_equals_unbatched () =
         (run batch))
     [
       Batching.group_commit ~max_batch:8 ~sync_cost:(Sim_time.us 200) ();
-      Batching.group_commit ~max_batch:128 ~max_delay:(Sim_time.ms 2) ();
     ]
 
 let test_zab_batch_applies_atomically () =
@@ -1034,7 +1017,7 @@ let test_zab_batch_applies_atomically () =
 let test_pbft_batched_equals_unbatched () =
   let run batch =
     let c =
-      make_pbft_cluster ~pbft_config:{ Pbft.default_config with Pbft.batch } ()
+      make_pbft_cluster ~pbft_config:{ Pbft.batch } ()
     in
     for k = 1 to 30 do
       pbft_submit c (rid 4 k) (Printf.sprintf "op%02d" k)
@@ -1053,7 +1036,7 @@ let test_pbft_batched_view_change () =
   (* a primary crash with a batched configuration must still converge *)
   let batch = Batching.group_commit ~max_batch:8 ~sync_cost:(Sim_time.us 200) () in
   let c =
-    make_pbft_cluster ~pbft_config:{ Pbft.default_config with Pbft.batch } ()
+    make_pbft_cluster ~pbft_config:{ Pbft.batch } ()
   in
   pbft_submit c (rid 3 1) "before";
   prun_for c (Sim_time.sec 1);
@@ -1076,8 +1059,14 @@ let test_ezk_batched_extension_atomic () =
   let module Zk = Edc_zookeeper in
   let module R = Edc_recipes in
   let sim = Sim.create ~seed:11 () in
-  let batch = Batching.group_commit ~max_batch:16 ~sync_cost:(Sim_time.us 200) () in
-  let cluster = Edc_ezk.Ezk_cluster.create ~batch sim in
+  let zab_config =
+    {
+      Zab.default_config with
+      Zab.batch =
+        Batching.group_commit ~max_batch:16 ~sync_cost:(Sim_time.us 200) ();
+    }
+  in
+  let cluster = Edc_ezk.Ezk_cluster.create ~zab_config sim in
   let n_clients = 5 and per_client = 10 in
   let successes = ref 0 in
   let failure = ref None in
@@ -1457,7 +1446,6 @@ let () =
       ( "batching",
         [
           Alcotest.test_case "size trigger" `Quick test_batching_size_trigger;
-          Alcotest.test_case "delay trigger" `Quick test_batching_delay_trigger;
           Alcotest.test_case "sync self-clocking" `Quick
             test_batching_sync_self_clocking;
           Alcotest.test_case "reset drops pending" `Quick

@@ -39,42 +39,6 @@ let test_map_rules () =
   Alcotest.(check bool) "no false prefix match" true
     (Shard_map.route map "/pinnedmore" = Shard_map.route map "/pinnedmore")
 
-let test_map_wire_roundtrip () =
-  let map =
-    Shard_map.v ~version:7
-      ~rules:
-        [
-          { Shard_map.prefix = "/a"; shard = 1 };
-          { Shard_map.prefix = "/b/c"; shard = 0 };
-        ]
-      2
-  in
-  match Shard_map.decode (Shard_map.encode map) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok map' ->
-      Alcotest.(check int) "version" 7 (Shard_map.version map');
-      Alcotest.(check int) "shards" 2 (Shard_map.n_shards map');
-      Alcotest.(check int) "rules survive" 1 (Shard_map.route map' "/a/x");
-      Alcotest.(check int) "rules survive 2" 0 (Shard_map.route map' "/b/c")
-
-let test_map_rejects () =
-  List.iter
-    (fun bytes ->
-      match Shard_map.decode bytes with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted malformed map %S" bytes)
-    [ ""; "garbage"; Edc_wire.Wire.(encode (Int 3)) ];
-  (* out-of-range rule shard *)
-  let bad =
-    Edc_wire.Wire.(
-      encode
-        (List
-           [ Int 1; Int 2; List [ List [ Str "/a"; Int 9 ] ] ]))
-  in
-  match Shard_map.decode bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted rule pointing past n_shards"
-
 (* Satellite property: any subscriber whose pattern can match a path
    routed to shard S is itself resolvable on S — or flagged cross-shard.
    This is what lets the manager keep single-shard extensions local
@@ -417,8 +381,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_map_basics;
           Alcotest.test_case "placement rules" `Quick test_map_rules;
-          Alcotest.test_case "wire roundtrip" `Quick test_map_wire_roundtrip;
-          Alcotest.test_case "malformed rejected" `Quick test_map_rejects;
           qc prop_pattern_routing;
         ] );
       ( "classification",

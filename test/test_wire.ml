@@ -1506,10 +1506,8 @@ let test_tcp_stalled_reader_bounded () =
     Alcotest.failf "cork unbounded: %d frames sent to a stalled reader" !sent
 
 (* ------------------------------------------------------------------ *)
-(* 2PC frames and shard-map payloads (§6j)                             *)
+(* 2PC frames (§6j)                                                   *)
 (* ------------------------------------------------------------------ *)
-
-module Shard_map = Edc_sharding.Shard_map
 
 let twopc_wop_gen =
   let open QCheck.Gen in
@@ -1643,49 +1641,6 @@ let test_twopc_crafted_malformed () =
     (Wire.encode
        (Wire.List [ Wire.Int 0; Wire.Str "t"; Wire.Int 1; Wire.Int 2 ]))
 
-let shard_map_arb =
-  let open QCheck.Gen in
-  let gen =
-    let* n = int_range 1 16 in
-    let* version = int_range 0 1000 in
-    let* rules =
-      list_size (int_range 0 5)
-        (map2
-           (fun c shard -> { Shard_map.prefix = "/" ^ c; shard })
-           (string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
-           (int_range 0 (n - 1)))
-    in
-    return (Shard_map.v ~version ~rules n)
-  in
-  QCheck.make ~print:(Format.asprintf "%a" Shard_map.pp) gen
-
-let prop_shard_map_roundtrip =
-  QCheck.Test.make ~name:"shard-map payload roundtrip" ~count:500
-    shard_map_arb (fun m ->
-      match Shard_map.decode (Shard_map.encode m) with
-      | Ok m' ->
-          Shard_map.version m' = Shard_map.version m
-          && Shard_map.n_shards m' = Shard_map.n_shards m
-          && Shard_map.rules m' = Shard_map.rules m
-      | Error _ -> false)
-
-let prop_shard_map_truncation =
-  QCheck.Test.make ~name:"shard-map truncations all rejected" ~count:100
-    shard_map_arb (fun m ->
-      let s = Shard_map.encode m in
-      let ok = ref true in
-      for k = 0 to String.length s - 1 do
-        match Shard_map.decode (String.sub s 0 k) with
-        | Error _ -> ()
-        | Ok _ -> ok := false
-      done;
-      !ok)
-
-let prop_shard_map_garbage =
-  QCheck.Test.make ~name:"shard-map decoder total on garbage" ~count:1000
-    QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
-    (fun s -> match Shard_map.decode s with Ok _ | Error _ -> true)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1765,8 +1720,5 @@ let () =
           qc prop_twopc_wrong_shape;
           Alcotest.test_case "crafted malformed 2pc frames rejected" `Quick
             test_twopc_crafted_malformed;
-          qc prop_shard_map_roundtrip;
-          qc prop_shard_map_truncation;
-          qc prop_shard_map_garbage;
         ] );
     ]
