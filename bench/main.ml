@@ -51,89 +51,73 @@ let json_of_point (p : E.point) =
       ("errors", Bench_json.Int p.E.errors);
     ]
 
-let write_points_suite ~suite points =
-  Bench_json.write_suite ~suite
-    [ ("points", Bench_json.List (List.map json_of_point points)) ]
-
 (* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let fig6 cfg =
+(* One figure of §6.1: [point] over every system and client count, one
+   metric table per [(title, unit, getter)], then optionally the
+   extensible-vs-traditional speedups at the largest client count and the
+   BENCH_<suite>.json points. *)
+let figure ~title ~clients ?speedup ?suite point tables =
   let points =
-    Report.figure_points
-      ~title:"Figure 6: shared-counter recipe (throughput and latency)"
-      ~clients:cfg.clients ~systems:S.all
-      ~point_fn:(fun kind n ->
-        E.counter_point ~warmup:cfg.warmup ~measure:cfg.measure kind n)
+    Report.figure_points ~title ~clients ~systems:S.all ~point_fn:point
   in
-  Report.metric_table ~title:"Average throughput" ~unit:"ops/s"
-    ~clients:cfg.clients ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.throughput));
-  Report.metric_table ~title:"Average latency" ~unit:"ms" ~clients:cfg.clients
-    ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.latency_ms));
-  Report.metric_table ~title:"Attempts per successful increment" ~unit:"tries"
-    ~clients:cfg.clients ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.attempts));
-  let top = List.fold_left max 1 cfg.clients in
-  print_newline ();
-  Report.summarize_speedup points ~clients:top ~base:S.Zookeeper ~ext:S.Ezk
-    ~what:"Counter";
-  Report.summarize_speedup points ~clients:top ~base:S.Depspace ~ext:S.Eds
-    ~what:"Counter";
-  write_points_suite ~suite:"counter" points
+  List.iter
+    (fun (title, unit, get) ->
+      Report.metric_table ~title ~unit ~clients ~systems:S.all
+        ~value:(fun k n -> Report.lookup points k n get))
+    tables;
+  Option.iter
+    (fun what ->
+      let top = List.fold_left max 1 clients in
+      print_newline ();
+      List.iter
+        (fun (base, ext) ->
+          Report.summarize_speedup points ~clients:top ~base ~ext ~what)
+        [ (S.Zookeeper, S.Ezk); (S.Depspace, S.Eds) ])
+    speedup;
+  Option.iter
+    (fun suite ->
+      Bench_json.write_suite ~suite
+        [ ("points", Bench_json.List (List.map json_of_point points)) ])
+    suite
+
+let throughput = ("Average throughput", "ops/s", fun p -> p.E.throughput)
+
+let fig6 cfg =
+  figure ~title:"Figure 6: shared-counter recipe (throughput and latency)"
+    ~clients:cfg.clients ~speedup:"Counter" ~suite:"counter"
+    (E.counter_point ~warmup:cfg.warmup ~measure:cfg.measure)
+    [
+      throughput;
+      ("Average latency", "ms", fun p -> p.E.latency_ms);
+      ("Attempts per successful increment", "tries", fun p -> p.E.attempts);
+    ]
 
 let fig8 cfg =
-  let points =
-    Report.figure_points
-      ~title:"Figure 8: distributed queue (throughput and client data)"
-      ~clients:cfg.clients ~systems:S.all
-      ~point_fn:(fun kind n ->
-        E.queue_point ~warmup:cfg.warmup ~measure:cfg.measure kind n)
-  in
-  Report.metric_table ~title:"Average throughput" ~unit:"ops/s"
-    ~clients:cfg.clients ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.throughput));
-  Report.metric_table ~title:"Avg. data sent by client" ~unit:"KB/op"
-    ~clients:cfg.clients ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.kb_per_op));
-  let top = List.fold_left max 1 cfg.clients in
-  print_newline ();
-  Report.summarize_speedup points ~clients:top ~base:S.Zookeeper ~ext:S.Ezk
-    ~what:"Queue";
-  Report.summarize_speedup points ~clients:top ~base:S.Depspace ~ext:S.Eds
-    ~what:"Queue";
-  write_points_suite ~suite:"queue" points
+  figure ~title:"Figure 8: distributed queue (throughput and client data)"
+    ~clients:cfg.clients ~speedup:"Queue" ~suite:"queue"
+    (E.queue_point ~warmup:cfg.warmup ~measure:cfg.measure)
+    [ throughput; ("Avg. data sent by client", "KB/op", fun p -> p.E.kb_per_op) ]
 
 let fig10 cfg =
-  let points =
-    Report.figure_points
-      ~title:"Figure 10: distributed barrier (latency and client data)"
-      ~clients:cfg.paired ~systems:S.all
-      ~point_fn:(fun kind n -> E.barrier_point kind n)
-  in
-  Report.metric_table ~title:"Average latency per enter" ~unit:"ms"
-    ~clients:cfg.paired ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.latency_ms));
-  Report.metric_table ~title:"Avg. data sent by clients" ~unit:"KB/op"
-    ~clients:cfg.paired ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.kb_per_op))
+  figure ~title:"Figure 10: distributed barrier (latency and client data)"
+    ~clients:cfg.paired E.barrier_point
+    [
+      ("Average latency per enter", "ms", fun p -> p.E.latency_ms);
+      ("Avg. data sent by clients", "KB/op", fun p -> p.E.kb_per_op);
+    ]
 
 let fig12 cfg =
-  let points =
-    Report.figure_points
-      ~title:"Figure 12: leader election (changes/s and signaling latency)"
-      ~clients:cfg.paired ~systems:S.all
-      ~point_fn:(fun kind n ->
-        E.election_point ~warmup:cfg.warmup ~measure:cfg.measure kind n)
-  in
-  Report.metric_table ~title:"Average throughput (leader changes)" ~unit:"ops/s"
-    ~clients:cfg.paired ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.throughput));
-  Report.metric_table ~title:"Average signaling latency" ~unit:"ms"
-    ~clients:cfg.paired ~systems:S.all
-    ~value:(fun k n -> Report.lookup points k n (fun p -> p.E.latency_ms))
+  figure
+    ~title:"Figure 12: leader election (changes/s and signaling latency)"
+    ~clients:cfg.paired
+    (E.election_point ~warmup:cfg.warmup ~measure:cfg.measure)
+    [
+      ("Average throughput (leader changes)", "ops/s", fun p -> p.E.throughput);
+      ("Average signaling latency", "ms", fun p -> p.E.latency_ms);
+    ]
 
 let fig13 cfg =
   Report.section
@@ -268,9 +252,9 @@ let ablation cfg =
     [ 1; 10; 100 ];
 
   Report.section "Ablation 3: sandbox step budget vs queue-extension survival";
-  let run_with_budget max_steps =
-    (* verify the cap rejects over-budget runs without harming in-budget
-       ones: a queue with many elements makes subObjects iteration larger *)
+  let run_with_default_budget () =
+    (* the default cap must not harm an in-budget run: a queue with many
+       elements makes subObjects iteration larger *)
     let sim = Sim.create ~seed:7 () in
     let cluster = Edc_ezk.Ezk_cluster.create sim in
     let outcome = ref "?" in
@@ -284,16 +268,9 @@ let ablation cfg =
           | Ok () -> ()
           | Error e -> failwith e
         done;
-        (* shrink the budget on every replica's manager *)
-        Array.iteri
-          (fun i _ ->
-            let m = Edc_ezk.Ezk.manager (Edc_ezk.Ezk_cluster.ezk cluster i) in
-            ignore m)
-          (Edc_ezk.Ezk_cluster.servers cluster);
         match Edc_recipes.Queue.remove_ext api with
         | Ok _ -> outcome := "ok"
         | Error e -> outcome := "rejected: " ^ e);
-    ignore max_steps;
     Sim.run ~until:(Sim_time.sec 30) sim;
     !outcome
   in
@@ -316,7 +293,7 @@ let ablation cfg =
         (mock_run { Edc_core.Sandbox.default_limits with max_steps = steps }))
     [ 16; 64; 4096 ];
   Printf.printf "  full-stack queue extension with default budget: %s\n"
-    (run_with_budget 4096);
+    (run_with_default_budget ());
 
   Report.section
     "Ablation 4: snapshot state transfer vs full-log replay on recovery";

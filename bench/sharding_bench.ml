@@ -16,6 +16,7 @@ module Counter = Edc_recipes.Counter
 module Coord_zk = Edc_recipes.Coord_zk
 module Report = Edc_harness.Report
 module E = Edc_harness.Experiment
+module Workload = Edc_harness.Workload
 
 let shard_map n =
   Shard_map.v
@@ -65,47 +66,38 @@ let scaling_point ~quick n_groups =
   let t_end = Sim_time.add warmup measure in
   let ops = ref 0 in
   let lats = ref [] in
-  let failure = ref None in
   let payload = String.make 64 'x' in
   Proc.spawn sim (fun () ->
-      try
-        for s = 0 to n_groups - 1 do
-          Proc.spawn sim (fun () ->
-              let admin = Shard_cluster.connected_client cluster ~shard:s () in
-              fail_on_zerror "shard root"
-                (Zk.Client.create_node admin (Printf.sprintf "/s%d" s) "");
-              for w = 0 to writers_per_shard - 1 do
-                let path = Printf.sprintf "/s%d/w%d" s w in
-                fail_on_zerror "writer node"
-                  (Zk.Client.create_node admin path "");
-                Proc.spawn sim (fun () ->
-                    let c =
-                      Shard_cluster.connected_client cluster ~shard:s ()
-                    in
-                    let rec loop () =
-                      if Sim_time.(Sim.now sim < t_end) then begin
-                        let t0 = Sim.now sim in
-                        (match Zk.Client.set_data c path payload with
-                        | Ok _ ->
-                            if t0 >= t_start then begin
-                              incr ops;
-                              lats :=
-                                Sim_time.to_float_ms
-                                  (Sim_time.sub (Sim.now sim) t0)
-                                :: !lats
-                            end
-                        | Error e ->
-                            failwith
-                              ("scaling write: " ^ Zk.Zerror.to_string e));
-                        loop ()
-                      end
-                    in
-                    loop ())
-              done)
-        done
-      with e -> failure := Some e);
+      for s = 0 to n_groups - 1 do
+        Proc.spawn sim (fun () ->
+            let admin = Shard_cluster.connected_client cluster ~shard:s () in
+            fail_on_zerror "shard root"
+              (Zk.Client.create_node admin (Printf.sprintf "/s%d" s) "");
+            for w = 0 to writers_per_shard - 1 do
+              let path = Printf.sprintf "/s%d/w%d" s w in
+              fail_on_zerror "writer node"
+                (Zk.Client.create_node admin path "");
+              Proc.spawn sim (fun () ->
+                  let c =
+                    Shard_cluster.connected_client cluster ~shard:s ()
+                  in
+                  Workload.repeat sim ~until:t_end (fun () ->
+                      let t0 = Sim.now sim in
+                      (match Zk.Client.set_data c path payload with
+                      | Ok _ ->
+                          if t0 >= t_start then begin
+                            incr ops;
+                            lats :=
+                              Sim_time.to_float_ms
+                                (Sim_time.sub (Sim.now sim) t0)
+                              :: !lats
+                          end
+                      | Error e ->
+                          failwith
+                            ("scaling write: " ^ Zk.Zerror.to_string e))))
+            done)
+      done);
   Sim.run ~until:(Sim_time.add t_end (Sim_time.sec 1)) sim;
-  (match !failure with Some e -> raise e | None -> ());
   {
     sp_groups = n_groups;
     sp_writers = n_groups * writers_per_shard;
@@ -145,88 +137,79 @@ let ablation_point ~quick cross_pct =
   let t_end = Sim_time.add warmup measure in
   let ops = ref 0 and cross_ops = ref 0 in
   let local_lats = ref [] and cross_lats = ref [] in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        (* per-shard roots, then per-worker subtrees on home + partner *)
-        let admin = Shard_session.connect cluster in
-        for s = 0 to n_groups - 1 do
-          fail_on_zerror "root"
-            (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
-        done;
-        for w = 0 to n_workers - 1 do
-          let home = w mod n_groups and partner = (w + 1) mod n_groups in
-          List.iter
-            (fun s ->
-              fail_on_zerror "subtree"
-                (Shard_session.create_node admin
-                   (Printf.sprintf "/s%d/w%d" s w) "");
-              fail_on_zerror "target"
-                (Shard_session.create_node admin
-                   (Printf.sprintf "/s%d/w%d/n" s w) ""))
-            [ home; partner ]
-        done;
-        for w = 0 to n_workers - 1 do
-          Proc.spawn sim (fun () ->
-              let rng = Rng.split (Sim.rng sim) in
-              let sw = Shard_session.connect cluster in
-              let home = w mod n_groups and partner = (w + 1) mod n_groups in
-              let p_home = Printf.sprintf "/s%d/w%d/n" home w in
-              let p_partner = Printf.sprintf "/s%d/w%d/n" partner w in
-              (* a participant releases its locks one log entry after the
-                 client hears commit, so the worker's next write on the
-                 same footprint can transiently see [Locked] (and a
-                 too-early prepare, [Txn_conflict]); retry like any 2PC
-                 client.  Latency is measured across retries. *)
-              let rec with_retry what tries f =
-                match f () with
-                | Ok () -> ()
-                | Error (Zk.Zerror.Locked | Zk.Zerror.Txn_conflict)
-                  when tries < 50 ->
-                    Proc.sleep sim (Sim_time.ms (2 + Rng.int rng 8));
-                    with_retry what (tries + 1) f
-                | Error e ->
-                    failwith (what ^ ": " ^ Zk.Zerror.to_string e)
-              in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < t_end) then begin
-                  let cross = Rng.int rng 100 < cross_pct in
-                  let t0 = Sim.now sim in
-                  (if cross then begin
-                     with_retry "cross write" 0 (fun () ->
-                         Shard_session.multi sw
-                           [
-                             Two_pc.Wset { path = p_home; data = "c" };
-                             Two_pc.Wset { path = p_partner; data = "c" };
-                           ]);
-                     if t0 >= t_start then begin
-                       incr ops;
-                       incr cross_ops;
-                       cross_lats :=
-                         Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                         :: !cross_lats
-                     end
+      (* per-shard roots, then per-worker subtrees on home + partner *)
+      let admin = Shard_session.connect cluster in
+      for s = 0 to n_groups - 1 do
+        fail_on_zerror "root"
+          (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
+      done;
+      for w = 0 to n_workers - 1 do
+        let home = w mod n_groups and partner = (w + 1) mod n_groups in
+        List.iter
+          (fun s ->
+            fail_on_zerror "subtree"
+              (Shard_session.create_node admin
+                 (Printf.sprintf "/s%d/w%d" s w) "");
+            fail_on_zerror "target"
+              (Shard_session.create_node admin
+                 (Printf.sprintf "/s%d/w%d/n" s w) ""))
+          [ home; partner ]
+      done;
+      for w = 0 to n_workers - 1 do
+        Proc.spawn sim (fun () ->
+            let rng = Rng.split (Sim.rng sim) in
+            let sw = Shard_session.connect cluster in
+            let home = w mod n_groups and partner = (w + 1) mod n_groups in
+            let p_home = Printf.sprintf "/s%d/w%d/n" home w in
+            let p_partner = Printf.sprintf "/s%d/w%d/n" partner w in
+            (* a participant releases its locks one log entry after the
+               client hears commit, so the worker's next write on the
+               same footprint can transiently see [Locked] (and a
+               too-early prepare, [Txn_conflict]); retry like any 2PC
+               client.  Latency is measured across retries. *)
+            let rec with_retry what tries f =
+              match f () with
+              | Ok () -> ()
+              | Error (Zk.Zerror.Locked | Zk.Zerror.Txn_conflict)
+                when tries < 50 ->
+                  Proc.sleep sim (Sim_time.ms (2 + Rng.int rng 8));
+                  with_retry what (tries + 1) f
+              | Error e ->
+                  failwith (what ^ ": " ^ Zk.Zerror.to_string e)
+            in
+            Workload.repeat sim ~until:t_end (fun () ->
+                let cross = Rng.int rng 100 < cross_pct in
+                let t0 = Sim.now sim in
+                (if cross then begin
+                   with_retry "cross write" 0 (fun () ->
+                       Shard_session.multi sw
+                         [
+                           Two_pc.Wset { path = p_home; data = "c" };
+                           Two_pc.Wset { path = p_partner; data = "c" };
+                         ]);
+                   if t0 >= t_start then begin
+                     incr ops;
+                     incr cross_ops;
+                     cross_lats :=
+                       Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
+                       :: !cross_lats
                    end
-                   else begin
-                     with_retry "local write" 0 (fun () ->
-                         match Shard_session.set_data sw p_home "l" with
-                         | Ok _ -> Ok ()
-                         | Error e -> Error e);
-                     if t0 >= t_start then begin
-                       incr ops;
-                       local_lats :=
-                         Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                         :: !local_lats
-                     end
-                   end);
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
+                 end
+                 else begin
+                   with_retry "local write" 0 (fun () ->
+                       match Shard_session.set_data sw p_home "l" with
+                       | Ok _ -> Ok ()
+                       | Error e -> Error e);
+                   if t0 >= t_start then begin
+                     incr ops;
+                     local_lats :=
+                       Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
+                       :: !local_lats
+                   end
+                 end)))
+      done);
   Sim.run ~until:(Sim_time.add t_end (Sim_time.sec 2)) sim;
-  (match !failure with Some e -> raise e | None -> ());
   {
     ab_cross_pct = cross_pct;
     ab_ops = !ops;
@@ -289,142 +272,128 @@ let chaos_point ~quick seed =
   let counter_ok = ref 0 and counter_failed = ref 0 in
   let cross_ok = ref 0 and cross_failed = ref 0 in
   let nemesis_a = ref None and nemesis_b = ref None in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        (* per-shard setup: the counter recipe plus per-writer subtrees *)
-        for s = 0 to n_groups - 1 do
-          let c = Shard_cluster.connected_client cluster ~shard:s () in
-          (match
-             Counter.setup (Coord_zk.of_client ~extensible:false c)
-           with
-          | Ok () -> ()
-          | Error e -> failwith ("counter setup: " ^ e))
-        done;
-        let admin = Shard_session.connect cluster in
-        for s = 0 to n_groups - 1 do
-          fail_on_zerror "root"
-            (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
-        done;
-        for w = 0 to n_groups - 1 do
-          let home = w and partner = (w + 1) mod n_groups in
-          List.iter
-            (fun s ->
-              fail_on_zerror "subtree"
-                (Shard_session.create_node admin
-                   (Printf.sprintf "/s%d/w%d" s w) "");
-              fail_on_zerror "target"
-                (Shard_session.create_node admin
-                   (Printf.sprintf "/s%d/w%d/n" s w) ""))
-            [ home; partner ]
-        done;
-        (* chaos: periodic leader kills inside the coordinator shard
-           (group 0 coordinates every cross-shard transaction below),
-           and a custom disruption cutting a random shard off the
-           inter-shard plane *)
-        nemesis_a :=
-          Some
-            (Nemesis.start ~sim
-               ~target:
-                 (Zk.Cluster.nemesis_target ~name:"shard0"
-                    (Shard_cluster.group cluster 0))
-               ~horizon
-               [
-                 {
-                   Nemesis.start = Sim_time.sec 1;
-                   period = Some (Sim_time.ms 3500);
-                   action =
-                     Nemesis.Crash_restart
-                       {
-                         downtime = Sim_time.ms 1200;
-                         victim = Nemesis.Leader;
-                       };
-                 };
-               ]);
-        nemesis_b :=
-          Some
-            (Nemesis.start ~sim ~target:(inter_shard_target n_groups)
-               ~horizon
-               [
-                 {
-                   Nemesis.start = Sim_time.ms 2500;
-                   period = Some (Sim_time.sec 5);
-                   action =
-                     Nemesis.Custom
-                       {
-                         name = "shard-partition";
-                         duration = Sim_time.ms 1500;
-                         victim = Nemesis.Any_replica;
-                         start_fn = (fun s -> Shard_cluster.cut_shard cluster s);
-                         stop_fn = (fun s -> Shard_cluster.heal_shard cluster s);
-                       };
-                 };
-               ]);
-        (* per-shard counter incrementers on resilient sessions, history-
-           wrapped: each group's history must stay linearizable *)
-        for s = 0 to n_groups - 1 do
-          let ids =
-            Array.to_list
-              (Array.map Zk.Server.id (Shard_cluster.servers cluster s))
-          in
-          for _ = 1 to 2 do
-            Proc.spawn sim (fun () ->
-                let c = Shard_cluster.connected_client cluster ~shard:s () in
-                let session = Zk.Session.wrap ~sim ~replicas:ids c in
-                let api =
-                  Instrument.wrap histories.(s)
-                    (Coord_zk.of_session ~extensible:false session)
-                in
-                let rec loop () =
-                  if Sim_time.(Sim.now sim < ops_end) then begin
-                    (match Counter.increment_traditional api with
-                    | Ok _ -> incr counter_ok
-                    | Error _ -> incr counter_failed);
-                    Proc.sleep sim (Sim_time.ms 25);
-                    loop ()
-                  end
-                in
-                loop ())
-          done
-        done;
-        (* cross-shard writers: every transaction includes shard 0, so
-           the leader kills above strike the 2PC coordinator.  [Wset] is
-           idempotent, so retrying after a timeout is safe. *)
-        for w = 0 to n_groups - 1 do
+      (* per-shard setup: the counter recipe plus per-writer subtrees *)
+      for s = 0 to n_groups - 1 do
+        let c = Shard_cluster.connected_client cluster ~shard:s () in
+        (match
+           Counter.setup (Coord_zk.of_client ~extensible:false c)
+         with
+        | Ok () -> ()
+        | Error e -> failwith ("counter setup: " ^ e))
+      done;
+      let admin = Shard_session.connect cluster in
+      for s = 0 to n_groups - 1 do
+        fail_on_zerror "root"
+          (Shard_session.create_node admin (Printf.sprintf "/s%d" s) "")
+      done;
+      for w = 0 to n_groups - 1 do
+        let home = w and partner = (w + 1) mod n_groups in
+        List.iter
+          (fun s ->
+            fail_on_zerror "subtree"
+              (Shard_session.create_node admin
+                 (Printf.sprintf "/s%d/w%d" s w) "");
+            fail_on_zerror "target"
+              (Shard_session.create_node admin
+                 (Printf.sprintf "/s%d/w%d/n" s w) ""))
+          [ home; partner ]
+      done;
+      (* chaos: periodic leader kills inside the coordinator shard
+         (group 0 coordinates every cross-shard transaction below),
+         and a custom disruption cutting a random shard off the
+         inter-shard plane *)
+      nemesis_a :=
+        Some
+          (Nemesis.start ~sim
+             ~target:
+               (Zk.Cluster.nemesis_target ~name:"shard0"
+                  (Shard_cluster.group cluster 0))
+             ~horizon
+             [
+               {
+                 Nemesis.start = Sim_time.sec 1;
+                 period = Some (Sim_time.ms 3500);
+                 action =
+                   Nemesis.Crash_restart
+                     {
+                       downtime = Sim_time.ms 1200;
+                       victim = Nemesis.Leader;
+                     };
+               };
+             ]);
+      nemesis_b :=
+        Some
+          (Nemesis.start ~sim ~target:(inter_shard_target n_groups)
+             ~horizon
+             [
+               {
+                 Nemesis.start = Sim_time.ms 2500;
+                 period = Some (Sim_time.sec 5);
+                 action =
+                   Nemesis.Custom
+                     {
+                       name = "shard-partition";
+                       duration = Sim_time.ms 1500;
+                       victim = Nemesis.Any_replica;
+                       start_fn = (fun s -> Shard_cluster.cut_shard cluster s);
+                       stop_fn = (fun s -> Shard_cluster.heal_shard cluster s);
+                     };
+               };
+             ]);
+      (* per-shard counter incrementers on resilient sessions, history-
+         wrapped: each group's history must stay linearizable *)
+      for s = 0 to n_groups - 1 do
+        let ids =
+          Array.to_list
+            (Array.map Zk.Server.id (Shard_cluster.servers cluster s))
+        in
+        for _ = 1 to 2 do
           Proc.spawn sim (fun () ->
-              let rng = Rng.split (Sim.rng sim) in
-              let sw = Shard_session.connect cluster in
-              let partner = 1 + (w mod (n_groups - 1)) in
-              let p0 = Printf.sprintf "/s0/w%d/n" w in
-              let pp = Printf.sprintf "/s%d/w%d/n" partner w in
-              let ops =
-                [
-                  Two_pc.Wset { path = p0; data = "c" };
-                  Two_pc.Wset { path = pp; data = "c" };
-                ]
+              let c = Shard_cluster.connected_client cluster ~shard:s () in
+              let session = Zk.Session.wrap ~sim ~replicas:ids c in
+              let api =
+                Instrument.wrap histories.(s)
+                  (Coord_zk.of_session ~extensible:false session)
               in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
-                  let rec attempt tries =
-                    match Shard_session.multi sw ops with
-                    | Ok () -> incr cross_ok
-                    | Error _
-                      when tries < 25 && Sim_time.(Sim.now sim < ops_end) ->
-                        Proc.sleep sim
-                          (Sim_time.ms (20 + Rng.int rng (40 * (tries + 1))));
-                        attempt (tries + 1)
-                    | Error _ -> incr cross_failed
-                  in
-                  attempt 0;
-                  Proc.sleep sim (Sim_time.ms 60);
-                  loop ()
-                end
-              in
-              loop ())
+              Workload.repeat sim ~until:ops_end (fun () ->
+                  (match Counter.increment_traditional api with
+                  | Ok _ -> incr counter_ok
+                  | Error _ -> incr counter_failed);
+                  Proc.sleep sim (Sim_time.ms 25)))
         done
-      with e -> failure := Some e);
+      done;
+      (* cross-shard writers: every transaction includes shard 0, so
+         the leader kills above strike the 2PC coordinator.  [Wset] is
+         idempotent, so retrying after a timeout is safe. *)
+      for w = 0 to n_groups - 1 do
+        Proc.spawn sim (fun () ->
+            let rng = Rng.split (Sim.rng sim) in
+            let sw = Shard_session.connect cluster in
+            let partner = 1 + (w mod (n_groups - 1)) in
+            let p0 = Printf.sprintf "/s0/w%d/n" w in
+            let pp = Printf.sprintf "/s%d/w%d/n" partner w in
+            let ops =
+              [
+                Two_pc.Wset { path = p0; data = "c" };
+                Two_pc.Wset { path = pp; data = "c" };
+              ]
+            in
+            Workload.repeat sim ~until:ops_end (fun () ->
+                let rec attempt tries =
+                  match Shard_session.multi sw ops with
+                  | Ok () -> incr cross_ok
+                  | Error _
+                    when tries < 25 && Sim_time.(Sim.now sim < ops_end) ->
+                      Proc.sleep sim
+                        (Sim_time.ms (20 + Rng.int rng (40 * (tries + 1))));
+                      attempt (tries + 1)
+                  | Error _ -> incr cross_failed
+                in
+                attempt 0;
+                Proc.sleep sim (Sim_time.ms 60)))
+      done);
   Sim.run ~until:verify_at sim;
-  (match !failure with Some e -> raise e | None -> ());
   let wgl =
     List.concat
       (List.init n_groups (fun s ->

@@ -14,6 +14,9 @@ type violation = {
   v_witness : int;
 }
 
+(* Stamp extracted from a completed response: [R_int n] is [n]; [R_obj]
+   is its data when that parses as an integer, else its version.  [None]
+   for responses that carry no observation of the object's value. *)
 let stamp_of_response = function
   | History.R_int n -> Some n
   | History.R_obj { data; version } -> (

@@ -31,11 +31,6 @@ type violation = {
   v_witness : int;  (** history id of the response establishing [v_expected] *)
 }
 
-(** Stamp extracted from a completed response: [R_int n] is [n]; [R_obj]
-    is its data when that parses as an integer, else its version.  [None]
-    for responses that carry no observation of the object's value. *)
-val stamp_of_response : History.response -> int option
-
 (** Per-client monotonicity over completed stamp-bearing entries, in
     completion order.  Empty list = no stale read. *)
 val check_session : History.entry list -> violation list

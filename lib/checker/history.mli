@@ -82,15 +82,12 @@ val entries : t -> entry list
 val n_events : t -> int
 
 (** Linearizability is compositional: a history is linearizable iff its
-    per-object sub-histories are (Herlihy & Wing).  [object_of_op]
-    classifies operations by the object they touch and {!split} partitions
-    a history accordingly. *)
-val object_of_op : op -> string
-
+    per-object sub-histories are (Herlihy & Wing).  {!split} partitions a
+    history by the object each operation touches: "counter", "queue",
+    "lock" or "barrier". *)
 val split : entry list -> (string * entry list) list
 (** Objects in reverse first-appearance order; entry order preserved. *)
 
 val pp_op : Format.formatter -> op -> unit
-val pp_response : Format.formatter -> response -> unit
 val pp_entry : Format.formatter -> entry -> unit
 val pp_event : Format.formatter -> event -> unit

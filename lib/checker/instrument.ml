@@ -47,6 +47,7 @@ let record h ~client ~op ~response f =
       else History.info h id e;
       Error e
 
+(* Like [record] but errors are [Fail] (reads have no effect). *)
 let record_read h ~client ~op ~response f =
   let id = History.invoke h ~client op in
   match f () with

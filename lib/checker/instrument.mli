@@ -24,10 +24,8 @@ type scope = {
   queue_trigger : string;
 }
 
-val default_scope : scope
-(** The recipes' well-known object names. *)
-
 val wrap : ?scope:scope -> History.t -> Coord_api.t -> Coord_api.t
+(** [scope] defaults to the recipes' well-known object names. *)
 
 val is_definite_error : string -> bool
 
@@ -41,12 +39,3 @@ val record :
 (** Record one recipe-level operation (used for lock / election /
     barrier workloads whose semantic event is a whole recipe call, not a
     single API call), with the write error classification above. *)
-
-val record_read :
-  History.t ->
-  client:int ->
-  op:History.op ->
-  response:('a -> History.response) ->
-  (unit -> ('a, string) result) ->
-  ('a, string) result
-(** Like {!record} but errors are [Fail] (reads have no effect). *)

@@ -53,7 +53,7 @@ val mutex : t
     lock). *)
 
 val for_object : string -> t option
-(** Model for a {!History.object_of_op} class ([None] for "barrier",
+(** Model for a {!History.split} object class ([None] for "barrier",
     which is a real-time property, not an atomic object — see
     {!check_gate}). *)
 

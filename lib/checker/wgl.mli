@@ -47,4 +47,3 @@ val check_objects :
     objects without a model are skipped. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val pp_window : Format.formatter -> History.entry list -> unit

@@ -51,6 +51,13 @@ let verdict_cell = function
   | Ck_wgl.Non_linearizable _ -> "VIOLATION"
   | Ck_wgl.Budget_exhausted _ -> "INCONCLUSIVE"
 
+(** A sink for named invariants: [invariant name cond] records [name] when
+    [cond] is false, and [failures ()] lists the records in check order. *)
+let invariant_sink () =
+  let failed = ref [] in
+  ( (fun name cond -> if not cond then failed := name :: !failed),
+    fun () -> List.rev !failed )
+
 (* ------------------------------------------------------------------ *)
 (* Figure 6: shared counter                                            *)
 (* ------------------------------------------------------------------ *)
@@ -141,47 +148,43 @@ let barrier_point ?(seed = 42) ?net_config ?(rounds = 30) ?(warmup_rounds = 5)
   let bytes_start = ref 0 and bytes_end = ref 0 in
   let apis = ref [] in
   let addrs = ref [] in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        if extensible then fail_on_error "register" (Barrier.register admin);
-        for _ = 1 to n_clients do
-          let api, addr = sys.Systems.new_api () in
-          if extensible then ack_if_ext api Barrier.extension_name;
-          apis := api :: !apis;
-          addrs := addr :: !addrs
-        done;
-        let snapshot () =
-          List.fold_left (fun acc a -> acc + sys.Systems.bytes_sent_by a) 0 !addrs
+      let admin, _ = sys.Systems.new_api () in
+      if extensible then fail_on_error "register" (Barrier.register admin);
+      for _ = 1 to n_clients do
+        let api, addr = sys.Systems.new_api () in
+        if extensible then ack_if_ext api Barrier.extension_name;
+        apis := api :: !apis;
+        addrs := addr :: !addrs
+      done;
+      let snapshot () =
+        List.fold_left (fun acc a -> acc + sys.Systems.bytes_sent_by a) 0 !addrs
+      in
+      for round = 1 to rounds do
+        if round = warmup_rounds + 1 then bytes_start := snapshot ();
+        let base = Printf.sprintf "/bar%06d" round in
+        fail_on_error "barrier setup" (Barrier.setup admin ~base ~threshold:n_clients);
+        let fibers =
+          List.map
+            (fun api ->
+              Proc.async sim (fun () ->
+                  let t0 = Sim.now sim in
+                  (if extensible then
+                     fail_on_error "enter" (Barrier.enter_ext api ~base)
+                   else
+                     fail_on_error "enter"
+                       (Barrier.enter_traditional api ~base ~threshold:n_clients));
+                  if round > warmup_rounds then begin
+                    incr enters;
+                    Stats.Series.add latencies
+                      (Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0))
+                  end))
+            !apis
         in
-        for round = 1 to rounds do
-          if round = warmup_rounds + 1 then bytes_start := snapshot ();
-          let base = Printf.sprintf "/bar%06d" round in
-          fail_on_error "barrier setup" (Barrier.setup admin ~base ~threshold:n_clients);
-          let fibers =
-            List.map
-              (fun api ->
-                Proc.async sim (fun () ->
-                    let t0 = Sim.now sim in
-                    (if extensible then
-                       fail_on_error "enter" (Barrier.enter_ext api ~base)
-                     else
-                       fail_on_error "enter"
-                         (Barrier.enter_traditional api ~base ~threshold:n_clients));
-                    if round > warmup_rounds then begin
-                      incr enters;
-                      Stats.Series.add latencies
-                        (Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0))
-                    end))
-              !apis
-          in
-          Proc.join fibers
-        done;
-        bytes_end := snapshot ()
-      with e -> failure := Some e);
+        Proc.join fibers
+      done;
+      bytes_end := snapshot ());
   Sim.run ~until:(Sim_time.sec 3600) sim;
-  (match !failure with Some e -> raise e | None -> ());
   {
     kind;
     clients = n_clients;
@@ -204,55 +207,47 @@ let election_point ?(seed = 42) ?net_config ~warmup ~measure kind n_clients =
   let sys = Systems.make ?net_config kind sim in
   let extensible = Systems.is_extensible kind in
   let roots = Election.election_roots in
-  let window_start = Sim_time.add (Sim.now sim) warmup in
-  let window_end = Sim_time.add window_start measure in
+  let w = Workload.window sim ~warmup ~measure in
   let changes = ref 0 in
   let signaling = Stats.Series.create () in
   let last_abdication = ref None in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        fail_on_error "election setup" (Election.setup admin roots);
-        if extensible then fail_on_error "register" (Election.register admin roots);
-        for _ = 1 to n_clients do
-          Proc.spawn sim (fun () ->
-              let api, _ = sys.Systems.new_api () in
-              let handle = Election.new_handle () in
-              if extensible then ack_if_ext api roots.Election.name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  (if extensible then
-                     fail_on_error "become" (Election.become_leader_ext api roots)
-                   else
-                     fail_on_error "become"
-                       (Election.become_leader_traditional api roots handle));
-                  let now = Sim.now sim in
-                  if Sim_time.(window_start <= now) && Sim_time.(now <= window_end)
-                  then begin
-                    incr changes;
-                    match !last_abdication with
-                    | Some t ->
-                        Stats.Series.add signaling
-                          (Sim_time.to_float_ms (Sim_time.sub now t));
-                        last_abdication := None
-                    | None -> ()
-                  end;
-                  (* the newly appointed leader immediately abdicates *)
-                  last_abdication := Some (Sim.now sim);
-                  (if extensible then
-                     fail_on_error "abdicate" (Election.abdicate_ext api roots)
-                   else
-                     fail_on_error "abdicate"
-                       (Election.abdicate_traditional api roots handle));
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
-  Sim.run ~until:(Sim_time.add window_end (Sim_time.sec 30)) sim;
-  (match !failure with Some e -> raise e | None -> ());
+      let admin, _ = sys.Systems.new_api () in
+      fail_on_error "election setup" (Election.setup admin roots);
+      if extensible then fail_on_error "register" (Election.register admin roots);
+      for _ = 1 to n_clients do
+        Proc.spawn sim (fun () ->
+            let api, _ = sys.Systems.new_api () in
+            let handle = Election.new_handle () in
+            if extensible then ack_if_ext api roots.Election.name;
+            Workload.repeat sim ~until:w.Workload.stop (fun () ->
+                (if extensible then
+                   fail_on_error "become" (Election.become_leader_ext api roots)
+                 else
+                   fail_on_error "become"
+                     (Election.become_leader_traditional api roots handle));
+                let now = Sim.now sim in
+                if
+                  Sim_time.(w.Workload.start <= now)
+                  && Sim_time.(now <= w.Workload.stop)
+                then begin
+                  incr changes;
+                  match !last_abdication with
+                  | Some t ->
+                      Stats.Series.add signaling
+                        (Sim_time.to_float_ms (Sim_time.sub now t));
+                      last_abdication := None
+                  | None -> ()
+                end;
+                (* the newly appointed leader immediately abdicates *)
+                last_abdication := Some (Sim.now sim);
+                (if extensible then
+                   fail_on_error "abdicate" (Election.abdicate_ext api roots)
+                 else
+                   fail_on_error "abdicate"
+                     (Election.abdicate_traditional api roots handle))))
+      done);
+  Sim.run ~until:(Sim_time.add w.Workload.stop (Sim_time.sec 30)) sim;
   {
     kind;
     clients = n_clients;
@@ -265,8 +260,44 @@ let election_point ?(seed = 42) ?net_config ~warmup ~measure kind n_clients =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Figure 13: impact of the queue extension on regular clients         *)
+(* Regular clients next to the extensions (Figure 13, §6.2)            *)
 (* ------------------------------------------------------------------ *)
+
+(** One run with [n] regular clients on private 256-byte objects under
+    /regular, the first half reading and the second half writing.  The
+    admin client runs [setup] before creating the parent object, and
+    [load sys w] spawns any other clients before the regular ones.
+    Returns the regular clients' mean read and write latency in ms. *)
+let regular_run ~seed ?net_config ~warmup ~measure ~n ~setup ~load kind =
+  let sim = Sim.create ~seed () in
+  let sys = Systems.make ?net_config kind sim in
+  let w = Workload.window sim ~warmup ~measure in
+  let read_lat = Stats.Series.create () and write_lat = Stats.Series.create () in
+  let payload = String.make 256 'x' in
+  Proc.spawn sim (fun () ->
+      let admin, _ = sys.Systems.new_api () in
+      setup admin;
+      (match admin.Api.create ~oid:"/regular" ~data:"" with
+      | Ok _ | Error ("exists" | "node exists") -> ()
+      | Error e -> failwith ("regular parent: " ^ e));
+      load sys w;
+      for k = 1 to n do
+        Proc.spawn sim (fun () ->
+            let api, _ = sys.Systems.new_api () in
+            let oid = Printf.sprintf "/regular/obj%02d" k in
+            (match api.Api.create ~oid ~data:payload with
+            | Ok _ | Error ("exists" | "node exists") -> ()
+            | Error e -> failwith ("regular setup: " ^ e));
+            let op, lat =
+              if k > n / 2 then
+                ((fun () -> api.Api.update ~oid ~data:payload), write_lat)
+              else ((fun () -> Result.map ignore (api.Api.read ~oid)), read_lat)
+            in
+            Workload.closed_loop sim w op (fun r ms ->
+                if Result.is_ok r then Stats.Series.add lat ms))
+      done);
+  Sim.run ~until:(Sim_time.add w.Workload.stop (Sim_time.sec 10)) sim;
+  (Stats.Series.mean read_lat, Stats.Series.mean write_lat)
 
 type fig13_point = {
   f13_kind : Systems.kind;
@@ -276,95 +307,40 @@ type fig13_point = {
   f13_write_ms : float;
 }
 
+(** Queue stress clients next to 30 regular clients: 15 readers and 15
+    writers (§6.2). *)
 let fig13_point ?(seed = 42) ?net_config ~warmup ~measure kind n_queue_clients =
   assert (Systems.is_extensible kind);
-  let sim = Sim.create ~seed () in
-  let sys = Systems.make ?net_config kind sim in
-  let window_start = Sim_time.add (Sim.now sim) warmup in
-  let window_end = Sim_time.add window_start measure in
   let queue_ops = ref 0 in
-  let read_lat = Stats.Series.create () and write_lat = Stats.Series.create () in
-  let payload = String.make 256 'x' in
-  let failure = ref None in
-  let in_window t0 t1 =
-    Sim_time.(window_start <= t0) && Sim_time.(t1 <= window_end)
+  let setup admin =
+    fail_on_error "queue setup" (Queue.setup admin);
+    fail_on_error "register" (Queue.register admin)
   in
-  Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        fail_on_error "queue setup" (Queue.setup admin);
-        fail_on_error "register" (Queue.register admin);
-        (match admin.Api.create ~oid:"/regular" ~data:"" with
-        | Ok _ | Error ("exists" | "node exists") -> ()
-        | Error e -> failwith ("regular parent: " ^ e));
-        (* queue stress clients *)
-        for _ = 1 to n_queue_clients do
-          Proc.spawn sim (fun () ->
-              let api, _ = sys.Systems.new_api () in
-              ack_if_ext api Queue.extension_name;
-              let i = ref 0 in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  incr i;
-                  let t0 = Sim.now sim in
-                  (match Queue.add api ~eid:(Queue.make_eid api !i) ~data:"" with
-                  | Ok () -> (
-                      match Queue.remove_ext api with
-                      | Ok _ ->
-                          if in_window t0 (Sim.now sim) then queue_ops := !queue_ops + 2
-                      | Error _ -> ())
-                  | Error _ -> ());
-                  loop ()
-                end
-              in
-              loop ())
-        done;
-        (* 30 regular clients: 15 readers, 15 writers on private 256-byte
-           objects (§6.2) *)
-        for k = 1 to 30 do
-          Proc.spawn sim (fun () ->
-              let api, _ = sys.Systems.new_api () in
-              let oid = Printf.sprintf "/regular/obj%02d" k in
-              (match api.Api.create ~oid ~data:payload with
-              | Ok _ | Error ("exists" | "node exists") -> ()
-              | Error e -> failwith ("regular setup: " ^ e));
-              let writer = k > 15 in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  let t0 = Sim.now sim in
-                  (if writer then
-                     match api.Api.update ~oid ~data:payload with
-                     | Ok () ->
-                         if in_window t0 (Sim.now sim) then
-                           Stats.Series.add write_lat
-                             (Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0))
-                     | Error _ -> ()
-                   else
-                     match api.Api.read ~oid with
-                     | Ok _ ->
-                         if in_window t0 (Sim.now sim) then
-                           Stats.Series.add read_lat
-                             (Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0))
-                     | Error _ -> ());
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
-  Sim.run ~until:(Sim_time.add window_end (Sim_time.sec 10)) sim;
-  (match !failure with Some e -> raise e | None -> ());
+  let load (sys : Systems.t) w =
+    for _ = 1 to n_queue_clients do
+      Proc.spawn sys.Systems.sim (fun () ->
+          let api, _ = sys.Systems.new_api () in
+          ack_if_ext api Queue.extension_name;
+          let i = ref 0 in
+          Workload.closed_loop sys.Systems.sim w
+            (fun () ->
+              incr i;
+              Result.bind
+                (Queue.add api ~eid:(Queue.make_eid api !i) ~data:"")
+                (fun () -> Queue.remove_ext api))
+            (fun r _ -> if Result.is_ok r then queue_ops := !queue_ops + 2))
+    done
+  in
+  let read_ms, write_ms =
+    regular_run ~seed ?net_config ~warmup ~measure ~n:30 ~setup ~load kind
+  in
   {
     f13_kind = kind;
     f13_queue_clients = n_queue_clients;
     f13_queue_throughput = float_of_int !queue_ops /. Sim_time.to_float_s measure;
-    f13_read_ms = Stats.Series.mean read_lat;
-    f13_write_ms = Stats.Series.mean write_lat;
+    f13_read_ms = read_ms;
+    f13_write_ms = write_ms;
   }
-
-(* ------------------------------------------------------------------ *)
-(* §6.2: extensibility overhead on regular operations                  *)
-(* ------------------------------------------------------------------ *)
 
 type overhead_point = {
   oh_kind : Systems.kind;
@@ -372,66 +348,25 @@ type overhead_point = {
   oh_write_ms : float;
 }
 
-(** Regular read/write latency with no extension triggered; on the
-    extensible systems an unrelated extension is registered so the
+(** Regular read/write latency of 20 clients with no extension triggered;
+    on the extensible systems an unrelated extension is registered so the
     manager's matching path is live. *)
 let overhead_point ?(seed = 42) ?net_config ~warmup ~measure kind =
-  let sim = Sim.create ~seed () in
-  let sys = Systems.make ?net_config kind sim in
-  let extensible = Systems.is_extensible kind in
-  let window_start = Sim_time.add (Sim.now sim) warmup in
-  let window_end = Sim_time.add window_start measure in
-  let read_lat = Stats.Series.create () and write_lat = Stats.Series.create () in
-  let payload = String.make 256 'x' in
-  let failure = ref None in
-  Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        if extensible then begin
-          fail_on_error "counter setup" (Counter.setup admin);
-          fail_on_error "register" (Counter.register admin)
-        end;
-        (match admin.Api.create ~oid:"/regular" ~data:"" with
-        | Ok _ | Error ("exists" | "node exists") -> ()
-        | Error e -> failwith ("regular parent: " ^ e));
-        for k = 1 to 20 do
-          Proc.spawn sim (fun () ->
-              let api, _ = sys.Systems.new_api () in
-              let oid = Printf.sprintf "/regular/obj%02d" k in
-              (match api.Api.create ~oid ~data:payload with
-              | Ok _ | Error ("exists" | "node exists") -> ()
-              | Error e -> failwith ("setup: " ^ e));
-              let writer = k > 10 in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  let t0 = Sim.now sim in
-                  let record series =
-                    let t1 = Sim.now sim in
-                    if Sim_time.(window_start <= t0) && Sim_time.(t1 <= window_end)
-                    then
-                      Stats.Series.add series
-                        (Sim_time.to_float_ms (Sim_time.sub t1 t0))
-                  in
-                  (if writer then
-                     match api.Api.update ~oid ~data:payload with
-                     | Ok () -> record write_lat
-                     | Error _ -> ()
-                   else
-                     match api.Api.read ~oid with
-                     | Ok _ -> record read_lat
-                     | Error _ -> ());
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
-  Sim.run ~until:(Sim_time.add window_end (Sim_time.sec 10)) sim;
-  (match !failure with Some e -> raise e | None -> ());
+  let setup admin =
+    if Systems.is_extensible kind then begin
+      fail_on_error "counter setup" (Counter.setup admin);
+      fail_on_error "register" (Counter.register admin)
+    end
+  in
+  let read_ms, write_ms =
+    regular_run ~seed ?net_config ~warmup ~measure ~n:20 ~setup
+      ~load:(fun _ _ -> ())
+      kind
+  in
   {
     oh_kind = kind;
-    oh_read_ms = Stats.Series.mean read_lat;
-    oh_write_ms = Stats.Series.mean write_lat;
+    oh_read_ms = read_ms;
+    oh_write_ms = write_ms;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -460,71 +395,67 @@ let lin_recipes_point ?(seed = 42) ?(contenders = 3) ?(rounds = 6)
   let extensible = Systems.is_extensible kind in
   let history = Ck_history.create ~sim () in
   let roots = Election.election_roots in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        fail_on_error "election setup" (Election.setup admin roots);
-        if extensible then begin
-          fail_on_error "election reg" (Election.register admin roots);
-          fail_on_error "barrier reg" (Barrier.register admin)
-        end;
-        (* leadership contenders: leadership = the lock *)
-        for _ = 1 to contenders do
-          Proc.spawn sim (fun () ->
-              let api, _ = sys.Systems.new_api () in
-              let handle = Election.new_handle () in
-              if extensible then ack_if_ext api roots.Election.name;
-              let client = api.Api.client_id in
-              for _ = 1 to rounds do
-                fail_on_error "become"
-                  (Instrument.record history ~client ~op:Ck_history.Acquire
-                     ~response:(fun () -> Ck_history.R_unit)
-                     (fun () ->
-                       if extensible then Election.become_leader_ext api roots
-                       else
-                         Election.become_leader_traditional api roots handle));
-                Proc.sleep sim (Sim_time.ms 5);
-                fail_on_error "abdicate"
-                  (Instrument.record history ~client ~op:Ck_history.Release
-                     ~response:(fun () -> Ck_history.R_unit)
-                     (fun () ->
-                       if extensible then Election.abdicate_ext api roots
-                       else Election.abdicate_traditional api roots handle))
-              done)
-        done;
-        (* barrier rounds (base must start with "/bar", the extension's
-           subscription prefix) *)
-        let apis =
-          List.init barrier_clients (fun _ ->
-              let api, _ = sys.Systems.new_api () in
-              if extensible then ack_if_ext api Barrier.extension_name;
-              api)
+      let admin, _ = sys.Systems.new_api () in
+      fail_on_error "election setup" (Election.setup admin roots);
+      if extensible then begin
+        fail_on_error "election reg" (Election.register admin roots);
+        fail_on_error "barrier reg" (Barrier.register admin)
+      end;
+      (* leadership contenders: leadership = the lock *)
+      for _ = 1 to contenders do
+        Proc.spawn sim (fun () ->
+            let api, _ = sys.Systems.new_api () in
+            let handle = Election.new_handle () in
+            if extensible then ack_if_ext api roots.Election.name;
+            let client = api.Api.client_id in
+            for _ = 1 to rounds do
+              fail_on_error "become"
+                (Instrument.record history ~client ~op:Ck_history.Acquire
+                   ~response:(fun () -> Ck_history.R_unit)
+                   (fun () ->
+                     if extensible then Election.become_leader_ext api roots
+                     else
+                       Election.become_leader_traditional api roots handle));
+              Proc.sleep sim (Sim_time.ms 5);
+              fail_on_error "abdicate"
+                (Instrument.record history ~client ~op:Ck_history.Release
+                   ~response:(fun () -> Ck_history.R_unit)
+                   (fun () ->
+                     if extensible then Election.abdicate_ext api roots
+                     else Election.abdicate_traditional api roots handle))
+            done)
+      done;
+      (* barrier rounds (base must start with "/bar", the extension's
+         subscription prefix) *)
+      let apis =
+        List.init barrier_clients (fun _ ->
+            let api, _ = sys.Systems.new_api () in
+            if extensible then ack_if_ext api Barrier.extension_name;
+            api)
+      in
+      for round = 1 to barrier_rounds do
+        let base = Printf.sprintf "/barlin%04d" round in
+        fail_on_error "barrier setup"
+          (Barrier.setup admin ~base ~threshold:barrier_clients);
+        let fibers =
+          List.map
+            (fun (api : Api.t) ->
+              Proc.async sim (fun () ->
+                  fail_on_error "enter"
+                    (Instrument.record history ~client:api.Api.client_id
+                       ~op:(Ck_history.Enter base)
+                       ~response:(fun () -> Ck_history.R_unit)
+                       (fun () ->
+                         if extensible then Barrier.enter_ext api ~base
+                         else
+                           Barrier.enter_traditional api ~base
+                             ~threshold:barrier_clients))))
+            apis
         in
-        for round = 1 to barrier_rounds do
-          let base = Printf.sprintf "/barlin%04d" round in
-          fail_on_error "barrier setup"
-            (Barrier.setup admin ~base ~threshold:barrier_clients);
-          let fibers =
-            List.map
-              (fun (api : Api.t) ->
-                Proc.async sim (fun () ->
-                    fail_on_error "enter"
-                      (Instrument.record history ~client:api.Api.client_id
-                         ~op:(Ck_history.Enter base)
-                         ~response:(fun () -> Ck_history.R_unit)
-                         (fun () ->
-                           if extensible then Barrier.enter_ext api ~base
-                           else
-                             Barrier.enter_traditional api ~base
-                               ~threshold:barrier_clients))))
-              apis
-          in
-          Proc.join fibers
-        done
-      with e -> failure := Some e);
+        Proc.join fibers
+      done);
   Sim.run ~until:(Sim_time.sec 600) sim;
-  (match !failure with Some e -> raise e | None -> ());
   let parts = Ck_history.split (Ck_history.entries history) in
   let part obj = Option.value ~default:[] (List.assoc_opt obj parts) in
   {
@@ -637,126 +568,99 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
   let maybe_adds : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let consumed = ref [] in
   let maybe_removes = ref 0 in
-  let invariant_failures = ref [] in
-  let invariant name cond =
-    if not cond then invariant_failures := name :: !invariant_failures
-  in
+  let invariant, invariant_failures = invariant_sink () in
   let nemesis = ref None in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        fail_on_error "counter setup" (Counter.setup admin);
-        fail_on_error "queue setup" (Queue.setup admin);
-        if extensible then begin
-          fail_on_error "register counter" (Counter.register admin);
-          fail_on_error "register queue" (Queue.register admin)
-        end;
-        nemesis :=
-          Some
-            (Nemesis.start ~sim ~target:(sys.Systems.nemesis_target ())
-               ~horizon schedule);
-        (* three counter incrementers *)
-        for _ = 1 to 3 do
-          Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-              if extensible then ack_if_ext api Counter.extension_name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
-                  (match
-                     if extensible then Counter.increment_ext api
-                     else Counter.increment_traditional api
-                   with
-                  | Ok _ ->
-                      incr confirmed_incr;
-                      succeed ()
-                  | Error e ->
-                      classify e ~on_maybe:(fun () -> incr maybe_incr));
-                  Proc.sleep sim (think ());
-                  loop ()
-                end
-              in
-              loop ())
-        done;
-        (* producers: element data = eid, so consumed elements are
-           identifiable for the conservation check *)
-        for _ = 1 to queue_pairs do
-          Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-              if extensible then ack_if_ext api Queue.extension_name;
-              let i = ref 0 in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
-                  incr i;
-                  let eid = Queue.make_eid api !i in
-                  (match Queue.add api ~eid ~data:eid with
-                  | Ok () ->
-                      Hashtbl.replace confirmed_adds eid ();
-                      succeed ()
-                  | Error e ->
-                      classify e ~on_maybe:(fun () ->
-                          Hashtbl.replace maybe_adds eid ()));
-                  Proc.sleep sim (Sim_time.ms 40);
-                  loop ()
-                end
-              in
-              loop ())
-        done;
-        (* consumers *)
-        for _ = 1 to queue_pairs do
-          Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-              if extensible then ack_if_ext api Queue.extension_name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
-                  (match
-                     if extensible then Queue.remove_ext api
-                     else Queue.remove_traditional api
-                   with
-                  | Ok { Queue.data = Some d; _ } ->
-                      consumed := d :: !consumed;
-                      succeed ()
-                  | Ok { Queue.data = None; _ } ->
-                      (* an empty poll is still a served request *)
-                      succeed ();
-                      Proc.sleep sim (Sim_time.ms 60)
-                  | Error e ->
-                      classify e ~on_maybe:(fun () -> incr maybe_removes));
-                  Proc.sleep sim (Sim_time.ms 30);
-                  loop ()
-                end
-              in
-              loop ())
-        done;
-        Option.iter
-          (fun driver ->
-            Proc.spawn sim (fun () ->
-                try driver ~invariant with e -> failure := Some e))
-          driver
-      with e -> failure := Some e);
+      let admin, _ = sys.Systems.new_api () in
+      fail_on_error "counter setup" (Counter.setup admin);
+      fail_on_error "queue setup" (Queue.setup admin);
+      if extensible then begin
+        fail_on_error "register counter" (Counter.register admin);
+        fail_on_error "register queue" (Queue.register admin)
+      end;
+      nemesis :=
+        Some
+          (Nemesis.start ~sim ~target:(sys.Systems.nemesis_target ())
+             ~horizon schedule);
+      (* three counter incrementers *)
+      for _ = 1 to 3 do
+        Proc.spawn sim (fun () ->
+            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            if extensible then ack_if_ext api Counter.extension_name;
+            Workload.repeat sim ~until:ops_end (fun () ->
+                (match
+                   if extensible then Counter.increment_ext api
+                   else Counter.increment_traditional api
+                 with
+                | Ok _ ->
+                    incr confirmed_incr;
+                    succeed ()
+                | Error e ->
+                    classify e ~on_maybe:(fun () -> incr maybe_incr));
+                Proc.sleep sim (think ())))
+      done;
+      (* producers: element data = eid, so consumed elements are
+         identifiable for the conservation check *)
+      for _ = 1 to queue_pairs do
+        Proc.spawn sim (fun () ->
+            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            if extensible then ack_if_ext api Queue.extension_name;
+            let i = ref 0 in
+            Workload.repeat sim ~until:ops_end (fun () ->
+                incr i;
+                let eid = Queue.make_eid api !i in
+                (match Queue.add api ~eid ~data:eid with
+                | Ok () ->
+                    Hashtbl.replace confirmed_adds eid ();
+                    succeed ()
+                | Error e ->
+                    classify e ~on_maybe:(fun () ->
+                        Hashtbl.replace maybe_adds eid ()));
+                Proc.sleep sim (Sim_time.ms 40)))
+      done;
+      (* consumers *)
+      for _ = 1 to queue_pairs do
+        Proc.spawn sim (fun () ->
+            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            if extensible then ack_if_ext api Queue.extension_name;
+            Workload.repeat sim ~until:ops_end (fun () ->
+                (match
+                   if extensible then Queue.remove_ext api
+                   else Queue.remove_traditional api
+                 with
+                | Ok { Queue.data = Some d; _ } ->
+                    consumed := d :: !consumed;
+                    succeed ()
+                | Ok { Queue.data = None; _ } ->
+                    (* an empty poll is still a served request *)
+                    succeed ();
+                    Proc.sleep sim (Sim_time.ms 60)
+                | Error e ->
+                    classify e ~on_maybe:(fun () -> incr maybe_removes));
+                Proc.sleep sim (Sim_time.ms 30)))
+      done;
+      Option.iter
+        (fun driver -> Proc.spawn sim (fun () -> driver ~invariant))
+        driver);
   Sim.run ~until:verify_at sim;
-  (match !failure with Some e -> raise e | None -> ());
   (* read back the final state through a fresh client (fenced replicas
      refuse it, so it lands on a live member) *)
   let final_counter = ref 0 in
   let remaining = ref [] in
   Proc.spawn sim (fun () ->
-      try
-        (* the final reads go through the instrumented wrapper too: they
-           pin the final state in the recorded history, so a lost or
-           double-applied write has to show up as a non-linearizable read *)
-        let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-        (match api.Api.read ~oid:Counter.counter_oid with
-        | Ok (Some o) -> final_counter := int_of_string o.Api.data
-        | Ok None -> failwith "counter object vanished"
-        | Error e -> failwith ("final counter read: " ^ e));
-        match api.Api.sub_objects ~oid:Queue.root with
-        | Ok objs ->
-            remaining := List.map (fun (o : Api.obj) -> o.Api.data) objs
-        | Error e -> failwith ("final queue read: " ^ e)
-      with e -> failure := Some e);
+      (* the final reads go through the instrumented wrapper too: they
+         pin the final state in the recorded history, so a lost or
+         double-applied write has to show up as a non-linearizable read *)
+      let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+      (match api.Api.read ~oid:Counter.counter_oid with
+      | Ok (Some o) -> final_counter := int_of_string o.Api.data
+      | Ok None -> failwith "counter object vanished"
+      | Error e -> failwith ("final counter read: " ^ e));
+      match api.Api.sub_objects ~oid:Queue.root with
+      | Ok objs ->
+          remaining := List.map (fun (o : Api.obj) -> o.Api.data) objs
+      | Error e -> failwith ("final queue read: " ^ e));
   Sim.run ~until:(Sim_time.add verify_at (Sim_time.sec 10)) sim;
-  (match !failure with Some e -> raise e | None -> ());
   let nem = Option.get !nemesis in
   let anomalies = sys.Systems.anomalies () in
   invariant "replication anomalies = 0" (anomalies = 0);
@@ -835,7 +739,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
       ch_recovery_ms = recovery;
       ch_unrecovered = !unrecovered;
       ch_anomalies = anomalies;
-      ch_invariant_failures = List.rev !invariant_failures;
+      ch_invariant_failures = invariant_failures ();
       ch_trace = Nemesis.trace_to_string nem;
       ch_lin =
         (if check then Ck_wgl.check_objects ?max_steps:lin_max_steps history
@@ -1131,6 +1035,25 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
 module Zk = Edc_zookeeper
 module Ck_freshness = Edc_checker.Freshness
 
+(* The read-path workload: one 64-byte object, created through replica 0
+   and read back to back by closed-loop clients spread over the
+   deployment; each read that succeeds inside [w] adds its latency to
+   [lat]. *)
+let create_obj cluster =
+  let admin = Zk.Cluster.connected_client ~replica:0 cluster () in
+  match Zk.Client.create_node admin "/obj" (String.make 64 'x') with
+  | Ok _ -> ()
+  | Error e -> failwith ("setup: " ^ Zk.Zerror.to_string e)
+
+let spawn_obj_readers sim cluster w n lat =
+  for _ = 1 to n do
+    Proc.spawn sim (fun () ->
+        let c = Zk.Cluster.connected_client cluster () in
+        Workload.closed_loop sim w
+          (fun () -> Zk.Client.get_data c "/obj")
+          (fun r ms -> if Result.is_ok r then Stats.Series.add lat ms))
+  done
+
 type read_scaling_point = {
   rp_observers : int;
   rp_clients : int;
@@ -1156,61 +1079,27 @@ let read_scaling_point ?(seed = 42) ?net_config ?(read_cost = Sim_time.us 200)
   let cluster =
     Zk.Cluster.create ~n_replicas:3 ?net_config ~server_config sim
   in
-  let reads = ref 0 in
   let lat = Stats.Series.create () in
-  let invariant_failures = ref [] in
-  let invariant name cond =
-    if not cond then invariant_failures := name :: !invariant_failures
-  in
-  let failure = ref None in
+  let invariant, invariant_failures = invariant_sink () in
   Proc.spawn sim (fun () ->
-      try
-        let admin = Zk.Cluster.connected_client ~replica:0 cluster () in
-        (match Zk.Client.create_node admin "/obj" (String.make 64 'x') with
-        | Ok _ -> ()
-        | Error e -> failwith ("setup: " ^ Zk.Zerror.to_string e));
-        let obs_ids =
-          List.init observers (fun _ -> Zk.Cluster.add_observer cluster)
-        in
-        (* let the chunked bootstraps land before attaching load *)
-        Proc.sleep sim (Sim_time.ms 800);
-        let servers = Zk.Cluster.servers cluster in
-        List.iter
-          (fun oid ->
-            invariant
-              (Printf.sprintf "observer %d applied the commit stream" oid)
-              (Zk.Server.txns_applied servers.(oid) > 0))
-          obs_ids;
-        let window_start = Sim_time.add (Sim.now sim) warmup in
-        let window_end = Sim_time.add window_start measure in
-        for _ = 1 to n_clients do
-          Proc.spawn sim (fun () ->
-              let c = Zk.Cluster.connected_client cluster () in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  let t0 = Sim.now sim in
-                  (match Zk.Client.get_data c "/obj" with
-                  | Ok _ ->
-                      let t1 = Sim.now sim in
-                      if
-                        Sim_time.(window_start <= t0)
-                        && Sim_time.(t1 <= window_end)
-                      then begin
-                        incr reads;
-                        Stats.Series.add lat
-                          (Sim_time.to_float_ms (Sim_time.sub t1 t0))
-                      end
-                  | Error _ -> ());
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
+      create_obj cluster;
+      let obs_ids =
+        List.init observers (fun _ -> Zk.Cluster.add_observer cluster)
+      in
+      (* let the chunked bootstraps land before attaching load *)
+      Proc.sleep sim (Sim_time.ms 800);
+      let servers = Zk.Cluster.servers cluster in
+      List.iter
+        (fun oid ->
+          invariant
+            (Printf.sprintf "observer %d applied the commit stream" oid)
+            (Zk.Server.txns_applied servers.(oid) > 0))
+        obs_ids;
+      let w = Workload.window sim ~warmup ~measure in
+      spawn_obj_readers sim cluster w n_clients lat);
   Sim.run
     ~until:(Sim_time.add (Sim_time.add warmup measure) (Sim_time.sec 3))
     sim;
-  (match !failure with Some e -> raise e | None -> ());
   let servers = Zk.Cluster.servers cluster in
   let obs_reads = ref 0 in
   Array.iteri
@@ -1232,15 +1121,16 @@ let read_scaling_point ?(seed = 42) ?net_config ?(read_cost = Sim_time.us 200)
           (Zk.Server.reads_served s > 0)
       end)
     servers;
+  let reads = Stats.Series.count lat in
   {
     rp_observers = observers;
     rp_clients = n_clients;
-    rp_reads = !reads;
-    rp_throughput = float_of_int !reads /. Sim_time.to_float_s measure;
+    rp_reads = reads;
+    rp_throughput = float_of_int reads /. Sim_time.to_float_s measure;
     rp_mean_ms = Stats.Series.mean lat;
     rp_p99_ms = Stats.Series.p99 lat;
     rp_observer_reads = !obs_reads;
-    rp_invariant_failures = List.rev !invariant_failures;
+    rp_invariant_failures = invariant_failures ();
   }
 
 type lease_cost_point = {
@@ -1302,52 +1192,21 @@ let lease_cost_point ?(seed = 42) ?net_config ~warmup ~measure ~leases () =
   in
   let lat = Stats.Series.create () in
   let marks = ref None in  (* (bytes0, lease0, quorum0, bytes1, lease1, quorum1) *)
-  let invariant_failures = ref [] in
-  let invariant name cond =
-    if not cond then invariant_failures := name :: !invariant_failures
-  in
-  let failure = ref None in
+  let invariant, invariant_failures = invariant_sink () in
   Proc.spawn sim (fun () ->
-      try
-        let admin = Zk.Cluster.connected_client ~replica:0 cluster () in
-        (match Zk.Client.create_node admin "/obj" (String.make 64 'x') with
-        | Ok _ -> ()
-        | Error e -> failwith ("setup: " ^ Zk.Zerror.to_string e));
-        let window_start = Sim_time.add (Sim.now sim) warmup in
-        let window_end = Sim_time.add window_start measure in
-        (* bracket the window with byte/counter snapshots *)
-        Proc.spawn sim (fun () ->
-            Proc.sleep sim (Sim_time.sub window_start (Sim.now sim));
-            let b0 = server_bytes () and l0, q0 = lease_quorum () in
-            Proc.sleep sim measure;
-            let b1 = server_bytes () and l1, q1 = lease_quorum () in
-            marks := Some (b0, l0, q0, b1, l1, q1));
-        for _ = 1 to 4 do
-          Proc.spawn sim (fun () ->
-              let c = Zk.Cluster.connected_client cluster () in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < window_end) then begin
-                  let t0 = Sim.now sim in
-                  (match Zk.Client.get_data c "/obj" with
-                  | Ok _ ->
-                      let t1 = Sim.now sim in
-                      if
-                        Sim_time.(window_start <= t0)
-                        && Sim_time.(t1 <= window_end)
-                      then
-                        Stats.Series.add lat
-                          (Sim_time.to_float_ms (Sim_time.sub t1 t0))
-                  | Error _ -> ());
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      with e -> failure := Some e);
+      create_obj cluster;
+      let w = Workload.window sim ~warmup ~measure in
+      (* bracket the window with byte/counter snapshots *)
+      Proc.spawn sim (fun () ->
+          Proc.sleep sim (Sim_time.sub w.Workload.start (Sim.now sim));
+          let b0 = server_bytes () and l0, q0 = lease_quorum () in
+          Proc.sleep sim measure;
+          let b1 = server_bytes () and l1, q1 = lease_quorum () in
+          marks := Some (b0, l0, q0, b1, l1, q1));
+      spawn_obj_readers sim cluster w 4 lat);
   Sim.run
     ~until:(Sim_time.add (Sim_time.add warmup measure) (Sim_time.sec 3))
     sim;
-  (match !failure with Some e -> raise e | None -> ());
   let b0, l0, q0, b1, l1, q1 =
     match !marks with Some m -> m | None -> failwith "window never closed"
   in
@@ -1371,7 +1230,7 @@ let lease_cost_point ?(seed = 42) ?net_config ~warmup ~measure ~leases () =
     lc_p99_ms = Stats.Series.p99 lat;
     lc_bytes_per_read =
       (if reads = 0 then 0. else float_of_int (b1 - b0) /. float_of_int reads);
-    lc_invariant_failures = List.rev !invariant_failures;
+    lc_invariant_failures = invariant_failures ();
   }
 
 type stale_read_point = {
@@ -1458,83 +1317,69 @@ let stale_read_point ?(seed = 42) ?net_config ~unsafe () =
   let ops_end = Sim_time.sec 6 in
   let reads_ok = ref 0 and reads_refused = ref 0 and writes_ok = ref 0 in
   let nemesis = ref None in
-  let failure = ref None in
   Proc.spawn sim (fun () ->
-      try
-        let admin = Zk.Cluster.connected_client ~replica:1 cluster () in
-        (match Zk.Client.create_node admin "/ctr" "0" with
-        | Ok _ -> ()
-        | Error e -> failwith ("setup: " ^ Zk.Zerror.to_string e));
-        nemesis :=
-          Some (Nemesis.start ~sim ~target ~horizon:ops_end schedule);
-        (* reader pinned to the initial leader; a short timeout so refused
-           lease reads surface as errors rather than stalls *)
-        Proc.spawn sim (fun () ->
-            let c =
-              Zk.Cluster.connected_client
-                ~config:
-                  {
-                    Zk.Client.request_timeout = Sim_time.ms 300;
-                    ping_interval = Sim_time.ms 500;
-                  }
-                ~replica:0 cluster ()
-            in
-            let rec loop () =
-              if Sim_time.(Sim.now sim < ops_end) then begin
-                let id =
-                  Ck_history.invoke history ~client:0 Ck_history.Ctr_read
-                in
-                (match Zk.Client.get_data c "/ctr" with
-                | Ok (data, stat) ->
-                    incr reads_ok;
-                    Ck_history.ok history id
-                      (Ck_history.R_obj
-                         { data; version = stat.Zk.Znode.version })
-                | Error e ->
-                    incr reads_refused;
-                    Ck_history.fail history id (Zk.Zerror.to_string e));
-                Proc.sleep sim (Sim_time.ms 25);
-                loop ()
-              end
-            in
-            loop ());
-        (* writer on a resilient session over the survivors: after the
-           partition it lands on the new majority's leader *)
-        Proc.spawn sim (fun () ->
-            let c =
-              Zk.Cluster.connected_client
-                ~config:
-                  {
-                    Zk.Client.request_timeout = Sim_time.ms 500;
-                    ping_interval = Sim_time.ms 500;
-                  }
-                ~replica:1 cluster ()
-            in
-            let s = Zk.Session.wrap ~sim ~replicas:[ 1; 2 ] c in
-            let i = ref 0 in
-            let rec loop () =
-              if Sim_time.(Sim.now sim < ops_end) then begin
-                incr i;
-                let v = !i in
-                let id = Ck_history.invoke history ~client:1 Ck_history.Incr in
-                (match
-                   Zk.Session.call s
-                     ~op:(Zk.Session.Write { idempotent = true })
-                     (fun c -> Zk.Client.set_data c "/ctr" (string_of_int v))
-                 with
-                | Ok _ ->
-                    incr writes_ok;
-                    Ck_history.ok history id (Ck_history.R_int v)
-                | Error e ->
-                    Ck_history.fail history id (Zk.Zerror.to_string e));
-                Proc.sleep sim (Sim_time.ms 40);
-                loop ()
-              end
-            in
-            loop ())
-      with e -> failure := Some e);
+      let admin = Zk.Cluster.connected_client ~replica:1 cluster () in
+      (match Zk.Client.create_node admin "/ctr" "0" with
+      | Ok _ -> ()
+      | Error e -> failwith ("setup: " ^ Zk.Zerror.to_string e));
+      nemesis :=
+        Some (Nemesis.start ~sim ~target ~horizon:ops_end schedule);
+      (* reader pinned to the initial leader; a short timeout so refused
+         lease reads surface as errors rather than stalls *)
+      Proc.spawn sim (fun () ->
+          let c =
+            Zk.Cluster.connected_client
+              ~config:
+                {
+                  Zk.Client.request_timeout = Sim_time.ms 300;
+                  ping_interval = Sim_time.ms 500;
+                }
+              ~replica:0 cluster ()
+          in
+          Workload.repeat sim ~until:ops_end (fun () ->
+              let id =
+                Ck_history.invoke history ~client:0 Ck_history.Ctr_read
+              in
+              (match Zk.Client.get_data c "/ctr" with
+              | Ok (data, stat) ->
+                  incr reads_ok;
+                  Ck_history.ok history id
+                    (Ck_history.R_obj
+                       { data; version = stat.Zk.Znode.version })
+              | Error e ->
+                  incr reads_refused;
+                  Ck_history.fail history id (Zk.Zerror.to_string e));
+              Proc.sleep sim (Sim_time.ms 25)));
+      (* writer on a resilient session over the survivors: after the
+         partition it lands on the new majority's leader *)
+      Proc.spawn sim (fun () ->
+          let c =
+            Zk.Cluster.connected_client
+              ~config:
+                {
+                  Zk.Client.request_timeout = Sim_time.ms 500;
+                  ping_interval = Sim_time.ms 500;
+                }
+              ~replica:1 cluster ()
+          in
+          let s = Zk.Session.wrap ~sim ~replicas:[ 1; 2 ] c in
+          let i = ref 0 in
+          Workload.repeat sim ~until:ops_end (fun () ->
+              incr i;
+              let v = !i in
+              let id = Ck_history.invoke history ~client:1 Ck_history.Incr in
+              (match
+                 Zk.Session.call s
+                   ~op:(Zk.Session.Write { idempotent = true })
+                   (fun c -> Zk.Client.set_data c "/ctr" (string_of_int v))
+               with
+              | Ok _ ->
+                  incr writes_ok;
+                  Ck_history.ok history id (Ck_history.R_int v)
+              | Error e ->
+                  Ck_history.fail history id (Zk.Zerror.to_string e));
+              Proc.sleep sim (Sim_time.ms 40))));
   Sim.run ~until:(Sim_time.add ops_end (Sim_time.sec 3)) sim;
-  (match !failure with Some e -> raise e | None -> ());
   let nem = Option.get !nemesis in
   let violations = Ck_freshness.check_realtime (Ck_history.entries history) in
   {

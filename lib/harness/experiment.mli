@@ -19,7 +19,9 @@ type point = {
 }
 
 (** Figure 6: shared counter under contention.  [batch] configures
-    replication group commit (off when omitted). *)
+    replication group commit; when omitted the substrate default
+    {!Edc_replication.Batching.per_turn} applies, which on a simulated run
+    flushes each item at once, i.e. unbatched. *)
 val counter_point :
   ?seed:int ->
   ?net_config:Net.config ->

@@ -1,7 +1,6 @@
 (** Paper-style text output: metric tables per figure plus the two static
     tables. *)
 
-val hline : int -> unit
 val section : string -> unit
 
 (** Rows = client counts, columns = systems. *)

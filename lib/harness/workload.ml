@@ -33,6 +33,34 @@ type spec = {
           add with a remove, §6.1.2) *)
 }
 
+type window = { start : Sim_time.t; stop : Sim_time.t }
+
+let window sim ~warmup ~measure =
+  let start = Sim_time.add (Sim.now sim) warmup in
+  { start; stop = Sim_time.add start measure }
+
+(** [repeat sim ~until f] runs [f] back to back while the clock is
+    before [until]. *)
+let repeat sim ~until f =
+  let rec loop () =
+    if Sim_time.(Sim.now sim < until) then begin
+      f ();
+      loop ()
+    end
+  in
+  loop ()
+
+(** [closed_loop sim w op record] invokes [op] back to back until [w.stop];
+    [record outcome ms] sees every invocation that started at or after
+    [w.start] and returned by [w.stop], with its latency in ms. *)
+let closed_loop sim w op record =
+  repeat sim ~until:w.stop (fun () ->
+      let t0 = Sim.now sim in
+      let outcome = op () in
+      let t1 = Sim.now sim in
+      if Sim_time.(w.start <= t0) && Sim_time.(t1 <= w.stop) then
+        record outcome (Sim_time.to_float_ms (Sim_time.sub t1 t0)))
+
 (** [run ?wrap_api sys spec] drives the workload and returns windowed
     results.  [wrap_api] decorates each stress client's API before use —
     the hook the linearizability checker's {!Edc_checker.Instrument}
@@ -40,9 +68,7 @@ type spec = {
     recorded history).  Deterministic for a fixed simulator seed. *)
 let run ?(wrap_api = fun api -> api) (sys : Systems.t) spec =
   let sim = sys.Systems.sim in
-  let start = Sim.now sim in
-  let window_start = Sim_time.add start spec.warmup in
-  let window_end = Sim_time.add window_start spec.measure in
+  let w = window sim ~warmup:spec.warmup ~measure:spec.measure in
   let ops = ref 0 and errors = ref 0 and attempts = ref 0 in
   let latencies = Stats.Series.create () in
   let client_addrs = ref [] in
@@ -55,10 +81,10 @@ let run ?(wrap_api = fun api -> api) (sys : Systems.t) spec =
       spec.setup api;
       Proc.fulfill setup_done ());
   (* snapshot byte counters at the window edges *)
-  Sim.schedule_at sim ~at:window_start (fun () ->
+  Sim.schedule_at sim ~at:w.start (fun () ->
       bytes_at_start :=
         List.fold_left (fun acc a -> acc + sys.Systems.bytes_sent_by a) 0 !client_addrs);
-  Sim.schedule_at sim ~at:window_end (fun () ->
+  Sim.schedule_at sim ~at:w.stop (fun () ->
       bytes_at_end :=
         List.fold_left (fun acc a -> acc + sys.Systems.bytes_sent_by a) 0 !client_addrs);
   (* stress clients *)
@@ -69,26 +95,18 @@ let run ?(wrap_api = fun api -> api) (sys : Systems.t) spec =
         let api = wrap_api api in
         client_addrs := addr :: !client_addrs;
         spec.prepare api;
-        let rec loop () =
-          if Sim_time.(Sim.now sim < window_end) then begin
-            let t0 = Sim.now sim in
-            let outcome = spec.op api in
-            let t1 = Sim.now sim in
-            (if Sim_time.(window_start <= t0) && Sim_time.(t1 <= window_end)
-             then
-               match outcome with
-               | Ok n ->
-                   ops := !ops + spec.ops_per_iteration;
-                   attempts := !attempts + n;
-                   Stats.Series.add latencies (Sim_time.to_float_ms (Sim_time.sub t1 t0))
-               | Error _ -> incr errors);
-            loop ()
-          end
-        in
-        loop ())
+        closed_loop sim w
+          (fun () -> spec.op api)
+          (fun outcome ms ->
+            match outcome with
+            | Ok n ->
+                ops := !ops + spec.ops_per_iteration;
+                attempts := !attempts + n;
+                Stats.Series.add latencies ms
+            | Error _ -> incr errors))
   done;
   (* drain: run a little past the window so in-flight calls settle *)
-  Sim.run ~until:(Sim_time.add window_end (Sim_time.sec 10)) sim;
+  Sim.run ~until:(Sim_time.add w.stop (Sim_time.sec 10)) sim;
   (* replication safety: the state machines must never have skipped an
      inconsistent apply *)
   (let a = sys.Systems.anomalies () in

@@ -29,6 +29,25 @@ type spec = {
   ops_per_iteration : int;
 }
 
+(** A steady-state measurement window in simulated time. *)
+type window = { start : Sim_time.t; stop : Sim_time.t }
+
+(** [window sim ~warmup ~measure] opens [warmup] after now and lasts
+    [measure]. *)
+val window : Sim.t -> warmup:Sim_time.t -> measure:Sim_time.t -> window
+
+(** [repeat sim ~until f] runs [f] back to back while the clock is before
+    [until]: the loop of every simulated client, to be called inside a
+    fibre.  [f] may sleep (think time) or block on requests. *)
+val repeat : Sim.t -> until:Sim_time.t -> (unit -> unit) -> unit
+
+(** [closed_loop sim w op record] is one closed-loop client, to be called
+    inside a fibre: it invokes [op] back to back until [w.stop] and calls
+    [record outcome ms] for every invocation that started at or after
+    [w.start] and returned by [w.stop], with its latency in ms. *)
+val closed_loop :
+  Sim.t -> window -> (unit -> 'a) -> ('a -> float -> unit) -> unit
+
 (** Deterministic for a fixed simulator seed.  [wrap_api] decorates each
     stress client's API before use (e.g. {!Edc_checker.Instrument.wrap}
     for history capture); the admin/setup client is not wrapped. *)

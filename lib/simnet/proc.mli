@@ -27,10 +27,16 @@ val fulfill : 'a promise -> 'a -> unit
     inside a fiber started by {!spawn} / {!async}. *)
 val await : 'a promise -> 'a
 
-(** [spawn sim f] starts fiber [f] at the current instant. *)
+(** [spawn sim f] starts fiber [f] at the current instant.  Nothing
+    catches an exception that escapes [f]: it propagates out of the
+    {!Sim.run} or {!Sim.step} executing the fibre at the instant it is
+    raised, whether before the fibre's first suspension or after a
+    resumption, and the events still queued stay queued. *)
 val spawn : Sim.t -> (unit -> unit) -> unit
 
-(** [async sim f] starts a fiber and returns a promise of its result. *)
+(** [async sim f] starts a fiber and returns a promise of its result.  An
+    exception from [f] escapes {!Sim.run} as for {!spawn}, and the promise
+    stays unfulfilled. *)
 val async : Sim.t -> (unit -> 'a) -> 'a promise
 
 (** [sleep sim d] suspends the calling fiber for [d]. *)

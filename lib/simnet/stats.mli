@@ -8,7 +8,6 @@ module Summary : sig
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
-  val variance : t -> float
   val stddev : t -> float
   val min : t -> float
   val max : t -> float

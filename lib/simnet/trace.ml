@@ -13,12 +13,6 @@ let debugf sim fmt =
     (fun s -> Log.debug (fun m -> m "[%a] %s" Sim_time.pp (Sim.now sim) s))
     fmt
 
-(** [infof sim fmt ...] logs at info level with the virtual timestamp. *)
-let infof sim fmt =
-  Format.kasprintf
-    (fun s -> Log.info (fun m -> m "[%a] %s" Sim_time.pp (Sim.now sim) s))
-    fmt
-
 (** [setup_logging level] installs a [Fmt]-based reporter; call once from
     executables that want traces on stderr. *)
 let setup_logging level =

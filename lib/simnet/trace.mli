@@ -4,7 +4,6 @@
 val src : Logs.src
 
 val debugf : Sim.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-val infof : Sim.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** Install a [Fmt] reporter (call once from executables). *)
 val setup_logging : Logs.level option -> unit

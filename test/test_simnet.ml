@@ -407,6 +407,30 @@ let test_proc_join () =
   Sim.run sim;
   Alcotest.(check bool) "joined all" true !done_
 
+exception Fibre_failed of string
+
+(* The contract the experiment drivers rely on: nothing between a fibre
+   and the caller of [Sim.run] catches, so a failing fibre stops the run
+   at the instant it raises, before any later event. *)
+let test_proc_exception_escapes_run () =
+  let escapes what start =
+    let sim = Sim.create () in
+    let later = ref false in
+    start sim (fun () -> raise (Fibre_failed what));
+    Sim.schedule sim ~after:(Sim_time.ms 10) (fun () -> later := true);
+    Alcotest.check_raises what (Fibre_failed what) (fun () -> Sim.run sim);
+    Alcotest.(check bool) (what ^ ": no later event ran") false !later
+  in
+  escapes "raise right after spawn" (fun sim fail -> Proc.spawn sim fail);
+  escapes "raise after sleep" (fun sim fail ->
+      Proc.spawn sim (fun () ->
+          Proc.sleep sim (Sim_time.ms 1);
+          fail ()));
+  escapes "raise in a fibre started by a fibre" (fun sim fail ->
+      Proc.spawn sim (fun () ->
+          Proc.sleep sim (Sim_time.ms 1);
+          Proc.await (Proc.async sim fail)))
+
 (* ------------------------------------------------------------------ *)
 (* Net                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -684,6 +708,8 @@ let () =
           Alcotest.test_case "timeout expires" `Quick test_proc_await_timeout_expires;
           Alcotest.test_case "timeout beaten" `Quick test_proc_await_timeout_wins;
           Alcotest.test_case "join" `Quick test_proc_join;
+          Alcotest.test_case "a fibre's exception escapes Sim.run" `Quick
+            test_proc_exception_escapes_run;
         ] );
       ( "net",
         [
