@@ -62,8 +62,8 @@ let scaling_point ~quick n_groups =
   let cluster = Shard_cluster.create ~map:(shard_map n_groups) sim in
   let warmup = Sim_time.ms 500 in
   let measure = if quick then Sim_time.sec 1 else Sim_time.sec 2 in
-  let t_start = warmup in
   let t_end = Sim_time.add warmup measure in
+  let window = { Workload.start = warmup; stop = t_end } in
   let ops = ref 0 in
   let lats = ref [] in
   let payload = String.make 64 'x' in
@@ -81,20 +81,15 @@ let scaling_point ~quick n_groups =
                   let c =
                     Shard_cluster.connected_client cluster ~shard:s ()
                   in
-                  Workload.repeat sim ~until:t_end (fun () ->
-                      let t0 = Sim.now sim in
-                      (match Zk.Client.set_data c path payload with
-                      | Ok _ ->
-                          if t0 >= t_start then begin
-                            incr ops;
-                            lats :=
-                              Sim_time.to_float_ms
-                                (Sim_time.sub (Sim.now sim) t0)
-                              :: !lats
-                          end
+                  Workload.closed_loop sim window
+                    (fun () ->
+                      match Zk.Client.set_data c path payload with
+                      | Ok _ -> ()
                       | Error e ->
-                          failwith
-                            ("scaling write: " ^ Zk.Zerror.to_string e))))
+                          failwith ("scaling write: " ^ Zk.Zerror.to_string e))
+                    (fun () ms ->
+                      incr ops;
+                      lats := ms :: !lats))
             done)
       done);
   Sim.run ~until:(Sim_time.add t_end (Sim_time.sec 1)) sim;
@@ -133,8 +128,8 @@ let ablation_point ~quick cross_pct =
   let cluster = Shard_cluster.create ~map:(shard_map n_groups) sim in
   let warmup = Sim_time.ms 500 in
   let measure = if quick then Sim_time.sec 1 else Sim_time.sec 2 in
-  let t_start = warmup in
   let t_end = Sim_time.add warmup measure in
+  let window = { Workload.start = warmup; stop = t_end } in
   let ops = ref 0 and cross_ops = ref 0 in
   let local_lats = ref [] and cross_lats = ref [] in
   Proc.spawn sim (fun () ->
@@ -178,36 +173,29 @@ let ablation_point ~quick cross_pct =
               | Error e ->
                   failwith (what ^ ": " ^ Zk.Zerror.to_string e)
             in
-            Workload.repeat sim ~until:t_end (fun () ->
+            Workload.closed_loop sim window
+              (fun () ->
                 let cross = Rng.int rng 100 < cross_pct in
-                let t0 = Sim.now sim in
-                (if cross then begin
-                   with_retry "cross write" 0 (fun () ->
-                       Shard_session.multi sw
-                         [
-                           Two_pc.Wset { path = p_home; data = "c" };
-                           Two_pc.Wset { path = p_partner; data = "c" };
-                         ]);
-                   if t0 >= t_start then begin
-                     incr ops;
-                     incr cross_ops;
-                     cross_lats :=
-                       Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                       :: !cross_lats
-                   end
-                 end
-                 else begin
-                   with_retry "local write" 0 (fun () ->
-                       match Shard_session.set_data sw p_home "l" with
-                       | Ok _ -> Ok ()
-                       | Error e -> Error e);
-                   if t0 >= t_start then begin
-                     incr ops;
-                     local_lats :=
-                       Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                       :: !local_lats
-                   end
-                 end)))
+                if cross then
+                  with_retry "cross write" 0 (fun () ->
+                      Shard_session.multi sw
+                        [
+                          Two_pc.Wset { path = p_home; data = "c" };
+                          Two_pc.Wset { path = p_partner; data = "c" };
+                        ])
+                else
+                  with_retry "local write" 0 (fun () ->
+                      match Shard_session.set_data sw p_home "l" with
+                      | Ok _ -> Ok ()
+                      | Error e -> Error e);
+                cross)
+              (fun cross ms ->
+                incr ops;
+                if cross then begin
+                  incr cross_ops;
+                  cross_lats := ms :: !cross_lats
+                end
+                else local_lats := ms :: !local_lats))
       done);
   Sim.run ~until:(Sim_time.add t_end (Sim_time.sec 2)) sim;
   {

@@ -2,8 +2,8 @@
 
     One instance lives next to each replica of an extensible coordination
     service.  It owns the registry of extensions and their acknowledgment
-    sets, matches incoming operations/events against subscriptions, and
-    defines the data-object conventions used for registration:
+    sets, matches incoming operations/events against subscriptions, and is
+    the service-independent front end of the ["/em"] namespace:
 
     - ["/em"] — the manager's own object; creating ["/em/<name>"] with the
       serialized program as data registers extension [name]; deleting it
@@ -14,12 +14,12 @@
     - ["/em/index"] — the index object listing all registered extensions,
       maintained so a recovering replica can find and reload them (§3.8).
 
-    The manager itself is *stateless across faults*: everything needed to
-    rebuild it lives in ordinary service data objects, protected by the
-    service's own fault-tolerance machinery.  The service glue (EZK/EDS)
-    calls {!apply_registration} / {!apply_deregistration} when it observes
-    those objects being created/deleted in the committed state — which
-    happens identically on every replica and again on recovery replay. *)
+    {!admit} is the one admission policy for writes to that namespace,
+    {!object_created}/{!object_deleted} the one bookkeeping pair that
+    follows the committed state on every replica, and {!reload} the one
+    recovery reconcile.  The manager itself is *stateless across faults*:
+    everything needed to rebuild it lives in ordinary service data
+    objects, protected by the service's own fault-tolerance machinery. *)
 
 module Int_set = Set.Make (Int)
 
@@ -54,8 +54,6 @@ type index = { op_buckets : bucket array; ev_buckets : bucket array }
 
 type t = {
   mode : Verify.mode;
-  verify_limits : Verify.limits;
-  sandbox_limits : Sandbox.limits;
   verification_enabled : bool;
       (** §4.2 opens the possibility of disabling verification for
           deployments whose constraints prove too restrictive; parsing and
@@ -75,12 +73,11 @@ let extension_object name = em_root ^ "/" ^ name
 
 let ack_object name ~client = extension_object name ^ "/ack/" ^ string_of_int client
 
-(** [classify_path path] tells the service glue what a path under ["/em"]
-    means. *)
+(** [classify_path path] — what a path under ["/em"] means to the manager. *)
 type em_path = Not_em | Em_root | Em_index | Em_extension of string | Em_ack of string * int
 
 let classify_path path =
-  if not (String.length path >= 3 && String.sub path 0 3 = em_root) then Not_em
+  if not (String.starts_with ~prefix:em_root path) then Not_em
   else if String.equal path em_root then Em_root
   else if String.equal path em_index then Em_index
   else
@@ -92,6 +89,11 @@ let classify_path path =
         | Some c when c >= 0 -> Em_ack (name, c)
         | Some _ | None -> Not_em)
     | _ -> Not_em
+
+(** ["/em"] or anything beneath it, including the service's own
+    bookkeeping objects there (e.g. EZK's [owner] child). *)
+let is_manager_object path =
+  String.equal path em_root || String.starts_with ~prefix:"/em/" path
 
 let new_bucket () =
   {
@@ -171,13 +173,9 @@ let bucket_candidates b oid =
   in
   List.rev_append b.b_any acc
 
-let create ?(verify_limits = Verify.default_limits)
-    ?(sandbox_limits = Sandbox.default_limits) ?(verification_enabled = true)
-    ~mode () =
+let create ?(verification_enabled = true) ~mode () =
   {
     mode;
-    verify_limits;
-    sandbox_limits;
     verification_enabled;
     extensions = Hashtbl.create 16;
     next_reg_seq = 0;
@@ -185,16 +183,19 @@ let create ?(verify_limits = Verify.default_limits)
     compile_reuses = 0;
   }
 
-let sandbox_limits t = t.sandbox_limits
-let mode t = t.mode
 let extension_count t = Hashtbl.length t.extensions
 let find t name = Hashtbl.find_opt t.extensions name
 
-(** [verify_code t code] — registration-time admission check; used by the
-    glue *before* the create is even proposed, so a bad extension is
-    rejected without consuming a slot in the replicated log. *)
+let registered_names t =
+  Hashtbl.fold (fun name _ acc -> name :: acc) t.extensions [] |> List.sort compare
+
+(** Serialized index-object content: one extension name per line. *)
+let index_data t = String.concat "\n" (registered_names t)
+
+(** [verify_code t code] — also run by {!admit} *before* a registration
+    is proposed, so a bad extension costs no slot in the replicated log. *)
 let verify_code t code =
-  match Verify.verify ~limits:t.verify_limits ~mode:t.mode code with
+  match Verify.verify ~mode:t.mode code with
   | Ok program -> Ok program
   | Error (`Parse e) -> Error ("parse error: " ^ e)
   | Error (`Violations vs) ->
@@ -245,23 +246,6 @@ let apply_registration t ~name ~owner ~code =
         Ok program
       end
 
-(** [reload_registration t ~name ~owner ~code] — {!apply_registration} for
-    recovery reloads (restart, snapshot install): when the registration
-    bytes are identical to what is already staged, the existing entry —
-    its verified program and compiled handlers — is reused instead of
-    re-verified and recompiled.  Only the ack set is reset (to the owner):
-    the freshly installed tree is the authority on acknowledgments, and
-    the caller re-applies them from it.  Chunked snapshot installs on a
-    busy replica would otherwise recompile every extension on every
-    catch-up even though the registry rarely changes. *)
-let reload_registration t ~name ~owner ~code =
-  match Hashtbl.find_opt t.extensions name with
-  | Some e when String.equal e.code code && e.owner = owner ->
-      e.acked <- Int_set.singleton owner;
-      t.compile_reuses <- t.compile_reuses + 1;
-      Ok e.program
-  | _ -> apply_registration t ~name ~owner ~code
-
 let compile_reuses t = t.compile_reuses
 
 let apply_deregistration t ~name =
@@ -269,12 +253,6 @@ let apply_deregistration t ~name =
     Hashtbl.remove t.extensions name;
     rebuild_index t
   end
-
-(** [clear t] drops all registrations (a replica about to reload from a
-    snapshot, §3.8). *)
-let clear t =
-  Hashtbl.reset t.extensions;
-  t.index <- new_index ()
 
 (** [apply_ack t ~name ~client] — the client has acknowledged use of the
     extension (one-time, §3.6).  Ack churn only touches the entry's set;
@@ -291,6 +269,103 @@ let apply_unack t ~name ~client =
 
 let client_acked e ~client = Int_set.mem client e.acked
 
+(* ------------------------------------------------------------------ *)
+(* The /em front end (§3.6): admission and bookkeeping                 *)
+(* ------------------------------------------------------------------ *)
+
+type admission =
+  | Ordinary
+  | Register of string
+  | Deregister of string
+  | Em_write
+  | Reject of string
+
+let admit t ~client ~kind ~oid ~data =
+  match kind with
+  | Subscription.K_read | K_sub_objects | K_block -> Ordinary
+  | K_update | K_cas ->
+      if is_manager_object oid then Reject "extension objects are immutable"
+      else Ordinary
+  | K_create | K_delete -> (
+      if not (is_manager_object oid) then Ordinary
+      else
+        let creating = kind = Subscription.K_create in
+        match classify_path oid with
+        | Em_extension name when creating -> (
+            match verify_code t data with
+            | Error msg -> Reject msg
+            | Ok program when program.Program.name <> name -> Reject "name mismatch"
+            | Ok _ when Hashtbl.mem t.extensions name -> Reject "already registered"
+            | Ok _ -> Register name)
+        | Em_extension name -> (
+            match find t name with
+            | None -> Reject "unknown extension"
+            | Some e when e.owner <> client -> Reject "only the owner may deregister"
+            | Some _ -> Deregister name)
+        | Em_ack (_, c) when c <> client ->
+            Reject
+              (if creating then "may only ack for oneself"
+               else "may only un-ack for oneself")
+        | Em_ack (name, _) when creating && not (Hashtbl.mem t.extensions name) ->
+            Reject "unknown extension"
+        | Em_ack _ -> Em_write
+        | Em_root | Em_index | Not_em -> Reject "reserved object")
+
+(* Runs identically on every replica during ordered execution, which is
+   how all replicas' managers stay consistent. *)
+let object_created t ~oid ~owner ~data =
+  match classify_path oid with
+  | Em_extension name -> (
+      match apply_registration t ~name ~owner ~code:data with
+      | Ok _ -> ()
+      | Error msg -> Logs.warn (fun m -> m "replica refused extension %s: %s" name msg))
+  | Em_ack (name, client) -> apply_ack t ~name ~client
+  | Em_root | Em_index | Not_em -> ()
+
+let object_deleted t ~oid =
+  match classify_path oid with
+  | Em_extension name -> apply_deregistration t ~name
+  | Em_ack (name, client) -> apply_unack t ~name ~client
+  | Em_root | Em_index | Not_em -> ()
+
+(** [reload t objects] reconciles the registry with the live ["/em"]
+    objects [(oid, owner, data)] of a restarted or freshly installed
+    replica (§3.8), given in creation order. *)
+let reload t objects =
+  let live =
+    List.filter_map
+      (fun (oid, owner, code) ->
+        match classify_path oid with
+        | Em_extension name -> Some (name, owner, code)
+        | Em_ack _ | Em_root | Em_index | Not_em -> None)
+      objects
+  in
+  List.iter
+    (fun name ->
+      if not (List.exists (fun (n, _, _) -> String.equal n name) live) then
+        apply_deregistration t ~name)
+    (registered_names t);
+  List.iter
+    (fun (name, owner, code) ->
+      match Hashtbl.find_opt t.extensions name with
+      | Some e when String.equal e.code code && e.owner = owner ->
+          (* unchanged: keep the verified program and compiled handlers,
+             or a chunked snapshot install would recompile every extension
+             on every catch-up; the objects are the authority on acks *)
+          e.acked <- Int_set.singleton owner;
+          t.compile_reuses <- t.compile_reuses + 1
+      | _ -> (
+          match apply_registration t ~name ~owner ~code with
+          | Ok _ -> ()
+          | Error msg -> Logs.warn (fun m -> m "reload refused extension %s: %s" name msg)))
+    live;
+  List.iter
+    (fun (oid, _, _) ->
+      match classify_path oid with
+      | Em_ack (name, client) -> apply_ack t ~name ~client
+      | Em_extension _ | Em_root | Em_index | Not_em -> ())
+    objects
+
 (** [match_operation t ~client ~kind ~oid] finds the extension to run for a
     client request: among extensions the client acknowledged whose
     operation subscriptions match, the most recently registered wins
@@ -306,6 +381,12 @@ let match_operation t ~client ~kind ~oid =
       else best)
     None (bucket_candidates b oid)
 
+(** [intercepts t ~client ~kind ~oid] — would this request run an
+    operation extension?  Answers at once when nothing is registered, the
+    overwhelmingly common state on the regular read path (§6.2). *)
+let intercepts t ~client ~kind ~oid =
+  Hashtbl.length t.extensions <> 0 && match_operation t ~client ~kind ~oid <> None
+
 (** [match_events t ~kind ~oid] returns all event extensions subscribed to
     this state change, in registration order (§3.3: "one after another, in
     the order of their registration"). *)
@@ -317,6 +398,8 @@ let match_events t ~kind ~oid =
 (** [client_has_event_match t ~client ~kind ~oid] — used to decide whether
     a client's original notification should be suppressed (§5.1.2). *)
 let client_has_event_match t ~client ~kind ~oid =
+  Hashtbl.length t.extensions <> 0
+  &&
   let b = t.index.ev_buckets.(Subscription.event_kind_index kind) in
   List.exists (fun e -> client_acked e ~client) (bucket_candidates b oid)
 
@@ -363,24 +446,21 @@ let client_has_event_match_scan t ~client ~kind ~oid =
               e.program.Program.event_subs))
     t.extensions false
 
+(** [params ~oid ~kind ~client ~data] — a handler's parameters: the
+    triggering object, the request or event kind, the invoking (or
+    triggering) client, and the payload when there is one. *)
+let params ~oid ~kind ~client ~data =
+  ("oid", Value.Str oid) :: ("kind", Value.Str kind) :: ("client", Value.Int client)
+  :: (match data with Some d -> [ ("data", Value.Str d) ] | None -> [])
+
 (** [run_operation t entry ~proxy ~params] executes the staged operation
     handler (compiled at registration time). *)
-let run_operation t entry ~proxy ~params =
+let run_operation _t entry ~proxy ~params =
   match entry.compiled_op with
   | None -> Error (Sandbox.Aborted "no operation handler")
-  | Some c ->
-      Result.map (fun (v, _, _) -> v)
-        (Compile.run ~limits:t.sandbox_limits ~proxy ~params c)
+  | Some c -> Result.map (fun (v, _, _) -> v) (Compile.run ~proxy ~params c)
 
-let run_event t entry ~proxy ~params =
+let run_event _t entry ~proxy ~params =
   match entry.compiled_ev with
   | None -> Error (Sandbox.Aborted "no event handler")
-  | Some c ->
-      Result.map (fun (v, _, _) -> v)
-        (Compile.run ~limits:t.sandbox_limits ~proxy ~params c)
-
-let registered_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.extensions [] |> List.sort compare
-
-(** Serialized index-object content: one extension name per line. *)
-let index_data t = String.concat "\n" (registered_names t)
+  | Some c -> Result.map (fun (v, _, _) -> v) (Compile.run ~proxy ~params c)

@@ -1,28 +1,36 @@
 (** EXTENSIBLE DEPSPACE (EDS, §5.2).
 
     Installs an extension manager as a new layer at the bottom of the
-    DepSpace replica stack (Figure 4): all ordered client requests pass the
-    extension layer first; matched operation extensions run in the sandbox
-    *on every replica* (active replication), so the verifier runs in
-    deterministic mode.  Operations issued by extensions go back through
-    the policy-enforcement and access-control layers, exactly as the paper
-    requires ("the extension manager does not need to provide additional
-    access-control mechanisms for operations invoked by extensions as this
-    task is performed by upper layers").
+    DepSpace replica stack (Figure 4).  The service-independent half — the
+    ["/em"] admission policy, registry bookkeeping, recovery reconcile and
+    handler parameters — lives in {!Manager}; this module keeps what is
+    DepSpace's own:
+
+    - the request classification ([op_info]) and the state proxy.
+      Operations issued by extensions go back through the
+      policy-enforcement and access-control layers, exactly as the paper
+      requires ("the extension manager does not need to provide additional
+      access-control mechanisms for operations invoked by extensions as
+      this task is performed by upper layers");
+    - active replication: all ordered client requests pass the extension
+      layer first, and matched operation extensions run in the sandbox
+      *on every replica*, so the verifier runs in deterministic mode;
+    - atomicity by an undo log: proxied mutations apply to the live space
+      immediately but are recorded; if the sandbox aborts, the log is
+      rolled back — deterministically on every replica — and the client
+      receives an error.  Unblock cascades and deletion events for
+      extension-issued changes are deferred to successful completion, so
+      nothing leaks from an aborted run;
+    - events: deletions (including lease expiry) and unblocked reads, the
+      latter able to re-block the caller (§5.2.2).
 
     Extension state is tuples: registering means [out]-ing the object
-    [</em/name, code, 0, ts>]; acknowledgments are [</em/name/ack/c, ...>]
-    objects; deregistering takes the registration tuple back out.  All
-    replicas observe these inserts/removals during ordered execution and
-    update their managers identically; a recovering replica rebuilds its
-    manager by scanning the space (§3.8).
-
-    Atomicity: proxied mutations apply to the live space immediately but
-    are recorded in an undo log; if the sandbox aborts, the log is rolled
-    back — deterministically on every replica — and the client receives an
-    error.  Unblock cascades and deletion events for extension-issued
-    changes are deferred to successful completion, so nothing leaks from
-    an aborted run. *)
+    [</em/name, code, 0, ts>], whose tuple owner is the registering
+    client; acknowledgments are [</em/name/ack/c, ...>] objects;
+    deregistering takes the registration tuple back out.  All replicas
+    observe these inserts/removals during ordered execution and update
+    their managers identically; a recovering replica rebuilds its manager
+    by scanning the space (§3.8). *)
 
 open Edc_simnet
 open Edc_depspace
@@ -32,9 +40,10 @@ module P = Ds_protocol
 type t = {
   server : Ds_server.t;
   manager : Manager.t;
-  monitor_lease : Sim_time.t;
   mutable in_event : bool;  (** break event-extension feedback loops *)
 }
+
+let monitor_lease = Sim_time.sec 8
 
 let manager t = t.manager
 let server t = t.server
@@ -72,8 +81,6 @@ let op_info op =
           Some (K_cas, oid, data)
       | None -> None)
   | P.Renew _ | P.Noop -> None
-
-let classify_oid oid = Manager.classify_path oid
 
 (* ------------------------------------------------------------------ *)
 (* The state proxy with undo log                                       *)
@@ -124,7 +131,7 @@ let make_proxy t ~client ~ts ~blocker ~ctx =
     | None -> None
   in
   let deny_em oid =
-    if classify_oid oid <> Manager.Not_em then Error "extensions may not touch /em"
+    if Manager.is_manager_object oid then Error "extensions may not touch /em"
     else Ok ()
   in
   let ( let* ) = Result.bind in
@@ -238,7 +245,7 @@ let make_proxy t ~client ~ts ~blocker ~ctx =
         let* () = deny_em oid in
         if read_obj oid <> None then Ok ()
         else begin
-          raw_insert ~lease:t.monitor_lease
+          raw_insert ~lease:monitor_lease
             (Objects.tuple ~oid ~data:"" ~version:0 ~ctime:(Sim_time.to_ns ts));
           Ok ()
         end);
@@ -257,18 +264,14 @@ let rec run_event_extensions t ~ts ~kind ~oid ~trigger_client =
   if not t.in_event then begin
     t.in_event <- true;
     Fun.protect ~finally:(fun () -> t.in_event <- false) @@ fun () ->
-    let entries = Manager.match_events t.manager ~kind ~oid in
+    let params =
+      Manager.params ~oid ~kind:(Subscription.event_kind_to_string kind)
+        ~client:trigger_client ~data:None
+    in
     List.iter
       (fun (entry : Manager.entry) ->
         let ctx = new_ctx () in
         let proxy = make_proxy t ~client:entry.Manager.owner ~ts ~blocker:None ~ctx in
-        let params =
-          [
-            ("oid", Value.Str oid);
-            ("kind", Value.Str (Subscription.event_kind_to_string kind));
-            ("client", Value.Int trigger_client);
-          ]
-        in
         match Manager.run_event t.manager entry ~proxy ~params with
         | Ok _ ->
             (* fire unblock cascades; in_event stops recursive events *)
@@ -280,12 +283,12 @@ let rec run_event_extensions t ~ts ~kind ~oid ~trigger_client =
             Logs.warn (fun m ->
                 m "EDS event extension %s failed: %s"
                   entry.Manager.program.Program.name (Sandbox.error_to_string e)))
-      entries
+      (Manager.match_events t.manager ~kind ~oid)
   end
 
 and deletion_event t ~ts tuple =
   match Access.tuple_name tuple with
-  | Some oid when classify_oid oid = Manager.Not_em ->
+  | Some oid when not (Manager.is_manager_object oid) ->
       (* bind the owner client when the oid encodes one, as the paper's
          recipes do ("client id encoded in oid", Fig. 11) *)
       let trigger_client =
@@ -315,12 +318,8 @@ let run_operation_extension t ~client ~rseq ~ts ~entry ~kind ~oid ~data =
   let ctx = new_ctx () in
   let proxy = make_proxy t ~client ~ts ~blocker:(Some rseq) ~ctx in
   let params =
-    [
-      ("oid", Value.Str oid);
-      ("data", Value.Str data);
-      ("client", Value.Int client);
-      ("kind", Value.Str (Subscription.op_kind_to_string kind));
-    ]
+    Manager.params ~oid ~kind:(Subscription.op_kind_to_string kind) ~client
+      ~data:(Some data)
   in
   match Manager.run_operation t.manager entry ~proxy ~params with
   | Ok value ->
@@ -331,123 +330,37 @@ let run_operation_extension t ~client ~rseq ~ts ~entry ~kind ~oid ~data =
       rollback ctx;
       Ds_server.Rejected (Sandbox.error_to_string e)
 
-(** Requests touching the manager's tuples: registration lifecycle.
-    Returns the action for every /em-related operation; [None] means the
-    operation does not involve the manager's namespace. *)
-let em_intercept t ~client op =
-  let immutable = Ds_server.Rejected "extension objects are immutable" in
-  match op with
-  | P.Out { tuple; _ } -> (
-      match Access.tuple_name tuple with
-      | Some oid -> (
-          match classify_oid oid with
-          | Manager.Not_em -> None
-          | Manager.Em_extension name -> (
-              match Objects.decode tuple with
-              | None -> Some (Ds_server.Rejected "malformed registration object")
-              | Some v -> (
-                  match Manager.verify_code t.manager v.Objects.data with
-                  | Error msg -> Some (Ds_server.Rejected msg)
-                  | Ok program ->
-                      if program.Program.name <> name then
-                        Some (Ds_server.Rejected "name mismatch")
-                      else if Manager.find t.manager name <> None then
-                        Some (Ds_server.Rejected "already registered")
-                      else Some Ds_server.Pass (* registered via on_inserted *)))
-          | Manager.Em_ack (name, c) ->
-              if c <> client then
-                Some (Ds_server.Rejected "may only ack for oneself")
-              else if Manager.find t.manager name = None then
-                Some (Ds_server.Rejected "unknown extension")
-              else Some Ds_server.Pass
-          | Manager.Em_root | Manager.Em_index ->
-              Some (Ds_server.Rejected "reserved object"))
-      | None -> None)
-  | P.Inp tp | P.In_ tp -> (
-      match Access.template_name tp with
-      | Some oid -> (
-          match classify_oid oid with
-          | Manager.Not_em -> None
-          | Manager.Em_extension name -> (
-              match Manager.find t.manager name with
-              | Some entry when entry.Manager.owner <> client ->
-                  Some (Ds_server.Rejected "only the owner may deregister")
-              | Some _ | None -> Some Ds_server.Pass (* via on_deleted *))
-          | Manager.Em_ack (_, c) ->
-              if c = client then Some Ds_server.Pass
-              else Some (Ds_server.Rejected "may only un-ack for oneself")
-          | Manager.Em_root | Manager.Em_index -> Some immutable)
-      | None -> None)
-  | P.Replace { template; _ } | P.Cas { template; _ } -> (
-      match Access.template_name template with
-      | Some oid when classify_oid oid <> Manager.Not_em -> Some immutable
-      | Some _ | None -> None)
-  | P.Rdp _ | P.Rd _ | P.Rd_all _ | P.Renew _ | P.Noop -> None
-
 let intercept t ~client ~rseq ~ts op =
-  match em_intercept t ~client op with
-  | Some action -> action
-  | None -> (
-      match op_info op with
-      | None -> Ds_server.Pass
-      | Some (kind, oid, data) -> (
+  match op_info op with
+  | None -> Ds_server.Pass
+  | Some (kind, oid, data) -> (
+      match Manager.admit t.manager ~client ~kind ~oid ~data with
+      | Manager.Ordinary -> (
           match Manager.match_operation t.manager ~client ~kind ~oid with
           | Some entry ->
               run_operation_extension t ~client ~rseq ~ts ~entry ~kind ~oid ~data
-          | None -> Ds_server.Pass))
-
-(* ------------------------------------------------------------------ *)
-(* Registry bookkeeping (every replica, during ordered execution)      *)
-(* ------------------------------------------------------------------ *)
-
-let on_inserted t ~ts ~owner tuple =
-  ignore ts;
-  match Objects.decode tuple with
-  | Some v -> (
-      match classify_oid v.Objects.oid with
-      | Manager.Em_extension name -> (
-          match Manager.apply_registration t.manager ~name ~owner ~code:v.Objects.data with
-          | Ok _ -> ()
-          | Error msg ->
-              Logs.warn (fun m -> m "EDS replica refused extension %s: %s" name msg))
-      | Manager.Em_ack (name, client) -> Manager.apply_ack t.manager ~name ~client
-      | Manager.Em_root | Manager.Em_index | Manager.Not_em -> ())
-  | None -> ()
-
-let on_deleted t ~ts tuple =
-  (match Access.tuple_name tuple with
-  | Some oid -> (
-      match classify_oid oid with
-      | Manager.Em_extension name -> Manager.apply_deregistration t.manager ~name
-      | Manager.Em_ack (name, client) -> Manager.apply_unack t.manager ~name ~client
-      | Manager.Em_root | Manager.Em_index | Manager.Not_em -> ())
-  | None -> ());
-  deletion_event t ~ts tuple
+          | None -> Ds_server.Pass)
+      | Manager.Register _ | Manager.Deregister _ | Manager.Em_write ->
+          (* an ordinary out/inp; the manager follows it through the
+             insert/delete hooks *)
+          Ds_server.Pass
+      | Manager.Reject why -> Ds_server.Rejected why)
 
 let on_unblock t ~client template tuple =
   (* an unblock is DepSpace's event (§5.2.2): matching event extensions run
      and may re-block the call by returning the string "reblock". *)
   let oid = match Access.template_name template with Some o -> o | None -> "" in
-  let entries = Manager.match_events t.manager ~kind:Subscription.E_unblocked ~oid in
+  let kind = Subscription.E_unblocked in
+  let data = match Objects.decode tuple with Some v -> v.Objects.data | None -> "" in
+  let params =
+    Manager.params ~oid ~kind:(Subscription.event_kind_to_string kind) ~client
+      ~data:(Some data)
+  in
   let reblock = ref false in
   List.iter
     (fun (entry : Manager.entry) ->
       let ctx = new_ctx () in
-      let proxy =
-        make_proxy t ~client ~ts:Sim_time.zero ~blocker:None ~ctx
-      in
-      let params =
-        [
-          ("oid", Value.Str oid);
-          ("kind", Value.Str "unblocked");
-          ("client", Value.Int client);
-          ("data",
-           Value.Str
-             (match Objects.decode tuple with
-             | Some v -> v.Objects.data
-             | None -> ""));
-        ]
-      in
+      let proxy = make_proxy t ~client ~ts:Sim_time.zero ~blocker:None ~ctx in
       match Manager.run_event t.manager entry ~proxy ~params with
       | Ok (Value.Str "reblock") -> reblock := true
       | Ok _ -> ()
@@ -455,51 +368,42 @@ let on_unblock t ~client template tuple =
           rollback ctx;
           Logs.warn (fun m ->
               m "EDS unblock extension failed: %s" (Sandbox.error_to_string e)))
-    entries;
+    (Manager.match_events t.manager ~kind ~oid);
   if !reblock then `Reblock else `Proceed
 
 (* ------------------------------------------------------------------ *)
 (* Installation and recovery                                           *)
 (* ------------------------------------------------------------------ *)
 
-let install ?(monitor_lease = Sim_time.sec 8) server =
+let install server =
   let manager = Manager.create ~mode:Verify.Active () in
-  let t = { server; manager; monitor_lease; in_event = false } in
+  let t = { server; manager; in_event = false } in
   Ds_server.set_hook_intercept server (fun _srv ~client ~rseq ~ts op ->
       intercept t ~client ~rseq ~ts op);
   Ds_server.set_hook_fast_path_allowed server (fun _srv ~client op ->
-      Manager.extension_count t.manager = 0
-      ||
       match op_info op with
-      | Some (kind, oid, _) ->
-          Manager.match_operation t.manager ~client ~kind ~oid = None
+      | Some (kind, oid, _) -> not (Manager.intercepts manager ~client ~kind ~oid)
       | None -> true);
-  Ds_server.set_hook_on_inserted server (fun _srv ~ts ~owner tuple ->
-      on_inserted t ~ts ~owner tuple);
-  Ds_server.set_hook_on_deleted server (fun _srv ~ts tuple -> on_deleted t ~ts tuple);
+  (* registry bookkeeping: every replica, during ordered execution *)
+  Ds_server.set_hook_on_inserted server (fun _srv ~ts:_ ~owner tuple ->
+      match Objects.decode tuple with
+      | Some v -> Manager.object_created manager ~oid:v.Objects.oid ~owner ~data:v.Objects.data
+      | None -> ());
+  Ds_server.set_hook_on_deleted server (fun _srv ~ts tuple ->
+      Option.iter (fun oid -> Manager.object_deleted manager ~oid) (Access.tuple_name tuple);
+      deletion_event t ~ts tuple);
   Ds_server.set_hook_on_unblock server (fun _srv ~client template tuple ->
       on_unblock t ~client template tuple);
   t
 
-(** [reload t] rebuilds the manager from the replicated space (§3.8). *)
+(** [reload t] feeds the manager's reconcile from the replicated space
+    (§3.8): every ["/em/..."] object in insertion order, with the client
+    that inserted it as its owner. *)
 let reload t =
   let space = Ds_server.space t.server in
-  List.iter
-    (fun tuple ->
-      match Objects.decode tuple with
-      | Some v -> (
-          match classify_oid v.Objects.oid with
-          | Manager.Em_extension name ->
-              (* the registering client's identity is not recoverable from
-                 the tuple fields; DepSpace stores it as the tuple's owner,
-                 which the scan below cannot see — so registration objects
-                 embed the owner in a sibling ack object created by the
-                 registration client itself.  The first ack is the owner. *)
-              (match Manager.apply_registration t.manager ~name ~owner:0 ~code:v.Objects.data with
-              | Ok _ -> ()
-              | Error msg ->
-                  Logs.warn (fun m -> m "EDS reload refused %s: %s" name msg))
-          | Manager.Em_ack (name, client) -> Manager.apply_ack t.manager ~name ~client
-          | Manager.Em_root | Manager.Em_index | Manager.Not_em -> ())
-      | None -> ())
-    (Space.read_all space Tuple.[ Prefix "/em/"; Any; Any; Any ])
+  Space.read_all space Tuple.[ Prefix "/em/"; Any; Any; Any ]
+  |> List.filter_map (fun tuple ->
+         match (Objects.decode tuple, Space.find space (Tuple.exact tuple)) with
+         | Some v, Some (_, e) -> Some (v.Objects.oid, e.Space.owner, v.Objects.data)
+         | _ -> None)
+  |> Manager.reload t.manager

@@ -1,15 +1,14 @@
 (** EXTENSIBLE DEPSPACE (EDS, §5.2): the extension manager installed as a
     new layer at the bottom of the DepSpace replica stack.
 
-    All ordered requests pass the extension layer first; matched operation
-    extensions run in the sandbox on *every* replica (active replication —
-    the verifier rejects nondeterminism).  Proxied operations re-enter the
-    policy-enforcement and access-control layers, so extensions gain no
-    privileges.  Proxied mutations apply under an undo log: aborts roll
-    back deterministically, and unblock cascades / deletion events are
-    deferred to successful completion.  Registration is an ordinary [out]
-    of [</em/name, code, ...>]; replicas rebuild managers by scanning the
-    replicated space (§3.8). *)
+    {!Manager} holds the service-independent half (["/em"] admission,
+    registry bookkeeping, reload).  EDS keeps its request classification,
+    its state proxy and active replication: matched operation extensions
+    run on *every* replica (the verifier rejects nondeterminism), their
+    proxied operations re-enter the policy and access-control layers, and
+    their mutations apply under an undo log that aborts roll back.
+    Registration is an ordinary [out] of [</em/name, code, ...>];
+    replicas rebuild managers by scanning the replicated space (§3.8). *)
 
 open Edc_simnet
 open Edc_depspace
@@ -20,10 +19,12 @@ type t
 val manager : t -> Manager.t
 val server : t -> Ds_server.t
 
-(** [install ?monitor_lease server] attaches a fresh extension manager;
-    [monitor_lease] is the lease the proxy's [monitor] grants (clients
-    keep it alive with {!Eds_client.keep_alive}). *)
-val install : ?monitor_lease:Sim_time.t -> Ds_server.t -> t
+(** The lease the proxy's [monitor] grants (8 s).  Clients renew it with
+    {!Eds_client.keep_alive} at this same lease. *)
+val monitor_lease : Sim_time.t
+
+(** [install server] attaches a fresh extension manager. *)
+val install : Ds_server.t -> t
 
 (** [reload t] rebuilds the manager by scanning the space (§3.8). *)
 val reload : t -> unit

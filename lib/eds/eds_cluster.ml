@@ -1,23 +1,13 @@
 (** An EXTENSIBLE DEPSPACE deployment: a DepSpace cluster with the
     extension layer installed on every replica. *)
 
-open Edc_simnet
 open Edc_depspace
 
-type t = {
-  cluster : Ds_cluster.t;
-  edss : Eds.t array;
-  monitor_lease : Sim_time.t option;  (* re-used when a replica restarts *)
-}
+type t = { cluster : Ds_cluster.t; edss : Eds.t array }
 
-let create ?f ?net_config ?server_config ?pbft_config ?monitor_lease sim =
-  let cluster =
-    Ds_cluster.create ?f ?net_config ?server_config ?pbft_config sim
-  in
-  let edss =
-    Array.map (fun s -> Eds.install ?monitor_lease s) (Ds_cluster.servers cluster)
-  in
-  { cluster; edss; monitor_lease }
+let create ?f ?net_config ?server_config ?pbft_config sim =
+  let cluster = Ds_cluster.create ?f ?net_config ?server_config ?pbft_config sim in
+  { cluster; edss = Array.map Eds.install (Ds_cluster.servers cluster) }
 
 let cluster t = t.cluster
 let sim t = Ds_cluster.sim t.cluster
@@ -32,9 +22,7 @@ let crash_server t i = Ds_cluster.crash_server t.cluster i
     volatile manager state is rescanned from them. *)
 let restart_server t i =
   Ds_cluster.restart_server t.cluster i;
-  let fresh =
-    Eds.install ?monitor_lease:t.monitor_lease (Ds_cluster.servers t.cluster).(i)
-  in
+  let fresh = Eds.install (Ds_cluster.servers t.cluster).(i) in
   Eds.reload fresh;
   t.edss.(i) <- fresh
 

@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Ds_server.config ->
   ?pbft_config:Edc_replication.Pbft.config ->
-  ?monitor_lease:Sim_time.t ->
   Sim.t ->
   t
 

@@ -1,26 +1,25 @@
 (** EXTENSIBLE ZOOKEEPER (EZK, §5.1).
 
-    Installs an extension manager next to a ZooKeeper server replica using
-    the server's hook points, mirroring the paper's modifications:
+    Wires an extension manager into a ZooKeeper server replica through the
+    server's hook points.  The service-independent half — the ["/em"]
+    admission policy, registry bookkeeping, recovery reconcile and handler
+    parameters — lives in {!Manager}; this module keeps what is ZooKeeper's
+    own:
 
-    - the manager is invoked at the *preprocessor* stage, intercepting
-      requests whose (kind, object id) matches an acknowledged extension's
-      subscription; the extension runs in the sandbox against the leader's
-      speculative view; its recorded state changes become one
-      multi-transaction, with the produced value piggybacked so the
-      client's replica can include it in the reply (§5.1.2);
-    - a replica-local predicate redirects extension-matched *reads* to the
-      leader, while regular clients keep the untouched read fast path
-      (§6.2);
-    - registration and deregistration travel through standard [create] /
-      [delete] operations on ["/em/<name>"]; the manager's entire state
-      lives in data objects (code, an [owner] child, an [ack] directory,
-      and the ["/em/index"] object), so recovery just reloads the tree
-      (§3.6, §3.8);
-    - event extensions run at the leader when a committed transaction
-      changes matching state; their changes are proposed as follow-up
-      (quiet) transactions, and original watch notifications to clients
-      holding a matching acked event extension are suppressed (§5.1.2). *)
+    - the request classification ([op_info]) and the state proxy over the
+      leader's speculative view (Figure 2);
+    - execution at the leader's *preprocessor* only: each run is one
+      speculative transaction, whose recorded changes become one
+      multi-transaction with the produced value piggybacked to the
+      client's replica (§5.1.2), or roll back on abort;
+    - registration and deregistration as multi-transactions that also
+      write the [owner] child, the [ack] directory and the ["/em/index"]
+      object the reconcile reads back on recovery (§3.6, §3.8);
+    - the hooks: extension-matched *reads* go to the leader while regular
+      clients keep the read fast path (§6.2); event extensions run at the
+      leader on committed changes, their effects proposed as follow-up
+      (quiet) transactions; watch notifications of clients holding a
+      matching acked event extension are suppressed (§5.1.2). *)
 
 open Edc_simnet
 open Edc_zookeeper
@@ -151,14 +150,28 @@ let make_proxy t ~session ~blocker ~ops ~has_block =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Extension-manager operations on /em (registration lifecycle)        *)
+(* Commit or roll back: one speculative transaction per run            *)
 (* ------------------------------------------------------------------ *)
 
+(* [spec_txn t f] runs [f] inside one transaction on the leader's
+   speculative view: kept when [f] returns [Ok], rolled back otherwise. *)
+let spec_txn t f =
+  let sv = Server.spec t.server in
+  Spec_view.begin_txn sv;
+  let r = f sv in
+  (match r with Ok _ -> Spec_view.commit_txn sv | Error _ -> Spec_view.rollback_txn sv);
+  r
+
+(* ------------------------------------------------------------------ *)
+(* Registration and deregistration multi-transactions                  *)
+(* ------------------------------------------------------------------ *)
+
+(* EZK's storage layout under "/em/<name>": the code, an [owner] child and
+   an [ack] directory holding one child per acknowledging client. *)
 let owner_object name = Manager.extension_object name ^ "/owner"
 let ack_dir name = Manager.extension_object name ^ "/ack"
 
-let index_txn t ~names =
-  let sv = Server.spec t.server in
+let index_txn sv ~names =
   match
     Spec_view.set_node sv ~path:Manager.em_index
       ~data:(String.concat "\n" (List.sort compare names))
@@ -168,178 +181,107 @@ let index_txn t ~names =
   | Error _ -> [] (* index missing: tolerated, the tree itself is scanned on reload *)
 
 let register_txn t ~session ~name ~code =
-  let sv = Server.spec t.server in
-  Spec_view.begin_txn sv;
-  let ( let* ) = Result.bind in
-  let create path data =
-    Result.map snd
-      (Spec_view.create_node sv ~path ~data ~ephemeral_owner:None ~sequential:false)
-  in
-  let result =
+  let txn sv =
+    let ( let* ) = Result.bind in
+    let create path data =
+      Result.map snd
+        (Spec_view.create_node sv ~path ~data ~ephemeral_owner:None ~sequential:false)
+    in
     let* ext = create (Manager.extension_object name) code in
     let* owner = create (owner_object name) (string_of_int session) in
     let* ack = create (ack_dir name) "" in
     let names = name :: Manager.registered_names t.manager in
-    Ok ([ ext; owner; ack ] @ index_txn t ~names)
+    Ok ([ ext; owner; ack ] @ index_txn sv ~names)
   in
-  match result with
-  | Ok ops ->
-      Spec_view.commit_txn sv;
-      Server.Handled (ops, P.Created (Manager.extension_object name))
-  | Error e ->
-      Spec_view.rollback_txn sv;
-      Server.Reject e
+  match spec_txn t txn with
+  | Ok ops -> Server.Handled (ops, P.Created (Manager.extension_object name))
+  | Error e -> Server.Reject e
 
 let deregister_txn t ~name =
-  let sv = Server.spec t.server in
-  Spec_view.begin_txn sv;
-  let delete path =
-    Result.map (fun op -> [ op ]) (Spec_view.delete_node sv ~path ~version:None)
-  in
-  let acks =
-    match Spec_view.children sv (ack_dir name) with
-    | Ok kids -> List.map (fun k -> ack_dir name ^ "/" ^ k) kids
-    | Error _ -> []
-  in
-  let ( let* ) = Result.bind in
-  let rec delete_all acc = function
-    | [] -> Ok (List.concat (List.rev acc))
-    | p :: rest ->
-        let* ops = delete p in
-        delete_all (ops :: acc) rest
-  in
-  let result =
-    let* ops =
-      delete_all []
-        (acks @ [ ack_dir name; owner_object name; Manager.extension_object name ])
+  let txn sv =
+    let acks =
+      match Spec_view.children sv (ack_dir name) with
+      | Ok kids -> List.map (fun k -> ack_dir name ^ "/" ^ k) kids
+      | Error _ -> []
     in
-    let names = List.filter (( <> ) name) (Manager.registered_names t.manager) in
-    Ok (ops @ index_txn t ~names)
+    let rec delete_all acc = function
+      | [] ->
+          let names = List.filter (( <> ) name) (Manager.registered_names t.manager) in
+          Ok (List.rev_append acc (index_txn sv ~names))
+      | path :: rest -> (
+          match Spec_view.delete_node sv ~path ~version:None with
+          | Ok op -> delete_all (op :: acc) rest
+          | Error e -> Error e)
+    in
+    delete_all [] (acks @ [ ack_dir name; owner_object name; Manager.extension_object name ])
   in
-  match result with
-  | Ok ops ->
-      Spec_view.commit_txn sv;
-      Server.Handled (ops, P.Deleted)
-  | Error e ->
-      Spec_view.rollback_txn sv;
-      Server.Reject e
-
-(** Requests touching the manager's namespace. *)
-let em_intercept t ~session op =
-  match op with
-  | P.Create { path; data; _ } -> (
-      match Manager.classify_path path with
-      | Manager.Em_extension name -> (
-          match Manager.verify_code t.manager data with
-          | Error msg -> Some (Server.Reject (Zerror.Extension_error msg))
-          | Ok program ->
-              if program.Program.name <> name then
-                Some (Server.Reject (Zerror.Extension_error "name mismatch"))
-              else if Manager.find t.manager name <> None then
-                Some (Server.Reject (Zerror.Extension_error "already registered"))
-              else Some (register_txn t ~session ~name ~code:data))
-      | Manager.Em_ack (name, client) ->
-          if client <> session then
-            Some (Server.Reject (Zerror.Extension_error "may only ack for oneself"))
-          else if Manager.find t.manager name = None then
-            Some (Server.Reject (Zerror.Extension_error "unknown extension"))
-          else None (* ordinary create; bookkeeping happens on apply *)
-      | Manager.Em_root | Manager.Em_index | Manager.Not_em -> None)
-  | P.Delete { path; _ } -> (
-      match Manager.classify_path path with
-      | Manager.Em_extension name -> (
-          match Manager.find t.manager name with
-          | None -> Some (Server.Reject (Zerror.Extension_error "unknown extension"))
-          | Some entry ->
-              if entry.Manager.owner <> session then
-                Some (Server.Reject (Zerror.Extension_error "only the owner may deregister"))
-              else Some (deregister_txn t ~name))
-      | Manager.Em_ack _ -> None (* un-ack: ordinary delete *)
-      | Manager.Em_root | Manager.Em_index ->
-          Some (Server.Reject (Zerror.Extension_error "reserved object"))
-      | Manager.Not_em -> None)
-  | P.Set_data { path; _ } -> (
-      match Manager.classify_path path with
-      | Manager.Not_em -> None
-      | _ -> Some (Server.Reject (Zerror.Extension_error "extension objects are immutable")))
-  | P.Get_data _ | P.Get_children _ | P.Exists _ | P.Block _ | P.Sync
-  | P.Multi _ ->
-      None
+  match spec_txn t txn with
+  | Ok ops -> Server.Handled (ops, P.Deleted)
+  | Error e -> Server.Reject e
 
 (* ------------------------------------------------------------------ *)
 (* Operation extensions at the preprocessor                            *)
 (* ------------------------------------------------------------------ *)
 
 let run_operation_extension t ~origin ~session ~xid ~entry ~kind ~oid ~data =
-  let sv = Server.spec t.server in
   let ops = ref [] in
   let has_block = ref false in
-  let proxy =
-    make_proxy t ~session ~blocker:(Some (origin, xid)) ~ops ~has_block
-  in
+  let proxy = make_proxy t ~session ~blocker:(Some (origin, xid)) ~ops ~has_block in
   let params =
-    [
-      ("oid", Value.Str oid);
-      ("data", Value.Str data);
-      ("client", Value.Int session);
-      ("kind", Value.Str (Subscription.op_kind_to_string kind));
-    ]
+    Manager.params ~oid ~kind:(Subscription.op_kind_to_string kind) ~client:session
+      ~data:(Some data)
   in
-  Spec_view.begin_txn sv;
-  match Manager.run_operation t.manager entry ~proxy ~params with
+  match spec_txn t (fun _ -> Manager.run_operation t.manager entry ~proxy ~params) with
   | Ok value ->
-      Spec_view.commit_txn sv;
       let ops = List.rev !ops in
       if !has_block then Server.Handled_deferred ops
       else Server.Handled (ops, P.Ext (Value.serialize value))
-  | Error e ->
-      Spec_view.rollback_txn sv;
-      Server.Reject (Zerror.Extension_error (Sandbox.error_to_string e))
+  | Error e -> Server.Reject (Zerror.Extension_error (Sandbox.error_to_string e))
 
-let intercept t server ~origin ~session ~xid op =
-  ignore server;
-  match em_intercept t ~session op with
-  | Some action -> action
-  | None -> (
-      match op_info op with
-      | None -> Server.Pass
-      | Some (kind, oid, data) -> (
+let intercept t ~origin ~session ~xid op =
+  match (op, op_info op) with
+  | P.Multi { ops }, _
+    when List.exists
+           (fun w -> Manager.is_manager_object (Edc_replication.Two_pc.wop_path w))
+           ops ->
+      (* inside a multi, /em writes would bypass the admission policy *)
+      Server.Reject (Zerror.Extension_error "/em objects change one request at a time")
+  | _, None -> Server.Pass
+  | _, Some (kind, oid, data) -> (
+      match Manager.admit t.manager ~client:session ~kind ~oid ~data with
+      | Manager.Ordinary -> (
           match Manager.match_operation t.manager ~client:session ~kind ~oid with
           | Some entry ->
               run_operation_extension t ~origin ~session ~xid ~entry ~kind ~oid ~data
-          | None -> Server.Pass))
+          | None -> Server.Pass)
+      | Manager.Register name -> register_txn t ~session ~name ~code:data
+      | Manager.Deregister name -> deregister_txn t ~name
+      | Manager.Em_write -> Server.Pass
+      | Manager.Reject why -> Server.Reject (Zerror.Extension_error why))
 
 (* ------------------------------------------------------------------ *)
 (* Post-apply: manager bookkeeping + event extensions                  *)
 (* ------------------------------------------------------------------ *)
 
 let run_event_extensions t ~kind ~oid ~trigger_session =
-  let entries = Manager.match_events t.manager ~kind ~oid in
+  let params =
+    Manager.params ~oid ~kind:(Subscription.event_kind_to_string kind)
+      ~client:trigger_session ~data:None
+  in
   List.iter
     (fun (entry : Manager.entry) ->
-      let sv = Server.spec t.server in
       let ops = ref [] in
       let has_block = ref false in
       let proxy = make_proxy t ~session:0 ~blocker:None ~ops ~has_block in
-      let params =
-        [
-          ("oid", Value.Str oid);
-          ("kind", Value.Str (Subscription.event_kind_to_string kind));
-          ("client", Value.Int trigger_session);
-        ]
-      in
-      Spec_view.begin_txn sv;
-      match Manager.run_event t.manager entry ~proxy ~params with
+      match spec_txn t (fun _ -> Manager.run_event t.manager entry ~proxy ~params) with
       | Ok _ ->
-          Spec_view.commit_txn sv;
           let ops = List.rev !ops in
           if ops <> [] then Server.propose_internal t.server ~quiet:true ops
       | Error e ->
-          Spec_view.rollback_txn sv;
           Logs.warn (fun m ->
               m "event extension %s failed: %s" entry.Manager.program.Program.name
                 (Sandbox.error_to_string e)))
-    entries
+    (Manager.match_events t.manager ~kind ~oid)
 
 let on_applied t server (txn : Txn.t) =
   (* Registry bookkeeping: runs identically on every replica, which is how
@@ -347,23 +289,9 @@ let on_applied t server (txn : Txn.t) =
   List.iter
     (fun op ->
       match op with
-      | Txn.Tcreate { path; data; _ } -> (
-          match Manager.classify_path path with
-          | Manager.Em_extension name ->
-              (match
-                 Manager.apply_registration t.manager ~name ~owner:txn.session
-                   ~code:data
-               with
-              | Ok _ -> ()
-              | Error msg ->
-                  Logs.warn (fun m -> m "replica refused extension %s: %s" name msg))
-          | Manager.Em_ack (name, client) -> Manager.apply_ack t.manager ~name ~client
-          | Manager.Em_root | Manager.Em_index | Manager.Not_em -> ())
-      | Txn.Tdelete { path } -> (
-          match Manager.classify_path path with
-          | Manager.Em_extension name -> Manager.apply_deregistration t.manager ~name
-          | Manager.Em_ack (name, client) -> Manager.apply_unack t.manager ~name ~client
-          | Manager.Em_root | Manager.Em_index | Manager.Not_em -> ())
+      | Txn.Tcreate { path; data; _ } ->
+          Manager.object_created t.manager ~oid:path ~owner:txn.session ~data
+      | Txn.Tdelete { path } -> Manager.object_deleted t.manager ~oid:path
       | Txn.Tset _ | Txn.Tsession_open _ | Txn.Tsession_close _
       | Txn.Tsession_move _ | Txn.Tblock _ | Txn.Tnotify _ | Txn.Terror
       | Txn.Tprep _ | Txn.Tdecide _ | Txn.Tresolve _ ->
@@ -386,7 +314,7 @@ let on_applied t server (txn : Txn.t) =
               None
         in
         match ev with
-        | Some (kind, oid) when Manager.classify_path oid = Manager.Not_em ->
+        | Some (kind, oid) when not (Manager.is_manager_object oid) ->
             run_event_extensions t ~kind ~oid ~trigger_session:txn.session
         | Some _ | None -> ())
       txn.ops
@@ -395,26 +323,16 @@ let on_applied t server (txn : Txn.t) =
 (* Remaining hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let read_needs_leader t _server ~session op =
-  (* no registrations at all is the overwhelmingly common state on the
-     regular read path (§6.2's overhead experiment): skip matching *)
-  if Manager.extension_count t.manager = 0 then false
-  else
-    match op_info op with
-    | Some (kind, oid, _) ->
-        Manager.match_operation t.manager ~client:session ~kind ~oid <> None
-    | None -> false
+let read_needs_leader t ~session op =
+  match op_info op with
+  | Some (kind, oid, _) -> Manager.intercepts t.manager ~client:session ~kind ~oid
+  | None -> false
 
 let watch_event_kind = function
   | P.Node_created -> Subscription.E_created
   | P.Node_deleted -> Subscription.E_deleted
   | P.Node_changed -> Subscription.E_changed
   | P.Children_changed -> Subscription.E_changed
-
-let suppress_watch t _server ~session ~path kind =
-  Manager.extension_count t.manager <> 0
-  && Manager.client_has_event_match t.manager ~client:session
-       ~kind:(watch_event_kind kind) ~oid:path
 
 (* ------------------------------------------------------------------ *)
 (* Installation and recovery                                           *)
@@ -424,13 +342,14 @@ let suppress_watch t _server ~session ~path kind =
 let rec install server =
   let manager = Manager.create ~mode:Verify.Passive () in
   let t = { server; manager } in
-  Server.set_hook_intercept server (fun srv ~origin ~session ~xid op ->
-      intercept t srv ~origin ~session ~xid op);
-  Server.set_hook_read_needs_leader server (fun srv ~session op ->
-      read_needs_leader t srv ~session op);
+  Server.set_hook_intercept server (fun _srv ~origin ~session ~xid op ->
+      intercept t ~origin ~session ~xid op);
+  Server.set_hook_read_needs_leader server (fun _srv ~session op ->
+      read_needs_leader t ~session op);
   Server.set_hook_on_applied server (fun srv txn -> on_applied t srv txn);
-  Server.set_hook_suppress_watch server (fun srv ~session ~path kind ->
-      suppress_watch t srv ~session ~path kind);
+  Server.set_hook_suppress_watch server (fun _srv ~session ~path kind ->
+      Manager.client_has_event_match manager ~client:session
+        ~kind:(watch_event_kind kind) ~oid:path);
   Server.set_hook_on_snapshot_installed server (fun _srv ->
       (* the registry is derived state: reconcile it against the freshly
          installed tree (§3.8).  Differential, not clear-and-rebuild:
@@ -440,55 +359,47 @@ let rec install server =
       reload t);
   t
 
-(** [reload t] reconciles the manager with the committed tree (§3.8):
-    reads the index object, then each extension's code, owner and acks
-    from their data objects.  Registrations already present with identical
-    code and owner keep their compiled handlers; everything else is
-    (re)compiled, and registrations absent from the tree are dropped.
-    Called after a replica restart or snapshot install. *)
+(** [reload t] feeds the manager's reconcile from the committed tree
+    (§3.8): the index object names the extensions (or, without it, the
+    ["/em"] children do); each contributes its code, the owner recorded
+    in its [owner] child and one object per child of its [ack]
+    directory.  Called after a replica restart or snapshot install. *)
 and reload t =
   let tree = Server.tree t.server in
+  let data path =
+    match Data_tree.get_data tree path with Ok (d, _) -> Some d | Error _ -> None
+  in
   let names =
-    match Data_tree.get_data tree Manager.em_index with
-    | Ok (data, _) when data <> "" -> String.split_on_char '\n' data
-    | Ok _ -> []
-    | Error _ -> (
+    match data Manager.em_index with
+    | Some d when d <> "" -> String.split_on_char '\n' d
+    | Some _ -> []
+    | None -> (
         (* no index: scan the /em children directly *)
         match Data_tree.get_children tree Manager.em_root with
         | Ok kids -> List.filter (fun k -> k <> "index") kids
         | Error _ -> [])
   in
-  List.iter
-    (fun stale ->
-      if not (List.mem stale names) then
-        Manager.apply_deregistration t.manager ~name:stale)
-    (Manager.registered_names t.manager);
-  List.iter
-    (fun name ->
-      match Data_tree.get_data tree (Manager.extension_object name) with
-      | Error _ ->
-          (* indexed but gone from the tree: drop any stale registration *)
-          Manager.apply_deregistration t.manager ~name
-      | Ok (code, _) ->
-          let owner =
-            match Data_tree.get_data tree (owner_object name) with
-            | Ok (d, _) -> Option.value ~default:0 (int_of_string_opt d)
-            | Error _ -> 0
-          in
-          (match Manager.reload_registration t.manager ~name ~owner ~code with
-          | Ok _ -> ()
-          | Error msg ->
-              Logs.warn (fun m -> m "reload refused extension %s: %s" name msg));
-          (match Data_tree.get_children tree (ack_dir name) with
+  let objects name =
+    match data (Manager.extension_object name) with
+    | None -> [] (* indexed but gone from the tree *)
+    | Some code ->
+        let owner =
+          Option.value ~default:0 (Option.bind (data (owner_object name)) int_of_string_opt)
+        in
+        let acks =
+          match Data_tree.get_children tree (ack_dir name) with
           | Ok kids ->
-              List.iter
+              List.filter_map
                 (fun k ->
-                  match int_of_string_opt k with
-                  | Some client -> Manager.apply_ack t.manager ~name ~client
-                  | None -> ())
+                  Option.map
+                    (fun client -> (Manager.ack_object name ~client, 0, ""))
+                    (int_of_string_opt k))
                 kids
-          | Error _ -> ()))
-    names
+          | Error _ -> []
+        in
+        (Manager.extension_object name, owner, code) :: acks
+  in
+  Manager.reload t.manager (List.concat_map objects names)
 
 (** Bootstrap the manager's objects (["/em"], ["/em/index"]) — run once at
     the initial leader. *)

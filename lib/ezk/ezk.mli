@@ -1,17 +1,18 @@
 (** EXTENSIBLE ZOOKEEPER (EZK, §5.1): the extension manager wired into a
     ZooKeeper replica through the server's hook points.
 
-    Operation extensions run at the leader's preprocessor against the
-    speculative view; their recorded changes become one multi-transaction
-    with the produced value piggybacked to the client's replica (§5.1.2).
-    Extension-matched reads are redirected to the leader, while regular
-    clients keep the untouched read fast path (§6.2).  Registration
-    travels through standard [create]/[delete] on ["/em/<name>"]; all
-    manager state lives in data objects (code, owner, acks, index), so
-    recovery reloads from the tree (§3.6, §3.8).  Event extensions run at
-    the leader on committed changes, their effects proposed as follow-up
-    (quiet) transactions; matching clients' original watch notifications
-    are suppressed. *)
+    {!Manager} holds the service-independent half (["/em"] admission,
+    registry bookkeeping, reload).  EZK keeps its request classification,
+    its state proxy over the leader's speculative view and passive
+    replication: operation extensions run once, at the leader's
+    preprocessor, and their changes become one multi-transaction with the
+    value piggybacked to the client's replica (§5.1.2).  Extension-matched
+    reads go to the leader; regular reads keep the fast path (§6.2).  All
+    manager state lives in data objects under ["/em/<name>"] (code, owner,
+    acks), so recovery reloads from the tree (§3.6, §3.8).  Event
+    extensions run at the leader on committed changes, their effects
+    proposed as quiet follow-up transactions; matching clients' watch
+    notifications are suppressed. *)
 
 open Edc_zookeeper
 open Edc_core

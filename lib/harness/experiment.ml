@@ -138,8 +138,8 @@ let queue_point ?(seed = 42) ?net_config ?batch ~warmup ~measure kind
 (* Figure 10: distributed barrier (round-based)                        *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_point ?(seed = 42) ?net_config ?(rounds = 30) ?(warmup_rounds = 5)
-    kind n_clients =
+let barrier_point ?(seed = 42) ?net_config kind n_clients =
+  let rounds = 30 and warmup_rounds = 5 in
   let sim = Sim.create ~seed () in
   let sys = Systems.make ?net_config kind sim in
   let extensible = Systems.is_extensible kind in
@@ -388,8 +388,8 @@ type lin_point = {
     acquire/release against the mutex model, barrier rounds against the
     real-time gate property.  Histories are captured with
     {!Edc_checker.Instrument.record} at recipe granularity. *)
-let lin_recipes_point ?(seed = 42) ?(contenders = 3) ?(rounds = 6)
-    ?(barrier_clients = 4) ?(barrier_rounds = 5) ?lin_max_steps kind =
+let lin_recipes_point ?(seed = 42) kind =
+  let contenders = 3 and rounds = 6 and barrier_clients = 4 and barrier_rounds = 5 in
   let sim = Sim.create ~seed () in
   let sys = Systems.make kind sim in
   let extensible = Systems.is_extensible kind in
@@ -463,7 +463,7 @@ let lin_recipes_point ?(seed = 42) ?(contenders = 3) ?(rounds = 6)
     lp_seed = seed;
     lp_events = Ck_history.n_events history;
     lp_lock =
-      Ck_wgl.check ?max_steps:lin_max_steps Ck_model.mutex (part "lock");
+      Ck_wgl.check Ck_model.mutex (part "lock");
     lp_barrier =
       Ck_model.check_gate ~threshold:barrier_clients (part "barrier");
   }
@@ -531,11 +531,10 @@ type chaos_point = {
     ambiguously.  The driver reports through the same [invariant] sink, so
     its failures come first.  Also returns the success timestamps (oldest
     first) and the nemesis. *)
-let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
+let fault_run ~seed ~schedule ~horizon ~ops_end
     ~queue_pairs ~think ?driver kind (sys : Systems.t) =
   let sim = sys.Systems.sim in
   let history = Ck_history.create ~sim () in
-  let maybe_wrap api = if check then Instrument.wrap history api else api in
   let extensible = Systems.is_extensible kind in
   (* every resilient op concludes within the session deadline of its
      start, so final-state verification waits that long after [ops_end] *)
@@ -585,7 +584,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
       (* three counter incrementers *)
       for _ = 1 to 3 do
         Proc.spawn sim (fun () ->
-            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            let api = Instrument.wrap history (fst (sys.Systems.new_resilient_api ())) in
             if extensible then ack_if_ext api Counter.extension_name;
             Workload.repeat sim ~until:ops_end (fun () ->
                 (match
@@ -603,7 +602,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
          identifiable for the conservation check *)
       for _ = 1 to queue_pairs do
         Proc.spawn sim (fun () ->
-            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            let api = Instrument.wrap history (fst (sys.Systems.new_resilient_api ())) in
             if extensible then ack_if_ext api Queue.extension_name;
             let i = ref 0 in
             Workload.repeat sim ~until:ops_end (fun () ->
@@ -621,7 +620,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
       (* consumers *)
       for _ = 1 to queue_pairs do
         Proc.spawn sim (fun () ->
-            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+            let api = Instrument.wrap history (fst (sys.Systems.new_resilient_api ())) in
             if extensible then ack_if_ext api Queue.extension_name;
             Workload.repeat sim ~until:ops_end (fun () ->
                 (match
@@ -651,7 +650,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
       (* the final reads go through the instrumented wrapper too: they
          pin the final state in the recorded history, so a lost or
          double-applied write has to show up as a non-linearizable read *)
-      let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+      let api = Instrument.wrap history (fst (sys.Systems.new_resilient_api ())) in
       (match api.Api.read ~oid:Counter.counter_oid with
       | Ok (Some o) -> final_counter := int_of_string o.Api.data
       | Ok None -> failwith "counter object vanished"
@@ -741,9 +740,7 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
       ch_anomalies = anomalies;
       ch_invariant_failures = invariant_failures ();
       ch_trace = Nemesis.trace_to_string nem;
-      ch_lin =
-        (if check then Ck_wgl.check_objects ?max_steps:lin_max_steps history
-         else []);
+      ch_lin = Ck_wgl.check_objects history;
       ch_history_events = Ck_history.n_events history;
       ch_snap = sys.Systems.snapshot_stats ();
       ch_wire = sys.Systems.wire_stats ();
@@ -755,11 +752,11 @@ let fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon ~ops_end
 
 let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
     ?(schedule = Nemesis.standard_schedule) ?(horizon = Sim_time.sec 22)
-    ?(check = true) ?lin_max_steps kind =
+    kind =
   let sim = Sim.create ~seed () in
   let sys = Systems.make ?net_config ?zab_config ?server_config kind sim in
   let point, _, _ =
-    fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon
+    fault_run ~seed ~schedule ~horizon
       ~ops_end:(Sim_time.add horizon (Sim_time.sec 3))
       ~queue_pairs:2
       ~think:(fun () -> Sim_time.ms 20)
@@ -793,8 +790,7 @@ type membership_point = {
     the replication anomaly counters, the counter/queue conservation
     invariants, and a WGL pass over the full client history spanning every
     config boundary; the membership life-cycle checks are appended. *)
-let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
-    kind =
+let membership_point ?(seed = 42) ?net_config kind =
   let sim = Sim.create ~seed () in
   (* a regional (few-ms) network, not the 100 us LAN: agreement rounds and
      the learner bootstrap must span real time or every race window the
@@ -935,7 +931,7 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
     ]
   in
   let run, successes, nem =
-    fault_run ~seed ~check ?lin_max_steps ~schedule ~horizon:(Sim_time.sec 16)
+    fault_run ~seed ~schedule ~horizon:(Sim_time.sec 16)
       ~ops_end ~queue_pairs:1 ~think:diurnal_sleep ~driver kind sys
   in
   (* the membership life-cycle outcomes, after the fault run's checks *)
@@ -1066,16 +1062,18 @@ type read_scaling_point = {
 }
 
 (** Read throughput of a fixed 3-voter ensemble as permanent observers
-    are attached.  [read_cost] is raised well above the LAN round trip so
+    are attached.  The read cost is raised well above the LAN round trip so
     the replicas' serial read CPU — the resource observers multiply — is
     the bottleneck; clients are allocated after the observers bootstrap
     and round-robin across the whole deployment.  Write quorums, election
     quorums and lease quorums stay at 2-of-3 throughout: the observers
     only widen the read plane. *)
-let read_scaling_point ?(seed = 42) ?net_config ?(read_cost = Sim_time.us 200)
-    ~warmup ~measure ~observers n_clients =
+let read_scaling_point ?(seed = 42) ?net_config ~warmup ~measure ~observers
+    n_clients =
   let sim = Sim.create ~seed () in
-  let server_config = { Zk.Server.default_config with Zk.Server.read_cost } in
+  let server_config =
+    { Zk.Server.default_config with Zk.Server.read_cost = Sim_time.us 200 }
+  in
   let cluster =
     Zk.Cluster.create ~n_replicas:3 ?net_config ~server_config sim
   in

@@ -48,8 +48,6 @@ val queue_point :
 val barrier_point :
   ?seed:int ->
   ?net_config:Net.config ->
-  ?rounds:int ->
-  ?warmup_rounds:int ->
   Systems.kind ->
   int ->
   point
@@ -111,15 +109,7 @@ type lin_point = {
   lp_barrier : (unit, string) result;
 }
 
-val lin_recipes_point :
-  ?seed:int ->
-  ?contenders:int ->
-  ?rounds:int ->
-  ?barrier_clients:int ->
-  ?barrier_rounds:int ->
-  ?lin_max_steps:int ->
-  Systems.kind ->
-  lin_point
+val lin_recipes_point : ?seed:int -> Systems.kind -> lin_point
 
 (** Availability under fault injection: counter + queue recipes on
     resilient sessions while a {!Edc_simnet.Nemesis} runs [schedule] until
@@ -156,7 +146,7 @@ type chaos_point = {
   ch_trace : string;  (** equal seeds produce equal traces *)
   ch_lin : (string * Edc_checker.Wgl.verdict) list;
       (** per-object linearizability verdicts over the history captured
-          by {!Edc_checker.Instrument} (empty with [~check:false]): the
+          by {!Edc_checker.Instrument}: the
           recorded counter and queue operations, including the final
           state reads, must admit a legal sequential ordering *)
   ch_history_events : int;
@@ -175,9 +165,9 @@ type chaos_point = {
       (** leader kills the nemesis timed against an in-flight reconfig *)
 }
 
-(** [check] (default [true]) wraps every chaos client in the
-    history-capturing instrument and runs a WGL linearizability search
-    per object after the run.  [zab_config] and [server_config] reach
+(** Every chaos client is wrapped in the history-capturing instrument,
+    and a WGL linearizability search runs per object after the run.
+    [zab_config] and [server_config] reach
     the Zab deployments only — the mutation self-test uses the former to
     re-enable a known-bad behaviour and assert the checker notices; the
     snapshot tests use the latter to tighten the snapshot interval so
@@ -189,8 +179,6 @@ val chaos_point :
   ?server_config:Edc_zookeeper.Server.config ->
   ?schedule:Nemesis.schedule ->
   ?horizon:Sim_time.t ->
-  ?check:bool ->
-  ?lin_max_steps:int ->
   Systems.kind ->
   chaos_point
 
@@ -222,18 +210,13 @@ type membership_point = {
 (** Meaningful for the Zab deployments (ZooKeeper/EZK); the static BFT
     deployments fail the [add_replica accepted] invariant immediately. *)
 val membership_point :
-  ?seed:int ->
-  ?net_config:Net.config ->
-  ?check:bool ->
-  ?lin_max_steps:int ->
-  Systems.kind ->
-  membership_point
+  ?seed:int -> ?net_config:Net.config -> Systems.kind -> membership_point
 
 (** {2 The scale-free read path (§6i)} *)
 
 (** Observer scaling: read throughput of a fixed 3-voter ensemble with
-    [observers] permanent non-voting replicas attached.  [read_cost]
-    (default 200 µs) keeps the replicas' serial read CPU the bottleneck,
+    [observers] permanent non-voting replicas attached.  A 200 µs read
+    cost keeps the replicas' serial read CPU the bottleneck,
     so throughput should grow near-linearly with the number of
     read-serving replicas while every quorum stays 2-of-3. *)
 type read_scaling_point = {
@@ -252,7 +235,6 @@ type read_scaling_point = {
 val read_scaling_point :
   ?seed:int ->
   ?net_config:Net.config ->
-  ?read_cost:Sim_time.t ->
   warmup:Sim_time.t ->
   measure:Sim_time.t ->
   observers:int ->

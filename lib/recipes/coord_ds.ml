@@ -51,7 +51,7 @@ let rd_op = Ds_session.Read
 let wr_idem = Ds_session.Write { idempotent = true }
 let wr = Ds_session.Write { idempotent = false }
 
-let build ~extensible ~monitor_lease ~runner c =
+let build ~extensible ~runner c =
   let { run } = runner in
   let create ~oid ~data =
     (* the paper's create(o) maps to out(o); keep create semantics by
@@ -180,7 +180,7 @@ let build ~extensible ~monitor_lease ~runner c =
     run ~op:wr (fun () ->
         Ds_client.monitor c
           (Objects.tuple ~oid ~data:"" ~version:0 ~ctime:0)
-          ~lease:monitor_lease)
+          ~lease:Eds.monitor_lease)
   in
   let ext =
     if not extensible then None
@@ -198,7 +198,7 @@ let build ~extensible ~monitor_lease ~runner c =
                invocation is ambiguous *)
             (fun oid -> run ~op:wr (fun () -> Eds_client.ext_read c oid));
           invoke_block = (fun oid -> Eds_client.block c oid);
-          keep_alive = (fun oid -> Eds_client.keep_alive c ~oid ~lease:monitor_lease);
+          keep_alive = (fun oid -> Eds_client.keep_alive c ~oid ~lease:Eds.monitor_lease);
         }
   in
   {
@@ -217,12 +217,11 @@ let build ~extensible ~monitor_lease ~runner c =
     ext;
   }
 
-(** [of_client ~extensible ?monitor_lease c] builds the API. *)
-let of_client ~extensible ?(monitor_lease = Edc_simnet.Sim_time.sec 8) c =
-  build ~extensible ~monitor_lease ~runner:direct_runner c
+(** [of_client ~extensible c] builds the API. *)
+let of_client ~extensible c = build ~extensible ~runner:direct_runner c
 
-(** [of_session ~extensible ?monitor_lease s] — same API, with every
-    timeout-bounded call routed through the resilient session. *)
-let of_session ~extensible ?(monitor_lease = Edc_simnet.Sim_time.sec 8) s =
-  build ~extensible ~monitor_lease ~runner:(session_runner s)
+(** [of_session ~extensible s] — same API, with every timeout-bounded call
+    routed through the resilient session. *)
+let of_session ~extensible s =
+  build ~extensible ~runner:(session_runner s)
     (Ds_session.client s)

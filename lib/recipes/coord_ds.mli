@@ -8,21 +8,15 @@
     counter and issue a blocking [rd] for the *next* token (tokens are
     never removed, so no wakeup can be lost to concurrent bumps). *)
 
-(** [of_client ~extensible ~monitor_lease c] builds the abstract API;
-    [extensible] enables the extension operations (EDS). *)
-val of_client :
-  extensible:bool ->
-  ?monitor_lease:Edc_simnet.Sim_time.t ->
-  Edc_depspace.Ds_client.t ->
-  Coord_api.t
+(** [of_client ~extensible c] builds the abstract API; [extensible]
+    enables the extension operations (EDS).  [monitor] objects carry the
+    lease {!Edc_eds.Eds.monitor_lease} that EDS's server-side monitor
+    grants. *)
+val of_client : extensible:bool -> Edc_depspace.Ds_client.t -> Coord_api.t
 
 (** [of_session ~extensible s] builds the same API over a resilient
     session: every timeout-bounded operation gets the deadline, backoff
     and safe-resubmission policy of {!Edc_depspace.Ds_session}; blocking
     reads ([block], [await_change], [invoke_block]) pass through
     untouched. *)
-val of_session :
-  extensible:bool ->
-  ?monitor_lease:Edc_simnet.Sim_time.t ->
-  Edc_depspace.Ds_session.t ->
-  Coord_api.t
+val of_session : extensible:bool -> Edc_depspace.Ds_session.t -> Coord_api.t

@@ -246,6 +246,32 @@ let test_ezk_only_owner_deregisters () =
       | Ok _ -> Alcotest.fail "foreign deregistration accepted"
       | Error e -> Alcotest.failf "unexpected %a" Zk.Zerror.pp e)
 
+let test_ezk_only_acker_unacks () =
+  (* an ack is revoked only by the client that made it: a third session's
+     delete of it, alone or inside a multi, is refused and the acking
+     client keeps triggering the extension *)
+  in_ezk (fun cluster ->
+      let owner = Ezk_cluster.connected_client cluster () in
+      let acker = Ezk_cluster.connected_client cluster () in
+      let other = Ezk_cluster.connected_client cluster () in
+      ignore (zok "init" (Zk.Client.create_node owner "/ctr" "0"));
+      ignore (zok "register" (Ezk_client.register owner counter_program));
+      ignore (zok "ack" (Ezk_client.acknowledge acker "ctr-increment"));
+      let ack = Manager.ack_object "ctr-increment" ~client:(Zk.Client.session acker) in
+      (match Zk.Client.delete other ack with
+      | Error (Zk.Zerror.Extension_error _) -> ()
+      | Ok () -> Alcotest.fail "another session revoked the ack"
+      | Error e -> Alcotest.failf "unexpected %a" Zk.Zerror.pp e);
+      (match
+         Zk.Client.multi other [ Edc_replication.Two_pc.Wdelete { path = ack } ]
+       with
+      | Error (Zk.Zerror.Extension_error _) -> ()
+      | Ok () -> Alcotest.fail "a multi revoked another session's ack"
+      | Error e -> Alcotest.failf "unexpected %a" Zk.Zerror.pp e);
+      match vok "acker still triggers" (Ezk_client.ext_read acker "/ctr-increment") with
+      | Value.Int 1 -> ()
+      | v -> Alcotest.failf "unexpected %a" Value.pp v)
+
 let test_ezk_extension_survives_leader_failover () =
   in_ezk (fun cluster ->
       let sim = Ezk_cluster.sim cluster in
@@ -450,12 +476,31 @@ let test_eds_reload () =
       vok "register" (Eds_client.register c counter_program);
       ignore (vok "works" (Eds_client.ext_read c "/ctr-increment"));
       Proc.sleep (Eds_cluster.sim cluster) (Sim_time.ms 500);
-      (* simulate a process restart on replica 1: fresh manager, rebuilt by
-         scanning the replicated space *)
-      let fresh = Eds.install (Eds_cluster.servers cluster).(1) in
-      Eds.reload fresh;
-      Alcotest.(check int) "rebuilt from tuples" 1
-        (Edc_core.Manager.extension_count (Eds.manager fresh)))
+      (* restart replica 1: a fresh manager, rebuilt by scanning the
+         replicated space *)
+      Eds_cluster.restart_server cluster 1;
+      let mgr i = Eds.manager (Eds_cluster.eds cluster i) in
+      Alcotest.(check int) "rebuilt from tuples" 1 (Manager.extension_count (mgr 1));
+      let owner i =
+        match Manager.find (mgr i) "ctr-increment" with
+        | Some e -> e.Manager.owner
+        | None -> Alcotest.failf "replica %d lost the extension" i
+      in
+      Alcotest.(check int) "registering client" (Ds.Ds_client.addr c) (owner 0);
+      Alcotest.(check int) "owner survives the reload" (owner 0) (owner 1);
+      (* every replica, the restarted one included, lets the owner
+         deregister, so the spaces stay identical *)
+      vok "owner deregisters" (Eds_client.deregister c "ctr-increment");
+      Proc.sleep (Eds_cluster.sim cluster) (Sim_time.ms 500);
+      for i = 0 to 3 do
+        Alcotest.(check int) (Printf.sprintf "replica %d deregistered" i) 0
+          (Manager.extension_count (mgr i))
+      done;
+      let contents i =
+        Ds.Space.contents (Ds.Ds_server.space (Eds_cluster.servers cluster).(i))
+      in
+      Alcotest.(check bool) "replicas identical" true
+        (List.for_all (fun i -> contents i = contents 0) [ 1; 2; 3 ]))
 
 let test_eds_unblock_event_can_reblock () =
   (* §5.2.2: "an extension may decide to block the operation again" — the
@@ -673,6 +718,103 @@ let test_differential_counter () =
   Alcotest.(check (list int)) "identical results on both systems"
     (run_ezk ()) (run_eds ())
 
+(* The /em admission policy is service-independent (§3.6): one table of
+   requests, issued by the same actors against EZK and EDS, must get the
+   same accept/reject outcome on both, and the expected one. *)
+
+type em_request =
+  | Em_create of string * string
+  | Em_delete of string
+  | Em_update of string * string
+
+type em_actor = Owner | Acker | Other
+
+let good_program =
+  let open Ast in
+  Program.make "good"
+    ~op_subs:
+      [ { Subscription.op_kinds = [ Subscription.K_read ];
+          op_oid = Subscription.Exact "/good" } ]
+    ~on_operation:[ Return (Int_lit 1) ]
+    ()
+
+(* (row, actor, request given each actor's client id, accepted?), issued in
+   order after [Owner] registered ctr-increment *)
+let em_table =
+  let ext = Manager.extension_object and code = Codec.serialize in
+  let ctr = ext "ctr-increment" in
+  let ack ?(name = "ctr-increment") a id = Manager.ack_object name ~client:(id a) in
+  [
+    ("register: good code", Owner, (fun _ -> Em_create (ext "good", code good_program)), true);
+    ("register: bad code", Owner, (fun _ -> Em_create (ext "bad", "(not a program")), false);
+    ("register: name mismatch", Owner, (fun _ -> Em_create (ext "x", code good_program)), false);
+    ("register: duplicate", Acker, (fun _ -> Em_create (ctr, code counter_program)), false);
+    ("ack: own", Acker, (fun id -> Em_create (ack Acker id, "")), true);
+    ("ack: other's", Other, (fun id -> Em_create (ack Owner id, "")), false);
+    ("ack: unknown extension", Other, (fun id -> Em_create (ack ~name:"nope" Other id, "")), false);
+    ("update: extension object", Owner, (fun _ -> Em_update (ctr, "x")), false);
+    ("update: ack object", Acker, (fun id -> Em_update (ack Acker id, "x")), false);
+    ("update: root object", Owner, (fun _ -> Em_update (Manager.em_root, "x")), false);
+    ("update: index object", Owner, (fun _ -> Em_update (Manager.em_index, "x")), false);
+    ("update: other /em object", Owner, (fun _ -> Em_update (ctr ^ "/owner", "0")), false);
+    ("un-ack: other's", Other, (fun id -> Em_delete (ack Acker id)), false);
+    ("un-ack: own", Acker, (fun id -> Em_delete (ack Acker id)), true);
+    ("deregister: non-owner", Other, (fun _ -> Em_delete ctr), false);
+    ("deregister: unknown name", Owner, (fun _ -> Em_delete (ext "nope")), false);
+    ("deregister: owner", Owner, (fun _ -> Em_delete (ext "good")), true);
+    ("create /em", Owner, (fun _ -> Em_create (Manager.em_root, "")), false);
+    ("create /em/index", Owner, (fun _ -> Em_create (Manager.em_index, "")), false);
+    ("delete /em", Owner, (fun _ -> Em_delete Manager.em_root), false);
+    ("delete /em/index", Owner, (fun _ -> Em_delete Manager.em_index), false);
+  ]
+
+(* runs the table; returns each row's outcome and the surviving registry *)
+let run_em_table ~client ~id ~register ~perform ~manager =
+  let clients = List.map (fun a -> (a, client ())) [ Owner; Acker; Other ] in
+  let c a = List.assoc a clients in
+  let id a = id (c a) in
+  register (c Owner);
+  let outcomes =
+    List.map (fun (row, actor, req, _) -> (row, perform (c actor) (req id))) em_table
+  in
+  (outcomes, Manager.registered_names (manager ()))
+
+let test_differential_em_admission () =
+  let ezk = ref ([], []) and eds = ref ([], []) in
+  in_ezk (fun cluster ->
+      ezk :=
+        run_em_table
+          ~client:(fun () -> Ezk_cluster.connected_client cluster ())
+          ~id:Zk.Client.session
+          ~register:(fun c -> ignore (zok "register" (Ezk_client.register c counter_program)))
+          ~perform:(fun c -> function
+            | Em_create (path, data) -> Result.is_ok (Zk.Client.create_node c path data)
+            | Em_delete path -> Result.is_ok (Zk.Client.delete c path)
+            | Em_update (path, data) -> Result.is_ok (Zk.Client.set_data c path data))
+          ~manager:(fun () -> Ezk.manager (Ezk_cluster.ezk cluster 0)));
+  in_eds (fun cluster ->
+      eds :=
+        run_em_table
+          ~client:(fun () -> Eds_cluster.client cluster ())
+          ~id:Ds.Ds_client.addr
+          ~register:(fun c -> vok "register" (Eds_client.register c counter_program))
+          ~perform:(fun c -> function
+            | Em_create (oid, data) -> Result.is_ok (obj_out c ~oid ~data)
+            | Em_delete oid ->
+                Ds.Ds_client.inp c (Ds.Objects.template oid) |> Result.map Option.is_some
+                = Ok true
+            | Em_update (oid, data) ->
+                Ds.Ds_client.replace c (Ds.Objects.template oid)
+                  (Ds.Objects.tuple ~oid ~data ~version:1 ~ctime:0)
+                = Ok true)
+          ~manager:(fun () -> Eds.manager (Eds_cluster.eds cluster 0)));
+  let expected = List.map (fun (row, _, _, ok) -> (row, ok)) em_table in
+  let outcomes = Alcotest.(list (pair string bool)) in
+  Alcotest.check outcomes "EZK outcomes" expected (fst !ezk);
+  Alcotest.check outcomes "EDS outcomes" (fst !ezk) (fst !eds);
+  Alcotest.(check (list string)) "same registry on both" (snd !ezk) (snd !eds);
+  Alcotest.(check (list string)) "registry" [ "ctr-increment" ] (snd !ezk)
+
 let () =
   Alcotest.run "edc_ezk_eds"
     [
@@ -691,6 +833,7 @@ let () =
           Alcotest.test_case "deregistration" `Quick test_ezk_deregistration;
           Alcotest.test_case "owner-only deregistration" `Quick
             test_ezk_only_owner_deregisters;
+          Alcotest.test_case "only the acker un-acks" `Quick test_ezk_only_acker_unacks;
           Alcotest.test_case "survives leader failover" `Quick
             test_ezk_extension_survives_leader_failover;
           Alcotest.test_case "restart reloads (§3.8)" `Quick
@@ -723,5 +866,7 @@ let () =
         ] );
       ( "differential",
         [ Alcotest.test_case "counter identical on EZK and EDS" `Quick
-            test_differential_counter ] );
+            test_differential_counter;
+          Alcotest.test_case "/em admission identical on EZK and EDS" `Quick
+            test_differential_em_admission ] );
     ]
