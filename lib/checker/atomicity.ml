@@ -7,7 +7,7 @@
     no path is still write-locked.
 
     The checker is deliberately abstract: it consumes the per-replica
-    audit streams ([Server.txn_audit]) plus residual prepared/lock dumps
+    audit streams ([Cross_shard.txn_audit]) plus residual prepared/lock dumps
     as plain data, so it has no dependency on the sharding subsystem —
     the same inversion the WGL checker uses. *)
 

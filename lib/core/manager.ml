@@ -11,8 +11,9 @@
     - ["/em/<name>/ack/<client>"] — created by a client to acknowledge an
       extension registered by someone else; only acknowledged (or owned)
       extensions apply to a client's operations.
-    - ["/em/index"] — the index object listing all registered extensions,
-      maintained so a recovering replica can find and reload them (§3.8).
+    - ["/em/index"] — reserved for the paper's index object (§3.8);
+      admission refuses writes to it, and no service stores it: EZK
+      reloads by scanning the ["/em"] children, EDS the ["/em"] tuples.
 
     {!admit} is the one admission policy for writes to that namespace,
     {!object_created}/{!object_deleted} the one bookkeeping pair that

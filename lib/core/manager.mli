@@ -145,6 +145,6 @@ val run_event :
 
 val registered_names : t -> string list
 
-(** Content of the ["/em/index"] object: the registered names, one per
-    line, so a recovering replica can find and reload everything (§3.8). *)
+(** The paper's index-object content (§3.8): the registered names, one
+    per line.  Neither service stores it; both reload by scanning. *)
 val index_data : t -> string

@@ -13,8 +13,8 @@
       multi-transaction with the produced value piggybacked to the
       client's replica (§5.1.2), or roll back on abort;
     - registration and deregistration as multi-transactions that also
-      write the [owner] child, the [ack] directory and the ["/em/index"]
-      object the reconcile reads back on recovery (§3.6, §3.8);
+      write the [owner] child and the [ack] directory the reconcile reads
+      back on recovery (§3.6, §3.8);
     - the hooks: extension-matched *reads* go to the leader while regular
       clients keep the read fast path (§6.2); event extensions run at the
       leader on committed changes, their effects proposed as follow-up
@@ -171,15 +171,6 @@ let spec_txn t f =
 let owner_object name = Manager.extension_object name ^ "/owner"
 let ack_dir name = Manager.extension_object name ^ "/ack"
 
-let index_txn sv ~names =
-  match
-    Spec_view.set_node sv ~path:Manager.em_index
-      ~data:(String.concat "\n" (List.sort compare names))
-      ~expected_version:None
-  with
-  | Ok (op, _) -> [ op ]
-  | Error _ -> [] (* index missing: tolerated, the tree itself is scanned on reload *)
-
 let register_txn t ~session ~name ~code =
   let txn sv =
     let ( let* ) = Result.bind in
@@ -190,8 +181,7 @@ let register_txn t ~session ~name ~code =
     let* ext = create (Manager.extension_object name) code in
     let* owner = create (owner_object name) (string_of_int session) in
     let* ack = create (ack_dir name) "" in
-    let names = name :: Manager.registered_names t.manager in
-    Ok ([ ext; owner; ack ] @ index_txn sv ~names)
+    Ok [ ext; owner; ack ]
   in
   match spec_txn t txn with
   | Ok ops -> Server.Handled (ops, P.Created (Manager.extension_object name))
@@ -205,9 +195,7 @@ let deregister_txn t ~name =
       | Error _ -> []
     in
     let rec delete_all acc = function
-      | [] ->
-          let names = List.filter (( <> ) name) (Manager.registered_names t.manager) in
-          Ok (List.rev_append acc (index_txn sv ~names))
+      | [] -> Ok (List.rev acc)
       | path :: rest -> (
           match Spec_view.delete_node sv ~path ~version:None with
           | Ok op -> delete_all (op :: acc) rest
@@ -360,28 +348,23 @@ let rec install server =
   t
 
 (** [reload t] feeds the manager's reconcile from the committed tree
-    (§3.8): the index object names the extensions (or, without it, the
-    ["/em"] children do); each contributes its code, the owner recorded
-    in its [owner] child and one object per child of its [ack]
-    directory.  Called after a replica restart or snapshot install. *)
+    (§3.8): each child of ["/em"] is an extension and contributes its
+    code, the owner recorded in its [owner] child and one object per
+    child of its [ack] directory.  Called after a replica restart or
+    snapshot install. *)
 and reload t =
   let tree = Server.tree t.server in
   let data path =
     match Data_tree.get_data tree path with Ok (d, _) -> Some d | Error _ -> None
   in
   let names =
-    match data Manager.em_index with
-    | Some d when d <> "" -> String.split_on_char '\n' d
-    | Some _ -> []
-    | None -> (
-        (* no index: scan the /em children directly *)
-        match Data_tree.get_children tree Manager.em_root with
-        | Ok kids -> List.filter (fun k -> k <> "index") kids
-        | Error _ -> [])
+    match Data_tree.get_children tree Manager.em_root with
+    | Ok kids -> kids
+    | Error _ -> []
   in
   let objects name =
     match data (Manager.extension_object name) with
-    | None -> [] (* indexed but gone from the tree *)
+    | None -> []
     | Some code ->
         let owner =
           Option.value ~default:0 (Option.bind (data (owner_object name)) int_of_string_opt)
@@ -401,20 +384,14 @@ and reload t =
   in
   Manager.reload t.manager (List.concat_map objects names)
 
-(** Bootstrap the manager's objects (["/em"], ["/em/index"]) — run once at
-    the initial leader. *)
+(** Bootstrap the manager's object (["/em"]) — run once at the initial
+    leader. *)
 let bootstrap server =
   let sv = Server.spec server in
-  let mint path =
-    match Spec_view.exists sv path with
-    | Some _ -> []
-    | None -> (
-        match
-          Spec_view.create_node sv ~path ~data:"" ~ephemeral_owner:None
-            ~sequential:false
-        with
-        | Ok (_, op) -> [ op ]
-        | Error _ -> [])
-  in
-  let ops = mint Manager.em_root @ mint Manager.em_index in
-  if ops <> [] then Server.propose_internal server ops
+  if Spec_view.exists sv Manager.em_root = None then
+    match
+      Spec_view.create_node sv ~path:Manager.em_root ~data:""
+        ~ephemeral_owner:None ~sequential:false
+    with
+    | Ok (_, op) -> Server.propose_internal server [ op ]
+    | Error _ -> ()

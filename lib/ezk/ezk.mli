@@ -25,10 +25,10 @@ val server : t -> Server.t
 (** [install server] attaches a fresh extension manager to one replica. *)
 val install : Server.t -> t
 
-(** [reload t] rebuilds the manager from the committed tree (§3.8): index
-    object, then each extension's code, owner, and acknowledgments. *)
+(** [reload t] rebuilds the manager from the committed tree (§3.8): each
+    ["/em"] child's code, owner, and acknowledgments. *)
 val reload : t -> unit
 
-(** [bootstrap server] creates the ["/em"] and ["/em/index"] objects — run
-    once at the initial leader. *)
+(** [bootstrap server] creates the ["/em"] object — run once at the
+    initial leader. *)
 val bootstrap : Server.t -> unit

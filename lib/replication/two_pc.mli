@@ -1,8 +1,8 @@
 (** Two-phase commit over independent replication groups (DESIGN.md §6j):
     the write-op payload of a prepare, the inter-shard frames, and their
-    canonical wire codec.  The engine lives in the deployment's server
-    (its steps must ride the shard's own replicated log); this module is
-    the shared, transport-level vocabulary. *)
+    canonical wire codec.  The engine is the ZooKeeper layer's
+    [Cross_shard] (its steps must ride the shard's own replicated log);
+    this module is the shared, transport-level vocabulary. *)
 
 type wop =
   | Wcreate of { path : string; data : string }

@@ -42,7 +42,8 @@ let create ?(n_replicas = 3) ?net_config ?ishard_net_config ?server_config
     (fun shard _ ->
       Transport.register ishard shard (fun ~src:_ ~size:_ frame ->
           match shard_leader t shard with
-          | Some leader -> Server.handle_shard_frame leader frame
+          | Some leader ->
+              Cross_shard.handle_shard_frame (Server.cross_shard leader) frame
           | None -> ()))
     groups;
   let route path = Shard_map.route map path in
@@ -54,7 +55,8 @@ let create ?(n_replicas = 3) ?net_config ?ishard_net_config ?server_config
       in
       Array.iter
         (fun server ->
-          Server.set_sharding server ~shard_id:shard ~route ~send)
+          Cross_shard.set_sharding (Server.cross_shard server) ~shard_id:shard
+            ~route ~send)
         (Cluster.servers group))
     groups;
   t
@@ -92,49 +94,35 @@ let heal_shard t s =
 
 (* --- deployment-wide 2PC observations (checker inputs) --- *)
 
+(* [f shard replica xs] for every replica's 2PC state, shard-major. *)
+let per_replica t f =
+  Array.to_list t.groups
+  |> List.mapi (fun shard group ->
+         Array.to_list (Cluster.servers group)
+         |> List.mapi (fun replica server ->
+                f shard replica (Server.cross_shard server)))
+  |> List.concat
+
 (** Per-replica resolved outcomes: [(shard, replica, (txid, committed)
     list)] — the atomicity checker's observation stream. *)
 let audits t =
-  Array.to_list
-    (Array.mapi
-       (fun shard group ->
-         Array.to_list
-           (Array.mapi
-              (fun replica server -> (shard, replica, Server.txn_audit server))
-              (Cluster.servers group)))
-       t.groups)
-  |> List.concat
+  per_replica t (fun shard replica xs ->
+      (shard, replica, Cross_shard.txn_audit xs))
 
 (** Paths still write-locked anywhere (shard, replica, path, txid). *)
 let residual_locks t =
-  Array.to_list
-    (Array.mapi
-       (fun shard group ->
-         Array.to_list
-           (Array.mapi
-              (fun replica server ->
-                List.map
-                  (fun (path, txid) -> (shard, replica, path, txid))
-                  (Server.locked_paths server))
-              (Cluster.servers group))
-         |> List.concat)
-       t.groups)
+  per_replica t (fun shard replica xs ->
+      List.map
+        (fun (path, txid) -> (shard, replica, path, txid))
+        (Cross_shard.locked_paths xs))
   |> List.concat
 
 (** In-doubt transactions still parked anywhere. *)
 let residual_prepared t =
-  Array.to_list
-    (Array.mapi
-       (fun shard group ->
-         Array.to_list
-           (Array.mapi
-              (fun replica server ->
-                List.map
-                  (fun (txid, coord) -> (shard, replica, txid, coord))
-                  (Server.prepared_txns server))
-              (Cluster.servers group))
-         |> List.concat)
-       t.groups)
+  per_replica t (fun shard replica xs ->
+      List.map
+        (fun (txid, coord) -> (shard, replica, txid, coord))
+        (Cross_shard.prepared_txns xs))
   |> List.concat
 
 let run_for t d = Sim.run ~until:(Sim_time.add (Sim.now t.sim) d) t.sim

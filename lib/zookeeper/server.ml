@@ -14,7 +14,9 @@
     extension-matched reads to the leader, a post-apply callback for
     extension-manager bookkeeping and event extensions, and a watch
     suppression predicate.  A plain ZooKeeper deployment leaves the hooks
-    at their defaults and pays nothing for them. *)
+    at their defaults and pays nothing for them.  Cross-shard commit is
+    {!Cross_shard}, called from the preprocessor, [apply_op], snapshots
+    and role changes. *)
 
 open Edc_simnet
 open Edc_replication
@@ -65,15 +67,6 @@ type session_info = { client_addr : int; mutable owner_replica : int }
 let session_timeout = Sim_time.sec 10
 let expiry_check_interval = Sim_time.ms 500
 
-(** 2PC coordinator: re-send [Prepare] to silent participants (§6j) *)
-let txn_retry_interval = Sim_time.ms 400
-
-(** 2PC coordinator: presumed-abort deadline for an open round *)
-let txn_coord_timeout = Sim_time.ms 2500
-
-(** 2PC participant: in-doubt [Status] inquiry cadence *)
-let txn_status_interval = Sim_time.ms 1200
-
 type config = {
   snapshot_interval : int;
       (** take a snapshot and compact the replicated log every N applied
@@ -98,28 +91,14 @@ let default_config =
     linearizable_reads = false;
   }
 
-(** One open coordinator round (§6j).  Leader-volatile by design: the
-    only durable coordinator state is the decision record in this shard's
-    log — presumed abort covers everything a dead leader forgets. *)
-type coord_round = {
-  cr_participants : int list;
-  cr_slices : (int * Two_pc.wop list) list;  (** per-shard op slices *)
-  mutable cr_acks : int list;  (** shards that voted yes *)
-  mutable cr_done : bool;  (** decision reached (either way) *)
-  cr_origin : int;
-  cr_session : int;
-  cr_xid : int;
-  cr_started : Sim_time.t;
-}
-
 type t = {
   sim : Sim.t;
   net : wire Transport.t;
   id : int;
-  replica_ids : int list;
   config : config;
   tree : Data_tree.t;
   mutable zab : Txn.t Zab.t option;  (** set right after creation *)
+  mutable cross : Cross_shard.t option;  (** likewise *)
   watch : Watch_manager.t;
   sessions : (int, session_info) Hashtbl.t;  (** replicated via txns *)
   blocked : (string, (int * int * int) list ref) Hashtbl.t;
@@ -159,34 +138,14 @@ type t = {
   mutable snap_serializations : int;  (** captures actually marshaled *)
   mutable snap_skipped : int;  (** interval fired with nothing to compact *)
   mutable snap_installs : int;
-  (* sharding / cross-shard commit (§6j) *)
-  mutable shard_id : int;  (** this replica's shard; [0] when unsharded *)
-  mutable shard_route : (string -> int) option;  (** path -> owning shard *)
-  mutable shard_send : (int -> Two_pc.frame -> unit) option;
-      (** leader-to-leader inter-shard plane, installed by the deployment *)
-  locks : (string, string) Hashtbl.t;  (** path -> txid; replicated *)
-  prepared : (string, int * Two_pc.wop list) Hashtbl.t;
-      (** txid -> (coordinator shard, parked writes); replicated *)
-  probing : (string, unit) Hashtbl.t;
-      (** txids with a live in-doubt probe chain; replica-local, keeps
-          [arm_status_probe] from stacking timers per txid *)
-  decisions : (string, bool) Hashtbl.t;  (** txid -> committed; replicated *)
-  mutable txn_audit : (string * bool) list;
-      (** resolve outcomes, newest first; replicated — the atomicity
-          checker's evidence *)
-  coord_rounds : (string, coord_round) Hashtbl.t;  (** leader-volatile *)
-  spec_locks : (string, string) Hashtbl.t;
-      (** locks of our own proposed-but-unapplied [Tprep]s; leader-volatile *)
-  proposed_preps : (string, unit) Hashtbl.t;  (** dedup per leader reign *)
-  proposed_resolves : (string, unit) Hashtbl.t;
-  mutable txn_counter : int;
-  mutable txns_coordinated : int;
-  mutable txns_committed : int;  (** rounds this replica decided commit *)
-  mutable txns_aborted : int;  (** rounds this replica decided abort *)
 }
 
 let tree t = t.tree
 let zab t = match t.zab with Some z -> z | None -> invalid_arg "server not wired"
+
+let cross_shard t =
+  match t.cross with Some x -> x | None -> invalid_arg "server not wired"
+
 let is_leader t = Zab.is_leader (zab t)
 let id t = t.id
 let sim t = t.sim
@@ -203,21 +162,6 @@ let snapshot_serializations t = t.snap_serializations
 let snapshots_skipped t = t.snap_skipped
 let snapshot_installs t = t.snap_installs
 let session_exists t session = Hashtbl.mem t.sessions session
-let shard_id t = t.shard_id
-let txn_audit t = List.rev t.txn_audit
-let decided t txid = Hashtbl.find_opt t.decisions txid
-
-let prepared_txns t =
-  Hashtbl.fold (fun txid (coord, _) acc -> (txid, coord) :: acc) t.prepared []
-  |> List.sort compare
-
-let locked_paths t =
-  Hashtbl.fold (fun path txid acc -> (path, txid) :: acc) t.locks []
-  |> List.sort compare
-
-let txns_coordinated t = t.txns_coordinated
-let txns_committed t = t.txns_committed
-let txns_aborted t = t.txns_aborted
 
 let session_owned_here t session =
   match Hashtbl.find_opt t.sessions session with
@@ -247,29 +191,29 @@ let send_to_client t session msg =
   | Some addr -> send_wire t ~dst:addr (Server_msg msg)
   | None -> ()
 
+(* Errors detected before ordering and leader-served reads: the reply
+   goes straight to the client. *)
+let reply t ~session ~xid result = send_to_client t session (P.Reply { xid; result })
+
 (* ------------------------------------------------------------------ *)
 (* Final processor: apply committed transactions                       *)
 (* ------------------------------------------------------------------ *)
 
-let fire_watches t path kind =
-  let sessions = Watch_manager.fire t.watch Watch_manager.Data path in
+let fire_watches t table path kind =
   List.iter
     (fun session ->
       if
         session_owned_here t session
         && not (t.hook_suppress_watch t ~session ~path kind)
       then send_to_client t session (P.Watch_event { path; kind }))
-    sessions
+    (Watch_manager.fire t.watch table path)
 
-let fire_child_watches t path =
-  let sessions = Watch_manager.fire t.watch Watch_manager.Children path in
-  List.iter
-    (fun session ->
-      if
-        session_owned_here t session
-        && not (t.hook_suppress_watch t ~session ~path P.Children_changed)
-      then send_to_client t session (P.Watch_event { path; kind = P.Children_changed }))
-    sessions
+(* A create or delete also changes the parent's child set. *)
+let fire_parent_watches t path =
+  match Zpath.parent path with
+  | Some parent ->
+      fire_watches t Watch_manager.Children parent P.Children_changed
+  | None -> ()
 
 let unblock_waiters t path =
   match Hashtbl.find_opt t.blocked path with
@@ -295,115 +239,20 @@ let drop_blocked_session t session =
     t.blocked;
   List.iter (Hashtbl.remove t.blocked) !doomed
 
-(* --- cross-shard commit, apply side (§6j) ---
-
-   Everything below runs identically on every replica of the shard (it is
-   driven by applied log records), except the explicitly leader-gated
-   sends: acks, outcome pushes, and client replies come from whoever is
-   leader when the record applies — which is exactly how a new leader
-   resumes a dead one's protocol duties. *)
-
-let shard_send_frame t dst frame =
-  match t.shard_send with Some f -> f dst frame | None -> ()
-
-(** Lock footprint of a prepared write: the path and its parent (a
-    parked create/delete also changes the parent's child set, so sibling
-    transactions and parent deletions must conflict). *)
-let lock_paths ops =
-  List.concat_map
-    (fun op ->
-      let path = Two_pc.wop_path op in
-      match Zpath.parent path with
-      | Some parent -> [ path; parent ]
-      | None -> [ path ])
-    ops
-  |> List.sort_uniq String.compare
-
-(** Deterministic prepare-time validation against the committed tree —
-    every replica reaches the same vote from the same log prefix. *)
-let wop_valid t op =
-  match op with
-  | Two_pc.Wcreate { path; _ } -> (
-      (not (Data_tree.mem t.tree path))
-      &&
-      match Zpath.parent path with
-      | None -> false
-      | Some parent -> (
-          match Data_tree.exists t.tree parent with
-          | Some stat -> stat.Znode.ephemeral_owner = None
-          | None -> false))
-  | Two_pc.Wset { path; _ } -> Data_tree.mem t.tree path
-  | Two_pc.Wdelete { path } -> (
-      match Data_tree.get_children t.tree path with
-      | Ok [] -> true
-      | Ok _ | Error _ -> false)
-
-let locks_free t ~txid ops =
-  List.for_all
-    (fun path ->
-      match Hashtbl.find_opt t.locks path with
-      | Some owner -> String.equal owner txid
-      | None -> true)
-    (lock_paths ops)
-
-let release_txn_locks t txid ops =
-  List.iter
-    (fun path ->
-      match Hashtbl.find_opt t.locks path with
-      | Some owner when String.equal owner txid -> Hashtbl.remove t.locks path
-      | _ -> ())
-    (lock_paths ops);
-  let mine =
-    Hashtbl.fold
-      (fun path owner acc -> if String.equal owner txid then path :: acc else acc)
-      t.spec_locks []
-  in
-  List.iter (Hashtbl.remove t.spec_locks) mine
-
-let audited t txid = List.mem_assoc txid t.txn_audit
-
-(** In-doubt participant loop: while [txid] stays prepared, the current
-    leader of this shard periodically asks the coordinator shard for the
-    outcome.  The chain is armed on every replica when the [Tprep]
-    applies (and on snapshot install, for snapshots carrying prepared
-    txns) but only the leader of the moment speaks — so the inquiry
-    survives any single replica's death.  At most one chain runs per
-    txid: [t.probing] marks live chains so re-arming (e.g. a snapshot
-    install while the txn is still in doubt) is a no-op instead of a
-    second timer multiplying Status traffic. *)
-let arm_status_probe t txid =
-  if not (Hashtbl.mem t.probing txid) then begin
-    Hashtbl.replace t.probing txid ();
-    let rec probe () =
-      match Hashtbl.find_opt t.prepared txid with
-      | None -> Hashtbl.remove t.probing txid
-      | Some (coord, _) ->
-          if is_leader t then
-            shard_send_frame t coord
-              (Two_pc.Status { txid; from_shard = t.shard_id });
-          Sim.schedule t.sim ~after:txn_status_interval probe
-    in
-    Sim.schedule t.sim ~after:txn_status_interval probe
-  end
-
 let rec apply_op t op =
   match op with
   | Txn.Tcreate { path; data; ephemeral_owner } ->
       Data_tree.apply_create t.tree ~path ~data ~ephemeral_owner;
-      fire_watches t path P.Node_created;
-      (match Zpath.parent path with
-      | Some parent -> fire_child_watches t parent
-      | None -> ());
+      fire_watches t Watch_manager.Data path P.Node_created;
+      fire_parent_watches t path;
       unblock_waiters t path
   | Txn.Tdelete { path } ->
       Data_tree.apply_delete t.tree ~path;
-      fire_watches t path P.Node_deleted;
-      (match Zpath.parent path with
-      | Some parent -> fire_child_watches t parent
-      | None -> ())
+      fire_watches t Watch_manager.Data path P.Node_deleted;
+      fire_parent_watches t path
   | Txn.Tset { path; data; version } ->
       Data_tree.apply_set t.tree ~path ~data ~version;
-      fire_watches t path P.Node_changed
+      fire_watches t Watch_manager.Data path P.Node_changed
   | Txn.Tsession_open { session; client_addr; owner_replica } ->
       Hashtbl.replace t.sessions session { client_addr; owner_replica };
       if is_leader t then Hashtbl.replace t.last_touch session (Sim.now t.sim);
@@ -442,71 +291,11 @@ let rec apply_op t op =
       if session_owned_here t session then
         send_to_client t session (P.Watch_event { path; kind })
   | Txn.Terror -> ()
-  | Txn.Tprep { txid; coord; ops } ->
-      if not (Hashtbl.mem t.prepared txid || audited t txid) then begin
-        let ok = locks_free t ~txid ops && List.for_all (wop_valid t) ops in
-        if ok then begin
-          List.iter
-            (fun path -> Hashtbl.replace t.locks path txid)
-            (lock_paths ops);
-          Hashtbl.replace t.prepared txid (coord, ops);
-          arm_status_probe t txid
-        end;
-        (* the leader of the moment reports the (replica-deterministic)
-           vote; a no-vote leaves no trace — presumed abort *)
-        if is_leader t then
-          shard_send_frame t coord
-            (Two_pc.Prepare_ack { txid; shard = t.shard_id; ok })
-      end
-  | Txn.Tdecide { txid; commit; participants } ->
-      if not (Hashtbl.mem t.decisions txid) then begin
-        Hashtbl.replace t.decisions txid commit;
-        if is_leader t then begin
-          List.iter
-            (fun shard ->
-              shard_send_frame t shard
-                (if commit then Two_pc.Commit { txid }
-                 else Two_pc.Abort { txid }))
-            participants;
-          match Hashtbl.find_opt t.coord_rounds txid with
-          | Some cr ->
-              cr.cr_done <- true;
-              if cr.cr_session <> 0 then
-                send_to_client t cr.cr_session
-                  (P.Reply
-                     { xid = cr.cr_xid;
-                       result =
-                         (if commit then P.Multi_ok
-                          else P.Error Zerror.Txn_conflict) });
-              Hashtbl.remove t.coord_rounds txid
-          | None -> ()
-        end
-      end
-  | Txn.Tresolve { txid; commit } -> (
-      match Hashtbl.find_opt t.prepared txid with
-      | None -> () (* duplicate or unknown outcome push: nothing parked *)
-      | Some (_coord, ops) ->
-          Hashtbl.remove t.prepared txid;
-          Hashtbl.remove t.proposed_resolves txid;
-          release_txn_locks t txid ops;
-          t.txn_audit <- (txid, commit) :: t.txn_audit;
-          if commit then
-            List.iter
-              (fun op ->
-                match op with
-                | Two_pc.Wcreate { path; data } ->
-                    apply_op t
-                      (Txn.Tcreate { path; data; ephemeral_owner = None })
-                | Two_pc.Wset { path; data } ->
-                    let version =
-                      match Data_tree.get_data t.tree path with
-                      | Ok (_, stat) -> stat.Znode.version + 1
-                      | Error _ -> 1
-                    in
-                    apply_op t (Txn.Tset { path; data; version })
-                | Two_pc.Wdelete { path } ->
-                    apply_op t (Txn.Tdelete { path }))
-              ops)
+  | Txn.Tprep _ | Txn.Tdecide _ | Txn.Tresolve _ ->
+      let xs = cross_shard t in
+      List.iter
+        (fun w -> apply_op t (Cross_shard.resolved_op xs w))
+        (Cross_shard.apply xs op)
 
 (* --- snapshots (§3.8 state transfer) --- *)
 
@@ -514,10 +303,7 @@ type snapshot = {
   snap_tree : Data_tree.portable;
   snap_sessions : (int * session_info) list;
   snap_blocked : (string * (int * int * int) list) list;
-  snap_locks : (string * string) list;  (** 2PC path locks (§6j) *)
-  snap_prepared : (string * (int * Two_pc.wop list)) list;
-  snap_decisions : (string * bool) list;
-  snap_audit : (string * bool) list;  (** oldest first *)
+  snap_2pc : Cross_shard.image;  (** the 2PC tables (§6j) *)
 }
 
 (* Snapshot blobs cross the wire and are re-read by other replicas (and,
@@ -552,29 +338,7 @@ let write_snapshot w s =
         waiters;
       W.end_list w)
     s.snap_blocked;
-  W.list w
-    (fun w (path, txid) ->
-      W.begin_list w;
-      W.str w path;
-      W.str w txid;
-      W.end_list w)
-    s.snap_locks;
-  W.list w
-    (fun w (txid, (coord, ops)) ->
-      W.begin_list w;
-      W.str w txid;
-      W.int w coord;
-      W.list w Two_pc.write_wop ops;
-      W.end_list w)
-    s.snap_prepared;
-  let decided_entry w (txid, commit) =
-    W.begin_list w;
-    W.str w txid;
-    W.bool w commit;
-    W.end_list w
-  in
-  W.list w decided_entry s.snap_decisions;
-  W.list w decided_entry s.snap_audit;
+  Cross_shard.write_image w s.snap_2pc;
   W.end_list w
 
 (* Total over untrusted bytes, and pure: a malformed blob aborts the
@@ -608,38 +372,12 @@ let read_snapshot r =
         R.end_list r;
         (path, waiters))
   in
-  let snap_locks =
-    R.list r (fun r ->
-        R.begin_list r;
-        let path = R.str r in
-        let txid = R.str r in
-        R.end_list r;
-        (path, txid))
-  in
-  let snap_prepared =
-    R.list r (fun r ->
-        R.begin_list r;
-        let txid = R.str r in
-        let coord = R.int r in
-        let ops = R.list r Two_pc.read_wop in
-        R.end_list r;
-        (txid, (coord, ops)))
-  in
-  let decided_entry r =
-    R.begin_list r;
-    let txid = R.str r in
-    let commit = R.bool r in
-    R.end_list r;
-    (txid, commit)
-  in
-  let snap_decisions = R.list r decided_entry in
-  let snap_audit = R.list r decided_entry in
+  let snap_2pc = Cross_shard.read_image r in
   R.end_list r;
-  { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
-    snap_decisions; snap_audit }
+  { snap_tree; snap_sessions; snap_blocked; snap_2pc }
 
 (** Capture the replica's whole replicated state (tree, sessions, parked
-    blocking calls).  Must correspond exactly to the delivered prefix —
+    blocking calls, 2PC tables).  Must correspond exactly to the delivered prefix —
     guaranteed because the simulator applies transactions synchronously.
 
     The capture itself is O(sessions + blocked), NOT O(tree): the tree is
@@ -662,17 +400,8 @@ let snapshot_state t =
     Hashtbl.fold (fun k v acc -> (k, List.sort compare !v) :: acc) t.blocked []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let sorted_of_tbl tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let snap_locks = sorted_of_tbl t.locks in
-  let snap_prepared = sorted_of_tbl t.prepared in
-  let snap_decisions = sorted_of_tbl t.decisions in
-  let snap_audit = List.rev t.txn_audit in
-  fun snap_tree ->
-    { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
-      snap_decisions; snap_audit }
+  let snap_2pc = Cross_shard.capture (cross_shard t) in
+  fun snap_tree -> { snap_tree; snap_sessions; snap_blocked; snap_2pc }
 
 let capture_snapshot t =
   (match t.snap_image with Some h -> Data_tree.release h | None -> ());
@@ -707,19 +436,7 @@ let install_snapshot t blob =
       List.iter
         (fun (k, v) -> Hashtbl.replace t.blocked k (ref v))
         snap.snap_blocked;
-      Hashtbl.reset t.locks;
-      List.iter (fun (k, v) -> Hashtbl.replace t.locks k v) snap.snap_locks;
-      Hashtbl.reset t.prepared;
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace t.prepared k v;
-          arm_status_probe t k)
-        snap.snap_prepared;
-      Hashtbl.reset t.decisions;
-      List.iter
-        (fun (k, v) -> Hashtbl.replace t.decisions k v)
-        snap.snap_decisions;
-      t.txn_audit <- List.rev snap.snap_audit;
+      Cross_shard.install (cross_shard t) snap.snap_2pc;
       t.snap_installs <- t.snap_installs + 1;
       (* the installed blob puts us exactly at a snapshot horizon: restart
          the interval so we do not immediately re-capture state we just
@@ -766,13 +483,6 @@ let final_process t (txn : Txn.t) =
 (* Proposer stage                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let reply_direct t ~session ~xid result =
-  (* Used for errors detected before ordering and for leader-served reads:
-     the reply goes straight to the client. *)
-  match client_addr_of t session with
-  | Some addr -> send_wire t ~dst:addr (Server_msg (P.Reply { xid; result }))
-  | None -> ()
-
 let propose t (txn : Txn.t) =
   t.proposals <- t.proposals + 1;
   t.outstanding <- t.outstanding + 1;
@@ -781,277 +491,8 @@ let propose t (txn : Txn.t) =
   | None ->
       t.outstanding <- t.outstanding - 1;
       if txn.session <> 0 then
-        reply_direct t ~session:txn.session ~xid:txn.xid
+        reply t ~session:txn.session ~xid:txn.xid
           (P.Error Zerror.Not_leader)
-
-(* ------------------------------------------------------------------ *)
-(* Cross-shard commit, coordinator + participant front ends (§6j)      *)
-(* ------------------------------------------------------------------ *)
-
-(** Decide an open round.  Commit rides this shard's log ([Tdecide] — the
-    commit point; pushes and the client reply happen when it applies, on
-    whoever is leader then).  Abort is presumed: no record, just pushes
-    and the reply — any state a dead leader forgets aborts by default. *)
-let decide_round t txid cr commit =
-  if not cr.cr_done then
-    if commit then begin
-      cr.cr_done <- true;
-      t.txns_committed <- t.txns_committed + 1;
-      propose t
-        (Txn.internal
-           [ Txn.Tdecide
-               { txid; commit = true; participants = cr.cr_participants } ])
-    end
-    else begin
-      cr.cr_done <- true;
-      t.txns_aborted <- t.txns_aborted + 1;
-      List.iter
-        (fun shard -> shard_send_frame t shard (Two_pc.Abort { txid }))
-        cr.cr_participants;
-      if cr.cr_session <> 0 then
-        reply_direct t ~session:cr.cr_session ~xid:cr.cr_xid
-          (P.Error Zerror.Txn_conflict);
-      Hashtbl.remove t.coord_rounds txid
-    end
-
-let round_expired t cr =
-  Sim_time.(
-    txn_coord_timeout <= Sim_time.sub (Sim.now t.sim) cr.cr_started)
-
-(** Coordinator heartbeat: re-send [Prepare] to silent participants,
-    presumed-abort the round past the deadline. *)
-let rec coord_tick t txid () =
-  match Hashtbl.find_opt t.coord_rounds txid with
-  | None -> ()
-  | Some cr when cr.cr_done -> ()
-  | Some cr ->
-      if round_expired t cr then decide_round t txid cr false
-      else begin
-        List.iter
-          (fun (shard, ops) ->
-            if not (List.mem shard cr.cr_acks) then
-              shard_send_frame t shard
-                (Two_pc.Prepare
-                   { txid; coord = t.shard_id;
-                     participants = cr.cr_participants; ops }))
-          cr.cr_slices;
-        Sim.schedule t.sim ~after:txn_retry_interval
-          (coord_tick t txid)
-      end
-
-let start_cross_shard t ~session ~xid slices =
-  t.txn_counter <- t.txn_counter + 1;
-  let txid =
-    Fmt.str "s%d.e%d.%d" t.shard_id (Zab.epoch (zab t)) t.txn_counter
-  in
-  let participants = List.map fst slices in
-  let cr =
-    {
-      cr_participants = participants;
-      cr_slices = slices;
-      cr_acks = [];
-      cr_done = false;
-      cr_origin = 0;
-      cr_session = session;
-      cr_xid = xid;
-      cr_started = Sim.now t.sim;
-    }
-  in
-  Hashtbl.replace t.coord_rounds txid cr;
-  t.txns_coordinated <- t.txns_coordinated + 1;
-  List.iter
-    (fun (shard, ops) ->
-      shard_send_frame t shard
-        (Two_pc.Prepare { txid; coord = t.shard_id; participants; ops }))
-    slices;
-  Sim.schedule t.sim ~after:txn_retry_interval (coord_tick t txid)
-
-let handle_prepare_ack t txid shard ok =
-  match Hashtbl.find_opt t.coord_rounds txid with
-  | None -> () (* a previous leader's round; participants recover via Status *)
-  | Some cr when cr.cr_done -> ()
-  | Some cr ->
-      if not ok then decide_round t txid cr false
-      else begin
-        if not (List.mem shard cr.cr_acks) then
-          cr.cr_acks <- shard :: cr.cr_acks;
-        if
-          List.for_all (fun s -> List.mem s cr.cr_acks) cr.cr_participants
-        then decide_round t txid cr true
-      end
-
-(** Answer an in-doubt participant from replicated state.  No decision
-    record and no live round means no commit can ever be decided —
-    presumed abort.  A live round is NOT evidence either way: probes are
-    cadence-driven (the default [txn_status_interval] fires well inside
-    [txn_coord_timeout]), so a round that is still collecting votes is
-    left alone unless it is already past the coordinator deadline — then
-    it is aborted on the spot, the same presumed-abort the next
-    {!coord_tick} would apply.  A round whose commit decision is in
-    flight ([cr_done] set, [Tdecide] proposed but not yet applied) gets
-    no answer at all: answering Abort there lets one participant resolve
-    abort while the commit record lands and pushes Commit to the rest —
-    a partial commit.  Silence is safe — the probe retries, and by then
-    either the record applied (the decision table answers Commit) or
-    this leader fell (its volatile rounds die with it and the record,
-    never committed, resolves to presumed abort under the next one). *)
-let handle_status t txid from_shard =
-  match Hashtbl.find_opt t.decisions txid with
-  | Some true -> shard_send_frame t from_shard (Two_pc.Commit { txid })
-  | Some false -> shard_send_frame t from_shard (Two_pc.Abort { txid })
-  | None -> (
-      match Hashtbl.find_opt t.coord_rounds txid with
-      | Some cr when not cr.cr_done ->
-          if round_expired t cr then decide_round t txid cr false
-      | Some _ -> () (* commit record in flight: answer after it applies *)
-      | None -> shard_send_frame t from_shard (Two_pc.Abort { txid }))
-
-(** Speculative prepare validation at the participant leader: same
-    predicates as the apply-time vote, but against the speculative view
-    (so in-flight normal writes are visible) plus both lock tables.  A
-    spec-level no is answered without a log record. *)
-let spec_wop_valid t op =
-  match op with
-  | Two_pc.Wcreate { path; _ } -> (
-      Spec_view.exists t.spec path = None
-      &&
-      match Zpath.parent path with
-      | None -> false
-      | Some parent -> (
-          match Spec_view.exists t.spec parent with
-          | Some stat -> stat.Znode.ephemeral_owner = None
-          | None -> false))
-  | Two_pc.Wset { path; _ } -> Spec_view.exists t.spec path <> None
-  | Two_pc.Wdelete { path } -> (
-      match Spec_view.children t.spec path with Ok [] -> true | _ -> false)
-
-let handle_prepare t ~txid ~coord ops =
-  if audited t txid then
-    (* already resolved here: re-tell the coordinator the final state *)
-    shard_send_frame t coord
-      (Two_pc.Prepare_ack
-         { txid; shard = t.shard_id; ok = List.assoc txid t.txn_audit })
-  else if Hashtbl.mem t.prepared txid then
-    shard_send_frame t coord
-      (Two_pc.Prepare_ack { txid; shard = t.shard_id; ok = true })
-  else if Hashtbl.mem t.proposed_preps txid then
-    () (* prepare already in our log pipeline; the vote rides its apply *)
-  else begin
-    let paths = lock_paths ops in
-    let lock_ok =
-      List.for_all
-        (fun p ->
-          (not (Hashtbl.mem t.locks p)) && not (Hashtbl.mem t.spec_locks p))
-        paths
-    in
-    if lock_ok && List.for_all (spec_wop_valid t) ops then begin
-      List.iter (fun p -> Hashtbl.replace t.spec_locks p txid) paths;
-      Hashtbl.replace t.proposed_preps txid ();
-      propose t (Txn.internal [ Txn.Tprep { txid; coord; ops } ])
-    end
-    else
-      shard_send_frame t coord
-        (Two_pc.Prepare_ack { txid; shard = t.shard_id; ok = false })
-  end
-
-let handle_outcome t txid commit =
-  if Hashtbl.mem t.prepared txid && not (Hashtbl.mem t.proposed_resolves txid)
-  then begin
-    Hashtbl.replace t.proposed_resolves txid ();
-    propose t (Txn.internal [ Txn.Tresolve { txid; commit } ])
-  end
-
-(** Entry point for the deployment's inter-shard plane: frames only mean
-    something to a ready leader — anyone else drops them and lets the
-    sender's retry/inquiry loop find the new leader. *)
-let handle_shard_frame t frame =
-  if is_leader t && t.leader_ready then
-    match frame with
-    | Two_pc.Prepare { txid; coord; participants = _; ops } ->
-        handle_prepare t ~txid ~coord ops
-    | Two_pc.Prepare_ack { txid; shard; ok } ->
-        handle_prepare_ack t txid shard ok
-    | Two_pc.Commit { txid } -> handle_outcome t txid true
-    | Two_pc.Abort { txid } -> handle_outcome t txid false
-    | Two_pc.Status { txid; from_shard } -> handle_status t txid from_shard
-
-(** A path is write-blocked while a prepared transaction holds it (or its
-    parent): the parked write will apply unconditionally at resolve, so
-    nothing conflicting may slip into the log in between. *)
-let write_locked t path =
-  let l p = Hashtbl.mem t.locks p || Hashtbl.mem t.spec_locks p in
-  l path || (match Zpath.parent path with Some p -> l p | None -> false)
-
-(** Single-shard slice of a multi: all-or-nothing through the speculative
-    view, one ordinary multi-op transaction. *)
-let preprocess_local_multi t ~origin ~session ~xid ops =
-  let reply_err e =
-    propose t
-      { origin = Some origin; session; xid; ops = [ Txn.Terror ];
-        result = P.Error e; quiet = false }
-  in
-  if List.exists (fun op -> write_locked t (Two_pc.wop_path op)) ops then
-    reply_err Zerror.Locked
-  else begin
-    Spec_view.begin_txn t.spec;
-    let rec mint acc = function
-      | [] -> Ok (List.rev acc)
-      | op :: rest -> (
-          let minted =
-            match op with
-            | Two_pc.Wcreate { path; data } ->
-                Result.map
-                  (fun (_, top) -> top)
-                  (Spec_view.create_node t.spec ~path ~data
-                     ~ephemeral_owner:None ~sequential:false)
-            | Two_pc.Wset { path; data } ->
-                Result.map
-                  (fun (top, _) -> top)
-                  (Spec_view.set_node t.spec ~path ~data
-                     ~expected_version:None)
-            | Two_pc.Wdelete { path } ->
-                Spec_view.delete_node t.spec ~path ~version:None
-          in
-          match minted with
-          | Ok top -> mint (top :: acc) rest
-          | Error e -> Error e)
-    in
-    match mint [] ops with
-    | Ok tops ->
-        Spec_view.commit_txn t.spec;
-        propose t
-          { origin = Some origin; session; xid; ops = tops;
-            result = P.Multi_ok; quiet = false }
-    | Error e ->
-        Spec_view.rollback_txn t.spec;
-        reply_err e
-  end
-
-let preprocess_multi t ~origin ~session ~xid ops =
-  let slices =
-    match t.shard_route with
-    | None -> [ (t.shard_id, ops) ]
-    | Some route ->
-        let tbl = Hashtbl.create 4 in
-        let order = ref [] in
-        List.iter
-          (fun op ->
-            let s = route (Two_pc.wop_path op) in
-            match Hashtbl.find_opt tbl s with
-            | Some slice -> slice := op :: !slice
-            | None ->
-                Hashtbl.replace tbl s (ref [ op ]);
-                order := s :: !order)
-          ops;
-        List.rev_map (fun s -> (s, List.rev !(Hashtbl.find tbl s))) !order
-  in
-  match slices with
-  | [] -> reply_direct t ~session ~xid P.Multi_ok
-  | [ (shard, ops) ] when shard = t.shard_id ->
-      preprocess_local_multi t ~origin ~session ~xid ops
-  | _ when t.shard_send = None ->
-      reply_direct t ~session ~xid (P.Error Zerror.Unsupported)
-  | _ -> start_cross_shard t ~session ~xid slices
 
 (* ------------------------------------------------------------------ *)
 (* Preprocessor stage (leader only)                                    *)
@@ -1065,10 +506,10 @@ let preprocess_multi t ~origin ~session ~xid ops =
     the barrier commits, which proves this replica was still the leader
     at the read's serialization point. *)
 let reply_read t ~origin ~session ~xid result =
-  if not t.config.linearizable_reads then reply_direct t ~session ~xid result
+  if not t.config.linearizable_reads then reply t ~session ~xid result
   else if Zab.can_serve_lease_read (zab t) then begin
     t.lease_reads <- t.lease_reads + 1;
-    reply_direct t ~session ~xid result
+    reply t ~session ~xid result
   end
   else begin
     t.quorum_reads <- t.quorum_reads + 1;
@@ -1076,48 +517,39 @@ let reply_read t ~origin ~session ~xid result =
       { origin = Some origin; session; xid; ops = [ Txn.Terror ]; result; quiet = true }
   end
 
+(* A validated write becomes its transaction; a refused one becomes a
+   no-op carrying the error, so the reply keeps its place in the order. *)
+let propose_write t ~origin ~session ~xid = function
+  | Ok (top, result) ->
+      propose t { origin = Some origin; session; xid; ops = [ top ]; result; quiet = false }
+  | Error e ->
+      propose t
+        { origin = Some origin; session; xid; ops = [ Txn.Terror ];
+          result = P.Error e; quiet = false }
+
 let preprocess_normal t ~origin ~session ~xid op =
-  let locked_target =
-    (* A prepared cross-shard transaction holds its paths (and their
-       parents) until resolution; conflicting normal writes must not be
-       ordered in between (§6j). *)
-    match op with
-    | P.Create { path; _ } | P.Delete { path; _ } | P.Set_data { path; _ } ->
-        write_locked t path
-    | _ -> false
-  in
-  if locked_target then
-    propose t
-      { origin = Some origin; session; xid; ops = [ Txn.Terror ];
-        result = P.Error Zerror.Locked; quiet = false }
-  else
+  let write = propose_write t ~origin ~session ~xid in
   match op with
-  | P.Multi { ops } -> preprocess_multi t ~origin ~session ~xid ops
-  | P.Create { path; data; ephemeral; sequential } -> (
+  | P.Create { path; _ } | P.Delete { path; _ } | P.Set_data { path; _ }
+    when Cross_shard.write_locked (cross_shard t) path ->
+      (* A prepared cross-shard transaction holds its paths (and their
+         parents) until resolution (§6j). *)
+      write (Error Zerror.Locked)
+  | P.Multi { ops } ->
+      Cross_shard.preprocess_multi (cross_shard t) ~origin ~session ~xid ops
+  | P.Create { path; data; ephemeral; sequential } ->
       let ephemeral_owner = if ephemeral then Some session else None in
-      match Spec_view.create_node t.spec ~path ~data ~ephemeral_owner ~sequential with
-      | Ok (actual, top) ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ top ]; result = P.Created actual; quiet = false }
-      | Error e ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ Txn.Terror ]; result = P.Error e; quiet = false })
-  | P.Delete { path; version } -> (
-      match Spec_view.delete_node t.spec ~path ~version with
-      | Ok top ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ top ]; result = P.Deleted; quiet = false }
-      | Error e ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ Txn.Terror ]; result = P.Error e; quiet = false })
-  | P.Set_data { path; data; expected_version } -> (
-      match Spec_view.set_node t.spec ~path ~data ~expected_version with
-      | Ok (top, version) ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ top ]; result = P.Set { version }; quiet = false }
-      | Error e ->
-          propose t
-            { origin = Some origin; session; xid; ops = [ Txn.Terror ]; result = P.Error e; quiet = false })
+      Spec_view.create_node t.spec ~path ~data ~ephemeral_owner ~sequential
+      |> Result.map (fun (actual, top) -> (top, P.Created actual))
+      |> write
+  | P.Delete { path; version } ->
+      Spec_view.delete_node t.spec ~path ~version
+      |> Result.map (fun top -> (top, P.Deleted))
+      |> write
+  | P.Set_data { path; data; expected_version } ->
+      Spec_view.set_node t.spec ~path ~data ~expected_version
+      |> Result.map (fun (top, version) -> (top, P.Set { version }))
+      |> write
   | P.Get_data { path; _ } ->
       (* Leader-served read: either an extension-matched read whose
          extension vanished, or any read under [linearizable_reads]. *)
@@ -1138,7 +570,7 @@ let preprocess_normal t ~origin ~session ~xid op =
       reply_read t ~origin ~session ~xid (P.Stat_of (Data_tree.exists t.tree path))
   | P.Block _ ->
       (* Blocking calls only exist through operation extensions. *)
-      reply_direct t ~session ~xid (P.Error Zerror.Unsupported)
+      reply t ~session ~xid (P.Error Zerror.Unsupported)
   | P.Sync ->
       (* Commit-path barrier: [Synced] is delivered from the origin
          replica only after that replica has applied every transaction
@@ -1151,7 +583,7 @@ let preprocess_normal t ~origin ~session ~xid op =
 
 let preprocess t ~origin ~session ~xid op =
   if not (session_exists t session) then
-    reply_direct t ~session ~xid (P.Error Zerror.Session_expired)
+    reply t ~session ~xid (P.Error Zerror.Session_expired)
   else begin
     Hashtbl.replace t.last_touch session (Sim.now t.sim);
     match t.hook_intercept t ~origin ~session ~xid op with
@@ -1159,7 +591,7 @@ let preprocess t ~origin ~session ~xid op =
         propose t { origin = Some origin; session; xid; ops; result; quiet = false }
     | Handled_deferred ops ->
         propose t { origin = None; session; xid; ops; result = P.Synced; quiet = false }
-    | Reject e -> reply_direct t ~session ~xid (P.Error e)
+    | Reject e -> reply t ~session ~xid (P.Error e)
     | Pass -> preprocess_normal t ~origin ~session ~xid op
   end
 
@@ -1188,14 +620,8 @@ let preprocess_connect t ~origin ~client_addr =
   t.session_counter <- t.session_counter + 1;
   let session = (Zab.epoch (zab t) * 1_000_000) + t.session_counter in
   propose t
-    {
-      origin = None;
-      session = 0;
-      xid = 0;
-      ops = [ Txn.Tsession_open { session; client_addr; owner_replica = origin } ];
-      result = P.Synced;
-      quiet = false;
-    }
+    (Txn.internal
+       [ Txn.Tsession_open { session; client_addr; owner_replica = origin } ])
 
 let preprocess_reconnect t ~origin ~session =
   if session_exists t session then begin
@@ -1222,7 +648,7 @@ let preprocess_close t ~session =
 
 let serve_read t ~session ~xid op =
   t.reads_served <- t.reads_served + 1;
-  let reply result = send_to_client t session (P.Reply { xid; result }) in
+  let reply = reply t ~session ~xid in
   match op with
   | P.Get_data { path; watch } ->
       (match Data_tree.get_data t.tree path with
@@ -1340,8 +766,7 @@ let handle_wire t ~src msg =
   | Zab_msg m -> Zab.handle (zab t) ~src m
   | Forward _ | Forward_connect _ | Forward_reconnect _ | Forward_close _
   | Touch _ ->
-      if is_leader t then forward_to_leader t msg
-      else forward_to_leader t msg (* re-forward toward current leader *)
+      forward_to_leader t msg (* loop back, or re-forward toward the leader *)
   | Server_msg _ -> () (* not addressed to servers *)
 
 (* ------------------------------------------------------------------ *)
@@ -1372,23 +797,13 @@ let rec expiry_tick t generation () =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let reset_2pc_volatile t =
-  (* Leader-volatile 2PC state: open coordinator rounds die with their
-     leader (participants recover through Status inquiries against the
-     replicated decision table); speculative locks and proposal dedup
-     marks are rebuilt from the log as it applies. *)
-  Hashtbl.reset t.coord_rounds;
-  Hashtbl.reset t.spec_locks;
-  Hashtbl.reset t.proposed_preps;
-  Hashtbl.reset t.proposed_resolves
-
 let on_role_change t role =
   match role with
   | Zab.Leader ->
       t.ready_barrier <- Zab.log_length (zab t);
       Spec_view.reset t.spec;
       t.outstanding <- 0;
-      reset_2pc_volatile t;
+      Cross_shard.on_role_change (cross_shard t);
       t.leader_ready <- Zab.committed_length (zab t) >= t.ready_barrier;
       if t.leader_ready then drain_deferred t;
       (* Sessions: adopt last_touch for all known sessions so they do not
@@ -1399,7 +814,7 @@ let on_role_change t role =
   | Zab.Follower | Zab.Candidate ->
       t.leader_ready <- false;
       t.deferred <- [];
-      reset_2pc_volatile t
+      Cross_shard.on_role_change (cross_shard t)
 
 let check_ready t =
   if
@@ -1412,19 +827,20 @@ let check_ready t =
 
 let create ?(config = default_config) ?zab_config ?initial_leader
     ?(learner = false) ?(observer = false) ~sim ~net ~id ~replica_ids () =
+  let tree = Data_tree.create () in
   let t =
     {
       sim;
       net;
       id;
-      replica_ids;
       config;
-      tree = Data_tree.create ();
+      tree;
       zab = None;
+      cross = None;
       watch = Watch_manager.create ();
       sessions = Hashtbl.create 64;
       blocked = Hashtbl.create 64;
-      spec = Spec_view.create (Data_tree.create ());
+      spec = Spec_view.create tree;
       leader_ready = false;
       ready_barrier = 0;
       deferred = [];
@@ -1451,26 +867,21 @@ let create ?(config = default_config) ?zab_config ?initial_leader
       snap_serializations = 0;
       snap_skipped = 0;
       snap_installs = 0;
-      shard_id = 0;
-      shard_route = None;
-      shard_send = None;
-      locks = Hashtbl.create 16;
-      prepared = Hashtbl.create 16;
-      probing = Hashtbl.create 16;
-      decisions = Hashtbl.create 16;
-      txn_audit = [];
-      coord_rounds = Hashtbl.create 16;
-      spec_locks = Hashtbl.create 16;
-      proposed_preps = Hashtbl.create 16;
-      proposed_resolves = Hashtbl.create 16;
-      txn_counter = 0;
-      txns_coordinated = 0;
-      txns_committed = 0;
-      txns_aborted = 0;
     }
   in
-  (* The spec view must wrap the server's own tree. *)
-  let t = { t with spec = Spec_view.create t.tree } in
+  t.cross <-
+    Some
+      (Cross_shard.create
+         {
+           sim;
+           tree;
+           spec = t.spec;
+           is_leader = (fun () -> is_leader t);
+           leader_ready = (fun () -> t.leader_ready);
+           epoch = (fun () -> Zab.epoch (zab t));
+           propose = propose t;
+           reply = reply t;
+         });
   let send ~dst msg = send_wire t ~dst (Zab_msg msg) in
   let send_many ~dsts msg = send_wire_many t ~dsts (Zab_msg msg) in
   let z =
@@ -1506,15 +917,6 @@ let restart t =
   Zab.restart (zab t);
   Sim.schedule t.sim ~after:expiry_check_interval
     (expiry_tick t t.generation)
-
-(** [set_sharding] plugs the replica into a sharded deployment: its own
-    shard id, the deployment's path router (classifies multi ops), and a
-    sender on the inter-shard plane (frames addressed by shard id; the
-    deployment delivers them to that shard's current leader). *)
-let set_sharding t ~shard_id ~route ~send =
-  t.shard_id <- shard_id;
-  t.shard_route <- Some route;
-  t.shard_send <- Some send
 
 (* Hook installation (used by EZK) *)
 let set_hook_intercept t f = t.hook_intercept <- f

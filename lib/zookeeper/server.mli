@@ -2,7 +2,8 @@
     (validation, txn minting, the EZK intercept), proposer (Zab), final
     processor (apply, watches, reply routing from the client's replica).
     Reads are served locally from committed state; updates are forwarded
-    to the leader.  Extensibility enters only through {!section-hooks}. *)
+    to the leader.  Extensibility enters only through {!section-hooks};
+    cross-shard commit lives beside the chain in {!Cross_shard}. *)
 
 open Edc_simnet
 open Edc_replication
@@ -162,50 +163,9 @@ val install_snapshot : t -> string -> (unit, string) result
     do not trigger event extensions. *)
 val propose_internal : t -> ?quiet:bool -> Txn.op list -> unit
 
-(** {2 Sharded deployments (§6j)}
-
-    A replica can serve as one member of a sharded deployment: the
-    namespace is partitioned across independent replication groups, and
-    atomic cross-shard multi-writes commit via presumed-abort two-phase
-    commit whose coordinator and participant state both ride the groups'
-    replicated logs. *)
-
-(** [set_sharding t ~shard_id ~route ~send] plugs the replica into a
-    sharded deployment: its own shard id, the deployment's path router,
-    and a sender on the inter-shard plane ([send dst frame] delivers
-    [frame] to shard [dst]'s current leader). *)
-val set_sharding :
-  t ->
-  shard_id:int ->
-  route:(string -> int) ->
-  send:(int -> Two_pc.frame -> unit) ->
-  unit
-
-val shard_id : t -> int
-
-(** Deliver an inter-shard 2PC frame to this replica.  Frames are only
-    meaningful to a ready leader; anyone else drops them and lets the
-    sender's retry / in-doubt inquiry loop find the new leader. *)
-val handle_shard_frame : t -> Two_pc.frame -> unit
-
-(** Resolved cross-shard outcomes on this replica, oldest first — the
-    atomicity checker's observation stream. *)
-val txn_audit : t -> (string * bool) list
-
-(** Replicated coordinator decision for [txid], if one was logged here. *)
-val decided : t -> string -> bool option
-
-(** In-doubt transactions parked on this replica (txid, coordinator). *)
-val prepared_txns : t -> (string * int) list
-
-(** Paths currently write-locked by prepared transactions (path, txid). *)
-val locked_paths : t -> (string * string) list
-
-(** 2PC statistics (coordinator side). *)
-
-val txns_coordinated : t -> int
-val txns_committed : t -> int
-val txns_aborted : t -> int
+(** This replica's cross-shard commit engine (§6j), which owns every 2PC
+    table; {!Cross_shard.set_sharding} plugs it into a deployment. *)
+val cross_shard : t -> Cross_shard.t
 
 (** Hook installation (used by EZK). *)
 

@@ -1136,6 +1136,7 @@ module Shard_map = Edc_sharding.Shard_map
 module Shard_cluster = Edc_sharding.Shard_cluster
 module Shard_session = Edc_sharding.Shard_session
 module Zserver = Edc_zookeeper.Server
+module Cross_shard = Edc_zookeeper.Cross_shard
 module Zerror = Edc_zookeeper.Zerror
 module Atomicity = Edc_checker.Atomicity
 
@@ -1186,7 +1187,7 @@ let wait_until sim ~step_ms ~deadline_ms what cond =
 
 let participant_prepared cluster shard () =
   match Shard_cluster.shard_leader cluster shard with
-  | Some l -> Zserver.prepared_txns l <> []
+  | Some l -> Cross_shard.prepared_txns (Zserver.cross_shard l) <> []
   | None -> false
 
 let check_uniform_outcome cluster ~committed =
@@ -1277,18 +1278,93 @@ let check_snapshot_roundtrip what server =
   | Error e -> Alcotest.failf "%s: snapshot install rejected: %s" what e);
   Alcotest.(check (list (pair string int)))
     (what ^ ": prepared transactions transferred")
-    (Zserver.prepared_txns server) (Zserver.prepared_txns fresh);
+    (Cross_shard.prepared_txns (Zserver.cross_shard server))
+    (Cross_shard.prepared_txns (Zserver.cross_shard fresh));
   Alcotest.(check (list (pair string string)))
     (what ^ ": locks transferred")
-    (Zserver.locked_paths server) (Zserver.locked_paths fresh);
+    (Cross_shard.locked_paths (Zserver.cross_shard server))
+    (Cross_shard.locked_paths (Zserver.cross_shard fresh));
   Alcotest.(check (list (pair string bool)))
     (what ^ ": audit transferred")
-    (Zserver.txn_audit server) (Zserver.txn_audit fresh);
+    (Cross_shard.txn_audit (Zserver.cross_shard server))
+    (Cross_shard.txn_audit (Zserver.cross_shard fresh));
   Alcotest.(check bool)
     (what ^ ": reinstalled snapshot re-serializes to the same blob")
     true
     (String.equal blob (Zserver.snapshot_bytes fresh));
   fresh
+
+(* Pins the byte layout of the 2PC snapshot sections: a same-seed run
+   leaves shard 0's leader with four non-empty tables that differ from
+   each other — A committed (a decision and an audit entry), C aborted
+   (audit only: presumed abort logs no decision), B in doubt (a prepared
+   record and its locks) — and the blob's digest must match the one
+   recorded before the sections moved into [Cross_shard].  The roundtrip
+   checks only prove self-consistency; reordering two lists in the
+   writer keeps them green but moves this digest. *)
+let snapshot_2pc_digest = "f8c1dc505d1cc53119716a7d77c680ef"
+
+let test_2pc_snapshot_digest () =
+  in_2pc_cluster (fun cluster ->
+      let sim = Shard_cluster.sim cluster in
+      let net = Shard_cluster.ishard_net cluster in
+      let s = Shard_session.connect cluster in
+      List.iter
+        (fun root ->
+          match Shard_session.create_node s root "" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "root %s: %a" root Zerror.pp e)
+        [ "/s0"; "/s1" ];
+      let multi ~expect conn ops =
+        let outcome = Edc_zookeeper.Client.multi conn ops in
+        if outcome <> expect then
+          Alcotest.failf "cross-shard multi: unexpected %s"
+            (match outcome with Ok () -> "commit" | Error e -> Zerror.to_string e)
+      in
+      let l = (Shard_cluster.servers cluster 0).(leader_index cluster ~shard:0) in
+      let xs = Zserver.cross_shard l in
+      let settled n () =
+        List.length (Cross_shard.txn_audit xs) = n
+        && not (participant_prepared cluster 0 ())
+      in
+      (* A and C go to shard 0, which coordinates and participates; C's
+         slice on shard 1 re-creates /s1/a, so shard 1 votes no *)
+      multi ~expect:(Ok ()) (Shard_session.conn s 0)
+        [ Two_pc.Wcreate { path = "/s0/a"; data = "a" };
+          Two_pc.Wcreate { path = "/s1/a"; data = "a" } ];
+      wait_until sim ~step_ms:10 ~deadline_ms:5_000 "A resolved on shard 0"
+        (settled 1);
+      multi ~expect:(Error Zerror.Txn_conflict) (Shard_session.conn s 0)
+        [ Two_pc.Wcreate { path = "/s0/c"; data = "c" };
+          Two_pc.Wcreate { path = "/s1/a"; data = "c" } ];
+      wait_until sim ~step_ms:10 ~deadline_ms:5_000 "C resolved on shard 0"
+        (settled 2);
+      (* B goes to shard 1, which coordinates; the commit push to shard 0
+         is cut the moment shard 0 has logged its prepare *)
+      Proc.spawn sim (fun () ->
+          wait_until sim ~step_ms:1 ~deadline_ms:5_000 "B prepared on shard 0"
+            (participant_prepared cluster 0);
+          Net.cut_link_one_way net ~src:1 ~dst:0);
+      multi ~expect:(Ok ()) (Shard_session.conn s 1)
+        [ Two_pc.Wcreate { path = "/s1/b"; data = "b" };
+          Two_pc.Wcreate { path = "/s0/b"; data = "b" } ];
+      let txid_a, txid_c =
+        match Cross_shard.txn_audit xs with
+        | [ (a, true); (c, false) ] -> (a, c)
+        | _ -> Alcotest.fail "shard 0 should have resolved A (commit), C (abort)"
+      in
+      Alcotest.(check (option bool)) "A's decision logged on shard 0"
+        (Some true) (Cross_shard.decided xs txid_a);
+      Alcotest.(check (option bool)) "C logged no decision" None
+        (Cross_shard.decided xs txid_c);
+      Alcotest.(check int) "B in doubt on shard 0" 1
+        (List.length (Cross_shard.prepared_txns xs));
+      Alcotest.(check bool) "B's locks held on shard 0" true
+        (Cross_shard.locked_paths xs <> []);
+      Alcotest.(check string) "2PC snapshot digest" snapshot_2pc_digest
+        (Digest.to_hex (Digest.string (Zserver.snapshot_bytes l)));
+      Net.heal_link_one_way net ~src:1 ~dst:0;
+      Proc.sleep sim (Sim_time.sec 10))
 
 (* Coordinator leader killed after its commit record was replicated but
    with the outcome pushes to the participant lost: the decision table
@@ -1332,12 +1408,15 @@ let test_2pc_coordinator_crash_after_commit_record () =
         (Shard_cluster.servers cluster shard).(leader_index cluster ~shard)
       in
       let participant = check_snapshot_roundtrip "participant" (leader 1) in
-      let txid, _ = List.hd (Zserver.prepared_txns participant) in
+      let txid, _ =
+        List.hd (Cross_shard.prepared_txns (Zserver.cross_shard participant))
+      in
       Alcotest.(check bool) "participant locks the in-doubt write" true
-        (List.mem ("/s1/y", txid) (Zserver.locked_paths participant));
+        (List.mem ("/s1/y", txid)
+           (Cross_shard.locked_paths (Zserver.cross_shard participant)));
       let coordinator = check_snapshot_roundtrip "coordinator" (leader 0) in
       Alcotest.(check (option bool)) "coordinator decision transferred"
-        (Some true) (Zserver.decided coordinator txid);
+        (Some true) (Cross_shard.decided (Zserver.cross_shard coordinator) txid);
       (* kill the coordinator: recovery must come from the replicated
          decision table, not the dead process *)
       let ci = leader_index cluster ~shard:0 in
@@ -1385,7 +1464,8 @@ let test_2pc_participant_partition_presumed_abort () =
       Array.iter
         (fun srv ->
           Alcotest.(check (list (pair string string)))
-            "participant locks released" [] (Zserver.locked_paths srv))
+            "participant locks released" []
+            (Cross_shard.locked_paths (Zserver.cross_shard srv)))
         (Shard_cluster.servers cluster 1);
       Alcotest.(check bool) "nothing applied on shard 1" true
         (nowhere cluster 1 "/s1/y"))
@@ -1477,5 +1557,7 @@ let () =
             test_2pc_coordinator_crash_after_commit_record;
           Alcotest.test_case "participant partition presumed abort" `Quick
             test_2pc_participant_partition_presumed_abort;
+          Alcotest.test_case "snapshot bytes pinned" `Quick
+            test_2pc_snapshot_digest;
         ] );
     ]
