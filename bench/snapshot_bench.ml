@@ -1,7 +1,9 @@
 (* Snapshot pipeline benchmarks (PR: COW snapshots, lazy serialization,
    chunked state transfer).
 
-   Four experiments, results in BENCH_snapshot.json:
+   Four experiments, results in BENCH_snapshot.json, grouped by clock:
+   the first two under "wall_clock" (they differ from run to run), the
+   last two under "sim_time" (identical for the same build):
    - capture: wall-clock cost of a copy-on-write [Data_tree.export]
      vs. the eager deep-copy baseline at 10^3..10^5 nodes (the COW
      capture must stay flat — O(1) — while the deep copy grows linearly)
@@ -120,7 +122,7 @@ let pause_experiment ~quick =
   let ops = if quick then 5_000 else 20_000 in
   let every = 1_000 in
   Printf.printf
-    "\n  apply-path pauses (%d ops on %d nodes, snapshot every %d):\n" ops
+    "\n  apply-path pauses (wall clock; %d ops on %d nodes, snapshot every %d):\n" ops
     nodes every;
   Printf.printf "  %8s %10s %10s %10s\n" "mode" "p50 us" "p99 us" "max us";
   let row mode name =
@@ -285,7 +287,7 @@ let catchup_experiment ~quick =
 (* ------------------------------------------------------------------ *)
 
 let resume_experiment () =
-  Printf.printf "\n  mid-transfer link kill + heal:\n";
+  Printf.printf "\n  mid-transfer link kill + heal (sim time):\n";
   (* tiny chunks so the transfer spans many round trips and the cut lands
      mid-flight deterministically *)
   let zab_config =
@@ -376,10 +378,8 @@ let run ~quick =
   let resume_json, resume_ok = resume_experiment () in
   J.write_suite ~suite:"snapshot"
     [
-      ("capture", capture_json);
-      ("pauses", pause_json);
-      ("catchup", catchup_json);
-      ("resume", resume_json);
+      ("wall_clock", J.Obj [ ("capture", capture_json); ("pauses", pause_json) ]);
+      ("sim_time", J.Obj [ ("catchup", catchup_json); ("resume", resume_json) ]);
       ("capture_o1_ok", J.Bool capture_ok);
       ("catchup_ok", J.Bool catchup_ok);
       ("resume_ok", J.Bool resume_ok);

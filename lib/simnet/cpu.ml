@@ -15,13 +15,19 @@ let create sim = { sim; rng = Rng.split (Sim.rng sim); busy_until = Sim_time.zer
     ±25% multiplicative jitter: without it, uniform deterministic service
     times phase-lock closed-loop clients into artificial convoys in which
     conditional updates never conflict — real CPUs (and the paper's
-    contention results) do not behave that way. *)
+    contention results) do not behave that way.
+
+    Work that finishes now (zero cost on an idle processor) is not an
+    event: it is deferred to the end of the current turn, behind the
+    turn's other deferred work, so a turn-driven sim runs it in the turn
+    that submitted it; a plain sim runs it at once. *)
 let exec t ~cost f =
   let cost = Sim_time.scale cost (0.75 +. (0.5 *. Rng.float t.rng)) in
-  let start = Sim_time.max (Sim.now t.sim) t.busy_until in
-  let finish = Sim_time.add start cost in
+  let now = Sim.now t.sim in
+  let finish = Sim_time.add (Sim_time.max now t.busy_until) cost in
   t.busy_until <- finish;
-  Sim.schedule_at t.sim ~at:finish f
+  if Sim_time.(finish <= now) then Sim.defer t.sim f
+  else Sim.schedule_at t.sim ~at:finish f
 
 (** Current backlog (how far in the future new work would start). *)
 let backlog t =

@@ -10,12 +10,22 @@ let create () = { data = [||]; size = 0 }
 let length v = v.size
 let is_empty v = v.size = 0
 
+(* Slots at or past [size] hold no element.  A dropped element left in
+   one would stay reachable until a push overwrote it — a compacted log
+   would pin up to a capacity of entries — so they hold an immediate,
+   which the GC never follows; no slot past [size] is ever read.  A flat
+   float array holds no pointers and is left as it is. *)
+let scrub v pos len =
+  if Obj.tag (Obj.repr v.data) <> Obj.double_array_tag then
+    Array.fill v.data pos len (Obj.magic 0)
+
 let push v x =
   if v.size >= Array.length v.data then begin
     let capacity = Stdlib.max 16 (2 * Array.length v.data) in
     let data = Array.make capacity x in
     Array.blit v.data 0 data 0 v.size;
-    v.data <- data
+    v.data <- data;
+    scrub v (v.size + 1) (capacity - v.size - 1)
   end;
   v.data.(v.size) <- x;
   v.size <- v.size + 1
@@ -30,12 +40,14 @@ let set v i x =
 
 let last_opt v = if v.size = 0 then None else Some v.data.(v.size - 1)
 
-(** [truncate v n] keeps the first [n] elements. *)
+(** [truncate v n] keeps the first [n] elements and scrubs the slots of
+    the dropped ones; the capacity is kept. *)
 let truncate v n =
   if n < 0 || n > v.size then invalid_arg "Vec.truncate";
+  scrub v n (v.size - n);
   v.size <- n
 
-let clear v = v.size <- 0
+let clear v = truncate v 0
 
 let iter f v =
   for i = 0 to v.size - 1 do

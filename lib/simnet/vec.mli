@@ -11,9 +11,11 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val last_opt : 'a t -> 'a option
 
-(** [truncate v n] keeps the first [n] elements. *)
+(** [truncate v n] keeps the first [n] elements; the dropped ones are no
+    longer reachable from [v], though its capacity is kept. *)
 val truncate : 'a t -> int -> unit
 
+(** [clear v] is [truncate v 0]. *)
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

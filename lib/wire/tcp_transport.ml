@@ -26,6 +26,9 @@ type 'm t = {
   listeners : (int, Unix.file_descr) Hashtbl.t;  (** local addr -> socket *)
   accepted : (Unix.file_descr, conn) Hashtbl.t;
   outbound : (int * int, out_conn) Hashtbl.t;  (** (src, dst) *)
+  mutable select_fds : Unix.file_descr list;
+      (** listeners and accepted connections, what {!poll} waits on;
+          rebuilt only when one of them opens or closes *)
   mutable n_encodes : int;
   mutable n_decode_errors : int;
   mutable n_send_failures : int;
@@ -45,6 +48,7 @@ let create ~sim ~base_port ~encode ~decode () =
     listeners = Hashtbl.create 16;
     accepted = Hashtbl.create 16;
     outbound = Hashtbl.create 16;
+    select_fds = [];
     n_encodes = 0;
     n_decode_errors = 0;
     n_send_failures = 0;
@@ -61,13 +65,19 @@ let bytes_sent t = t.n_bytes_sent
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
+let refresh_select_fds t =
+  t.select_fds <-
+    Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners
+      (Hashtbl.fold (fun fd _ acc -> fd :: acc) t.accepted [])
+
 let register t addr handler =
   if not (Hashtbl.mem t.listeners addr) then begin
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (loopback (t.base_port + addr));
     Unix.listen fd 64;
-    Hashtbl.replace t.listeners addr fd
+    Hashtbl.replace t.listeners addr fd;
+    refresh_select_fds t
   end;
   Hashtbl.replace t.handlers addr handler
 
@@ -94,23 +104,34 @@ let write_some fd b off len =
       0
 
 (* Flush [oc]'s corked bytes.  A partial write retains the unwritten
-   suffix inside the Outbuf; a hard error drops the connection and
-   everything queued on it (fire-and-forget, like simulated link loss). *)
-let flush_out t key oc =
+   suffix inside the Outbuf; a hard error counts a send failure and
+   returns [false]: the caller drops the connection and everything queued
+   on it (fire-and-forget, like simulated link loss). *)
+let try_flush t oc =
   match Outbuf.flush oc.obuf ~write:(write_some oc.ofd) with
-  | n -> t.n_bytes_sent <- t.n_bytes_sent + n
+  | n ->
+      t.n_bytes_sent <- t.n_bytes_sent + n;
+      true
   | exception Unix.Unix_error _ ->
       t.n_send_failures <- t.n_send_failures + 1;
-      drop_outbound t key
+      false
 
+let flush_out t key oc = if not (try_flush t oc) then drop_outbound t key
+
+(* Uncork every connection.  The ones that fail are dropped after the
+   fold, so the table is not mutated while it is walked; an idle hub
+   builds no list. *)
 let flush_all t =
-  if Hashtbl.length t.outbound > 0 then begin
-    (* snapshot the keys: flush_out may remove entries on error *)
-    let live = Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) t.outbound [] in
-    List.iter
-      (fun (key, oc) -> if Outbuf.pending oc.obuf > 0 then flush_out t key oc)
-      live
-  end
+  if Hashtbl.length t.outbound > 0 then
+    match
+      Hashtbl.fold
+        (fun key oc failed ->
+          if Outbuf.pending oc.obuf > 0 && not (try_flush t oc) then key :: failed
+          else failed)
+        t.outbound []
+    with
+    | [] -> ()
+    | failed -> List.iter (drop_outbound t) failed
 
 (* If a connection's cork grows past this without a successful flush, we
    try to drain it inline from the send path so memory stays bounded even
@@ -195,7 +216,8 @@ let transport t =
 
 let close_conn t conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Hashtbl.remove t.accepted conn.fd
+  Hashtbl.remove t.accepted conn.fd;
+  refresh_select_fds t
 
 (* Extract every complete frame from [conn]'s buffer and dispatch it.
    Frames are decoded in place from the reassembly buffer (no per-frame
@@ -265,9 +287,8 @@ let poll t ~timeout =
        since the last poll hit the wire before we sleep in select *)
     Sim.end_turn t.sim;
     flush_all t;
-    let listener_fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners [] in
-    let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.accepted [] in
-    (match Unix.select (listener_fds @ conn_fds) [] [] timeout with
+    (match Unix.select t.select_fds [] [] timeout with
+    | [], _, _ -> ()
     | readable, _, _ ->
         List.iter
           (fun fd ->
@@ -293,7 +314,8 @@ let poll t ~timeout =
                             inbuf = Bytes.create 65536;
                             in_start = 0;
                             in_len = 0;
-                          }
+                          };
+                        refresh_select_fds t
                     | exception Unix.Unix_error _ -> ())))
           readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -331,5 +353,6 @@ let shutdown t =
       t.outbound;
     Hashtbl.reset t.listeners;
     Hashtbl.reset t.accepted;
-    Hashtbl.reset t.outbound
+    Hashtbl.reset t.outbound;
+    t.select_fds <- []
   end

@@ -37,9 +37,11 @@
     The hub drives the simulator in {e turns}: {!create} marks the sim as
     turn-driven, and each {!poll} calls {!Edc_simnet.Sim.end_turn} before
     each of its two uncorks.  Work deferred with
-    {!Edc_simnet.Sim.defer} — the group-commit batcher's flush — thus
-    sees everything the turn received, and its output leaves in the same
-    [write]: a leader proposes all of one poll's requests as one batch.
+    {!Edc_simnet.Sim.defer} — zero-cost {!Edc_simnet.Cpu} work such as a
+    leader's pre-processor, then the group-commit batcher's flush — thus
+    runs in the turn that received its input, and its output leaves in
+    the same [write]: a leader proposes all of one poll's requests as
+    one batch, beside the commits the poll produced.
 
     The event loop bridges wall clock and virtual clock: {!drive} runs the
     simulator's timers against elapsed real time and polls the sockets in

@@ -564,6 +564,63 @@ let test_cpu_deterministic_jitter () =
   in
   Alcotest.(check bool) "same seed, same schedule" true (run () = run ())
 
+(* Zero-cost work on an idle processor is not an event: it is the turn's
+   deferred work, in FIFO order with the rest of it. *)
+
+let test_cpu_zero_cost_ends_turn () =
+  let sim = Sim.create () in
+  Sim.set_turn_driven sim;
+  let cpu = Cpu.create sim in
+  let log = ref [] in
+  Cpu.exec cpu ~cost:Sim_time.zero (fun () -> log := Sim.now sim :: !log);
+  Alcotest.(check int) "no event queued" 0 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "Sim.run does not run it" 0 (List.length !log);
+  Sim.end_turn sim;
+  Alcotest.(check (list int)) "end_turn runs it, at once" [ 0 ]
+    (List.map Sim_time.to_ns !log);
+  Alcotest.(check int) "no event executed" 0 (Sim.executed_events sim)
+
+let test_cpu_zero_cost_fifo_with_defer () =
+  let sim = Sim.create () in
+  Sim.set_turn_driven sim;
+  let cpu = Cpu.create sim in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Sim.defer sim (note "a");
+  Cpu.exec cpu ~cost:Sim_time.zero (fun () ->
+      note "b" ();
+      Cpu.exec cpu ~cost:Sim_time.zero (note "d"));
+  Sim.defer sim (note "c");
+  Sim.end_turn sim;
+  Alcotest.(check (list string)) "submission order, nested work same turn"
+    [ "a"; "b"; "c"; "d" ] (List.rev !log)
+
+let test_cpu_zero_cost_behind_backlog () =
+  let sim = Sim.create () in
+  Sim.set_turn_driven sim;
+  let cpu = Cpu.create sim in
+  let log = ref [] in
+  Cpu.exec cpu ~cost:(Sim_time.ms 10) (fun () -> log := ("busy", Sim.now sim) :: !log);
+  let busy_until = Cpu.backlog cpu in
+  Cpu.exec cpu ~cost:Sim_time.zero (fun () -> log := ("zero", Sim.now sim) :: !log);
+  Sim.end_turn sim;
+  Alcotest.(check int) "the backlog holds it back" 0 (List.length !log);
+  Alcotest.(check int) "both are events" 2 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "in submission order" [ "busy"; "zero" ]
+    (List.rev_map fst !log);
+  Alcotest.(check bool) "at the end of the backlog" true
+    (List.for_all (fun (_, at) -> at = busy_until) !log)
+
+let test_cpu_zero_cost_plain_sim () =
+  let sim = Sim.create () in
+  let cpu = Cpu.create sim in
+  let ran = ref false in
+  Cpu.exec cpu ~cost:Sim_time.zero (fun () -> ran := true);
+  Alcotest.(check bool) "ran before exec returned" true !ran;
+  Alcotest.(check int) "no event queued" 0 (Sim.pending sim)
+
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -585,6 +642,39 @@ let test_vec_basics () =
   Alcotest.(check (list int)) "replace_from" [ 1; 9; 8 ] (Vec.to_list v);
   Alcotest.check_raises "oob get" (Invalid_argument "Vec.get: out of bounds")
     (fun () -> ignore (Vec.get v 5))
+
+(* a float vector is a flat array: the scrub of freed slots leaves it be *)
+let test_vec_floats () =
+  let v = Vec.of_list [ 1.5; 2.5; 3.5 ] in
+  Vec.truncate v 1;
+  Vec.push v 4.5;
+  Vec.clear v;
+  Vec.push v 5.5;
+  Vec.push v 6.5;
+  Alcotest.(check (list (float 0.))) "floats intact" [ 5.5; 6.5 ] (Vec.to_list v)
+
+(* Elements dropped by [truncate] or [clear] must be collectable even
+   though the vector keeps its capacity. *)
+let vec_dropped_collectable ~keep drop =
+  let n = 40 in
+  let weak = Weak.create n in
+  let v = Vec.create () in
+  for i = 0 to n - 1 do
+    let x = Sys.opaque_identity (ref i) in
+    Weak.set weak i (Some x);
+    Vec.push v x
+  done;
+  drop v;
+  Gc.full_major ();
+  Alcotest.(check int) "kept" keep (Vec.length (Sys.opaque_identity v));
+  let live = List.filter (Weak.check weak) (List.init n Fun.id) in
+  Alcotest.(check (list int)) "reachable: the kept elements only"
+    (List.init keep Fun.id) live
+
+let test_vec_releases_dropped () =
+  vec_dropped_collectable ~keep:10 (fun v -> Vec.truncate v 10);
+  vec_dropped_collectable ~keep:0 Vec.clear;
+  vec_dropped_collectable ~keep:0 (fun v -> Vec.replace_from v 0 [])
 
 let prop_vec_mirrors_list =
   QCheck.Test.make ~name:"vec push/to_list mirrors list" ~count:200
@@ -727,10 +817,21 @@ let () =
           Alcotest.test_case "backlog" `Quick test_cpu_backlog;
           Alcotest.test_case "deterministic jitter" `Quick
             test_cpu_deterministic_jitter;
+          Alcotest.test_case "zero cost runs at the end of the turn" `Quick
+            test_cpu_zero_cost_ends_turn;
+          Alcotest.test_case "zero cost keeps FIFO with deferred work" `Quick
+            test_cpu_zero_cost_fifo_with_defer;
+          Alcotest.test_case "zero cost behind a backlog is an event" `Quick
+            test_cpu_zero_cost_behind_backlog;
+          Alcotest.test_case "zero cost on a plain sim runs at once" `Quick
+            test_cpu_zero_cost_plain_sim;
         ] );
       ( "vec",
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
+          Alcotest.test_case "floats" `Quick test_vec_floats;
+          Alcotest.test_case "truncate, clear, replace_from release dropped"
+            `Quick test_vec_releases_dropped;
           qc prop_vec_mirrors_list;
         ] );
       ( "stats",

@@ -1505,6 +1505,114 @@ let test_tcp_stalled_reader_bounded () =
   if !sent > 2 * fit then
     Alcotest.failf "cork unbounded: %d frames sent to a stalled reader" !sent
 
+(* Zero-cost server work is the turn's deferred work: with the modelled
+   CPU costs at zero, the leader's pre-processor runs in the poll that
+   delivers the forwarded write, and a follower's local read replies in
+   the poll that delivers it, with no [Sim.run] in between. *)
+let test_tcp_zero_cost_same_turn () =
+  let sim = Sim.create ~seed:36 () in
+  let base_port = 23000 + (Unix.getpid () mod 9000) in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
+      ~decode:Zk.Server_wire.decode_sub ()
+  in
+  let tr = Tcp_transport.transport hub in
+  let config =
+    {
+      Zk.Server.default_config with
+      preprocess_cost = Sim_time.zero;
+      read_cost = Sim_time.zero;
+    }
+  in
+  let replica_ids = [ 0; 1; 2 ] in
+  let servers =
+    List.map
+      (fun id ->
+        Zk.Server.create ~config ~sim ~net:tr ~id ~replica_ids ~initial_leader:0 ())
+      replica_ids
+  in
+  List.iter Zk.Server.start servers;
+  let leader = List.hd servers in
+  let client = Zk.Client.create ~sim ~net:tr ~addr:100 ~replica:1 () in
+  let ready =
+    Proc.async sim (fun () ->
+        Zk.Client.connect client;
+        Zk.Client.create_node client "/k" "0")
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Proc.is_fulfilled ready)) && Unix.gettimeofday () < deadline do
+    Tcp_transport.drive hub ~wall:0.02
+  done;
+  (match Proc.value_opt ready with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "session and /k not set up");
+  (* polls only: no simulator event may run from here on *)
+  let events = Sim.executed_events sim in
+  let polls_until cond =
+    let n = ref 0 in
+    while (not (cond ())) && !n < 200 do
+      Tcp_transport.poll hub ~timeout:0.01;
+      incr n
+    done;
+    cond ()
+  in
+  let proposals = Zk.Server.proposals leader in
+  let write =
+    Zk.Client.request_async client
+      (P.Set_data { path = "/k"; data = "1"; expected_version = None })
+  in
+  Alcotest.(check bool) "the leader proposes within polls" true
+    (polls_until (fun () -> Zk.Server.proposals leader > proposals));
+  let read = Zk.Client.request_async client (P.Get_data { path = "/k"; watch = false }) in
+  Alcotest.(check bool) "the local read replies within polls" true
+    (polls_until (fun () -> Proc.is_fulfilled read));
+  Alcotest.(check int) "no event ran" events (Sim.executed_events sim);
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Proc.is_fulfilled write)) && Unix.gettimeofday () < deadline do
+    Tcp_transport.drive hub ~wall:0.02
+  done;
+  Tcp_transport.shutdown hub;
+  (match Proc.value_opt write with
+  | Some (P.Set _) -> ()
+  | _ -> Alcotest.fail "the write was not acknowledged");
+  Alcotest.(check int) "no undecodable frames" 0 (Tcp_transport.decode_errors hub)
+
+(* An idle poll allocates no per-connection lists: the hub keeps its
+   select list and uncorks by iterating its table.  Three addresses, each
+   connected to the other two, then 1000 polls with nothing to do. *)
+let test_tcp_idle_poll_allocates_little () =
+  let sim = Sim.create ~seed:35 () in
+  let base_port = 22000 + (Unix.getpid () mod 9000) in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
+      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
+      ()
+  in
+  let tr = Tcp_transport.transport hub in
+  let addrs = [ 0; 1; 2 ] in
+  List.iter (fun a -> tr.register a (fun ~src:_ ~size:_ _ -> ())) addrs;
+  List.iter
+    (fun src ->
+      List.iter (fun dst -> if src <> dst then tr.send ~src ~dst ~size:0 "hi") addrs)
+    addrs;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Tcp_transport.frames_received hub < 6 && Unix.gettimeofday () < deadline do
+    Tcp_transport.poll hub ~timeout:0.01
+  done;
+  Alcotest.(check int) "every pair connected" 6 (Tcp_transport.frames_received hub);
+  let polls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to polls do
+    Tcp_transport.poll hub ~timeout:0.
+  done;
+  let per_poll = (Gc.minor_words () -. w0) /. float_of_int polls in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check int) "nothing arrived while idle" 6 (Tcp_transport.frames_received hub);
+  (* about 24 words: select's result triple and two table folds; a poll
+     that rebuilds its descriptor and connection lists allocates ~150 *)
+  if per_poll > 32. then
+    Alcotest.failf "an idle poll allocates %.1f words, want <= 32" per_poll
+
 (* ------------------------------------------------------------------ *)
 (* 2PC frames (§6j)                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1709,6 +1817,10 @@ let () =
             test_tcp_pipelined_group_commit;
           Alcotest.test_case "stalled reader: cork bounded, conn dropped"
             `Quick test_tcp_stalled_reader_bounded;
+          Alcotest.test_case "zero-cost server work runs in the poll's turn"
+            `Quick test_tcp_zero_cost_same_turn;
+          Alcotest.test_case "an idle poll allocates no lists" `Quick
+            test_tcp_idle_poll_allocates_little;
         ] );
       ( "2pc",
         [
