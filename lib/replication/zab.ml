@@ -27,10 +27,13 @@
     proposes the [Cc_final] entry that collapses membership to [c_new].
     New replicas join as non-voting learners: they are bootstrapped with
     the chunked snapshot transfer plus log sync and only enter a config
-    (gaining a vote) once caught up.  Replicas outside the config are
-    fenced: voters ignore their campaigns and the leader tells them to
-    stand down, so a deposed member can never win an election (and the
-    deployment uses {!is_fenced} to refuse serving reads).
+    (gaining a vote) once caught up; until a committed final admits one,
+    it keeps announcing itself.  Replicas outside the config are fenced:
+    voters ignore their campaigns and the leader tells them to stand down,
+    so a deposed member can never win an election (and the deployment
+    uses {!is_fenced} to refuse serving reads).  State only a leader
+    writes is dropped in one place when it stops leading or crashes, so
+    every leader starts from empty leader state.
 
     The module is transport-agnostic: the deployment supplies a [send]
     function and feeds incoming messages to {!handle}.  All timers run on
@@ -277,9 +280,9 @@ type 'p t = {
       (** lazy serializer for the app snapshot covering [0, base): captured
           (cheaply) at compaction time, forced only when a state transfer
           actually needs the bytes *)
-  mutable snap_cache : (int * string) option;
-      (** (base, blob): the forced serialization, reused until the next
-          compaction moves the horizon *)
+  mutable snap_cache : string option;
+      (** the forced serialization of [0, base), reused until the next
+          compaction moves the horizon (which clears it) *)
   mutable install_snapshot : (string -> (unit, string) result) option;
   mutable current_epoch : int;
   mutable voted_epoch : int;  (** highest epoch we granted a vote in *)
@@ -314,12 +317,10 @@ type 'p t = {
       (** permanent non-voting member: consumes the commit stream and
           serves sequentially-consistent reads, never promoted, never in
           any quorum or election *)
-  mutable joining : bool;
-      (** we are a learner still working toward a vote: keep broadcasting
-          [Join_request] on silence until a committed final admits us *)
   mutable finalized : bool;
       (** a committed final admitted us at least once (always true for
-          replicas created as members) *)
+          replicas created as members).  Until then a learner keeps
+          broadcasting [Join_request] on silence (see {!learning}). *)
   (* --- volatile state --- *)
   mutable role : role;
   mutable leader_hint : int option;
@@ -363,7 +364,7 @@ type 'p t = {
   mutable pending_snap : pending_snap option;
       (** follower: partially received snapshot (volatile; chunks are
           buffered in memory and only installed once complete) *)
-  mutable stats : xfer_stats;
+  stats : xfer_stats;
   reconfig : reconfig_stats;
 }
 
@@ -388,7 +389,6 @@ and xfer = {
 (** Follower-side partial transfer: the contiguous chunk prefix received. *)
 and pending_snap = {
   ps_base : int;
-  ps_total : int;
   ps_chunks : int;
   ps_digest : string;
   ps_config : membership;  (** membership at [ps_base], from [Snapshot_begin] *)
@@ -436,6 +436,9 @@ let quorum_met t ids =
 let abs_len t = t.base + Vec.length t.log
 let log_get t i = Vec.get t.log (i - t.base)
 
+(* leader: the log prefix follower [p] has acked in this epoch *)
+let acked t p = Option.value ~default:0 (Hashtbl.find_opt t.match_len p)
+
 let last_zxid t =
   match Vec.last_opt t.log with
   | Some e -> e.zxid
@@ -461,6 +464,12 @@ let is_observer t = t.created_observer
 let observers t = t.observers
 let lease_stats t = t.lease
 
+(* A learner still working toward a vote: it keeps announcing itself with
+   [Join_request] until a committed final admits it — also after a fence,
+   when its half-finished join was aborted (the joint entry died with the
+   old leader) and has to start over. *)
+let learning t = t.created_learner && not t.finalized
+
 (* ------------------------------------------------------------------ *)
 (* Leader leases                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -471,7 +480,6 @@ let lease_stats t = t.lease
    correctness depends on the ε assumption. *)
 let local_now t = Sim_time.add (Sim.now t.sim) t.clock_skew
 let set_clock_skew t d = t.clock_skew <- d
-let clock_skew t = t.clock_skew
 let leases_on t = Sim_time.compare t.config.lease_duration Sim_time.zero > 0
 
 (* A voter that promised (by granting a lease) must not help elect a new
@@ -504,11 +512,7 @@ let grant_live t v =
    that promised us the lease). *)
 let lease_valid t =
   t.alive && t.role = Leader && leases_on t
-  &&
-  let live = List.filter (grant_live t) (voters t) in
-  match t.members with
-  | Stable m -> majority m live
-  | Joint { c_old; c_new } -> majority c_old live && majority c_new live
+  && quorum_met t (List.filter (grant_live t) (voters t))
 
 (* [can_serve_lease_read t]: the deployment's fast-path gate, with
    accounting.  False means the read must fall back to the commit path
@@ -529,11 +533,11 @@ let reconfig_in_flight t =
    serialization cost — compaction only stores the thunk. *)
 let snapshot_blob t =
   match t.snap_cache with
-  | Some (b, blob) when b = t.base -> blob
-  | _ ->
+  | Some blob -> blob
+  | None ->
       let blob = match t.snap_take with Some f -> f () | None -> "" in
       t.stats.serializations <- t.stats.serializations + 1;
-      t.snap_cache <- Some (t.base, blob);
+      t.snap_cache <- Some blob;
       blob
 
 let chunk_count ~total ~chunk_size =
@@ -602,6 +606,11 @@ let begin_snapshot_xfer ?(resume_from = 0) t ~dst =
        });
   send_chunks t ~dst
 
+(* A transfer continues from chunk [received] instead of chunk 0. *)
+let note_resume t received =
+  t.stats.resumes <- t.stats.resumes + 1;
+  t.stats.last_resume_from <- Stdlib.max t.stats.last_resume_from received
+
 let batcher t =
   match t.batcher with Some b -> b | None -> invalid_arg "zab not wired"
 
@@ -618,6 +627,32 @@ let others t =
    path, and heartbeat [Ping]s, which PR 8's lease widening would
    otherwise re-encode per follower every beat. *)
 let broadcast t msg = t.send_many ~dsts:(others t) msg
+
+let heartbeat t =
+  broadcast t
+    (Ping
+       { epoch = t.current_epoch; committed = t.committed; sent = local_now t })
+
+(* The leader's retained log from absolute index [have] on.  From [base]
+   it is the whole retained log: what a new leader and a newly adopted
+   learner or observer are synchronized with. *)
+let sync_from t have =
+  Sync
+    {
+      epoch = t.current_epoch;
+      from = have;
+      entries = Vec.sub t.log (have - t.base) (abs_len t - have);
+      committed = t.committed;
+    }
+
+(* A replica outside every config announces itself to whoever leads: a
+   learner still working toward a vote with [Join_request], an observer
+   with [Observer_request]. *)
+let announce t =
+  if learning t then
+    broadcast t (Join_request { epoch = t.current_epoch; id = t.id })
+  else if t.created_observer then
+    broadcast t (Observer_request { epoch = t.current_epoch; id = t.id })
 
 (* ------------------------------------------------------------------ *)
 (* Membership bookkeeping                                              *)
@@ -682,25 +717,28 @@ let recompute_membership t =
   | _ -> ());
   refresh_membership_flags t
 
+(* State only a leader writes, dropped when it stops leading or crashes.
+   Follower progress and transfers mean nothing to a deposed leader:
+   followers re-solicit from whoever leads next, adopted learners and
+   observers re-announce themselves, a config entry still in the batcher
+   dies with it, and if it leads again it must re-acquire the lease from
+   scratch in the new epoch. *)
+let drop_leader_state t =
+  Batching.reset (batcher t);
+  Hashtbl.reset t.match_len;
+  Hashtbl.reset t.xfers;
+  Hashtbl.reset t.lease_grants;
+  t.learners <- [];
+  t.observers <- [];
+  t.pending_joins <- [];
+  t.pending_joint <- false;
+  t.pending_final <- false
+
+(* The reset runs before [on_role_change]: the deployment's callback may
+   propose, and must not find a dead leadership's state. *)
 let set_role t role =
   if t.role <> role then begin
-    if t.role = Leader then begin
-      Batching.reset (batcher t);
-      (* a deposed leader's transfer state is meaningless: the follower
-         will re-solicit from whoever leads next *)
-      Hashtbl.reset t.xfers;
-      (* so is its reconfiguration state: adopted learners re-announce
-         themselves to the next leader, and any config entry still in the
-         batcher died with the reset above *)
-      t.learners <- [];
-      t.observers <- [];
-      t.pending_joins <- [];
-      t.pending_joint <- false;
-      t.pending_final <- false;
-      (* a deposed leader's grants are dead weight: if it leads again it
-         must re-acquire the lease from scratch in the new epoch *)
-      Hashtbl.reset t.lease_grants
-    end;
+    if t.role = Leader then drop_leader_state t;
     t.role <- role;
     Trace.debugf t.sim "zab[%d] -> %a (epoch %d)" t.id pp_role role
       t.current_epoch;
@@ -747,7 +785,6 @@ and config_committed t cc =
       let was_leader = t.role = Leader in
       if List.mem t.id m then begin
         t.fenced <- false;
-        t.joining <- false;
         t.finalized <- true
       end
       else begin
@@ -827,13 +864,7 @@ and propose_config t cc =
    largest acked length among its members (our own log is an implicit
    ack). *)
 let commit_target_of_set t s =
-  let lens =
-    List.map
-      (fun p ->
-        if p = t.id then abs_len t
-        else match Hashtbl.find_opt t.match_len p with Some n -> n | None -> 0)
-      s
-  in
+  let lens = List.map (fun p -> if p = t.id then abs_len t else acked t p) s in
   let sorted = List.sort (fun a b -> Int.compare b a) lens in
   List.nth sorted ((List.length s / 2) + 1 - 1)
 
@@ -894,82 +925,60 @@ let propose t payload =
     Some zxid
   end
 
-(** [remove_server t ~id] — leader only — starts the joint-consensus
-    removal of [id] from the stable config.  At most one reconfiguration
-    runs at a time. *)
-let remove_server t ~id =
+(* Start a joint-consensus change of the stable config [m] to
+   [target m] — leader only, at most one reconfiguration at a time.
+   [target] refuses requests that make no sense for [m]. *)
+let start_reconfig t target =
   if (not t.alive) || t.role <> Leader then Error "not leader"
-  else if reconfig_in_flight t then Error "reconfiguration already in flight"
   else
     match t.members with
-    | Joint _ -> Error "reconfiguration already in flight"
-    | Stable m ->
-        if not (List.mem id m) then Error "not a member"
-        else if List.length m <= 1 then Error "cannot remove the last member"
-        else begin
-          t.reconfig.leaves_requested <- t.reconfig.leaves_requested + 1;
-          t.reconfig.joint_proposed <- t.reconfig.joint_proposed + 1;
-          propose_config t
-            (Cc_joint { c_old = m; c_new = List.filter (fun x -> x <> id) m });
-          Ok ()
-        end
+    | Stable m when not (reconfig_in_flight t) -> (
+        match target m with
+        | Error _ as e -> e
+        | Ok c_new ->
+            let joins = List.filter (fun x -> not (List.mem x m)) c_new in
+            let leaves = List.filter (fun x -> not (List.mem x c_new)) m in
+            t.reconfig.joins_requested <-
+              t.reconfig.joins_requested + List.length joins;
+            t.reconfig.leaves_requested <-
+              t.reconfig.leaves_requested + List.length leaves;
+            t.reconfig.joint_proposed <- t.reconfig.joint_proposed + 1;
+            propose_config t (Cc_joint { c_old = m; c_new });
+            Ok ())
+    | _ -> Error "reconfiguration already in flight"
+
+let remove_server t ~id =
+  start_reconfig t (fun m ->
+      if not (List.mem id m) then Error "not a member"
+      else if List.length m <= 1 then Error "cannot remove the last member"
+      else Ok (List.filter (fun x -> x <> id) m))
 
 let reconfigure t ~c_new =
   let c_new = List.sort_uniq Int.compare c_new in
-  if (not t.alive) || t.role <> Leader then Error "not leader"
-  else if reconfig_in_flight t then Error "reconfiguration already in flight"
-  else
-    match t.members with
-    | Joint _ -> Error "reconfiguration already in flight"
-    | Stable m ->
-        if c_new = [] then Error "empty member set"
-        else if c_new = m then Error "no change"
-        else begin
-          let joins = List.filter (fun x -> not (List.mem x m)) c_new in
-          let leaves = List.filter (fun x -> not (List.mem x c_new)) m in
-          t.reconfig.joins_requested <-
-            t.reconfig.joins_requested + List.length joins;
-          t.reconfig.leaves_requested <-
-            t.reconfig.leaves_requested + List.length leaves;
-          t.reconfig.joint_proposed <- t.reconfig.joint_proposed + 1;
-          propose_config t (Cc_joint { c_old = m; c_new });
-          Ok ()
-        end
+  start_reconfig t (fun m ->
+      if c_new = [] then Error "empty member set"
+      else if c_new = m then Error "no change"
+      else Ok c_new)
 
 (* ------------------------------------------------------------------ *)
 (* Election                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Leader state is already empty here: [set_role] dropped it when we last
+   stopped leading, and [crash] did on the way down. *)
 let become_leader t =
   set_role t Leader;
   t.leader_hint <- Some t.id;
   t.next_counter <- 0;
   t.verified <- abs_len t;
-  Hashtbl.reset t.match_len;
-  Hashtbl.reset t.xfers;
-  Hashtbl.reset t.lease_grants;
-  t.learners <- [];
-  t.observers <- [];
-  t.pending_joins <- [];
-  t.pending_joint <- false;
-  t.pending_final <- false;
   (* Synchronize followers: ship the retained log suffix.  A follower whose
      own state does not reach our compaction horizon answers the Sync with
      a [Sync_request { have < base }] (or a [Snapshot_ack] if it holds a
      partial transfer from the deposed leader), which opens — or resumes —
      a chunked state transfer.  Followers that kept up never see snapshot
      traffic at all. *)
-  broadcast t
-    (Sync
-       {
-         epoch = t.current_epoch;
-         from = t.base;
-         entries = Vec.to_list t.log;
-         committed = t.committed;
-       });
-  broadcast t
-    (Ping
-       { epoch = t.current_epoch; committed = t.committed; sent = local_now t });
+  broadcast t (sync_from t t.base);
+  heartbeat t;
   (* An inherited joint phase is now our job to finish.  If its entry is
      already delivered, the commit-time trigger fired on the old leader
      (or on us as a follower, uselessly): re-propose the final entry.
@@ -998,24 +1007,20 @@ let start_election t =
 (* Message handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let note_leader t ~src ~epoch =
-  if epoch > t.current_epoch then begin
-    t.current_epoch <- epoch;
-    set_role t Follower
+(* Contact from the leader of our epoch: [handle] has already adopted the
+   message's epoch, and every caller drops older ones. *)
+let note_leader t ~src =
+  if t.role <> Follower then set_role t Follower;
+  (* replication traffic from the current leader proves we are inside its
+     world — leaders address only voters and adopted learners — so any
+     fence we carry is stale (e.g. from a deposed minority leader that had
+     not seen the config that readmitted us) *)
+  if t.fenced then begin
+    t.fenced <- false;
+    Trace.debugf t.sim "zab[%d] unfenced by leader %d contact" t.id src
   end;
-  if epoch = t.current_epoch then begin
-    if t.role <> Follower then set_role t Follower;
-    (* replication traffic from the current leader proves we are inside
-       its world — leaders address only voters and adopted learners — so
-       any fence we carry is stale (e.g. from a deposed minority leader
-       that had not seen the config that readmitted us) *)
-    if t.fenced then begin
-      t.fenced <- false;
-      Trace.debugf t.sim "zab[%d] unfenced by leader %d contact" t.id src
-    end;
-    t.leader_hint <- Some src;
-    t.last_leader_contact <- Sim.now t.sim
-  end
+  t.leader_hint <- Some src;
+  t.last_leader_contact <- Sim.now t.sim
 
 let follower_commit t upto =
   (* Never commit past the verified prefix: entries above it may be a
@@ -1028,26 +1033,20 @@ let follower_commit t upto =
   end
 
 (* Graft a leader-shipped suffix starting at absolute index [from] onto our
-   (possibly compacted) log, then cumulatively ack the prefix we now hold. *)
+   (possibly compacted) log, then cumulatively ack the prefix we now hold.
+   A suffix that starts before our own compaction horizon loses the
+   [drop] entries we already snapshotted. *)
 let graft_entries t ~src ~epoch ~from entries =
-  (if from >= t.base then begin
-     Vec.replace_from t.log (from - t.base) entries;
-     t.verified <- abs_len t;
-     recompute_membership t;
-     t.send ~dst:src (Ack { epoch; upto = abs_len t })
-   end
-   else begin
-     (* the shipped suffix starts before our own compaction horizon: drop
-        what we already snapshotted *)
-     let drop = t.base - from in
-     if List.length entries >= drop then begin
-       let keep = List.filteri (fun i _ -> i >= drop) entries in
-       Vec.replace_from t.log 0 keep;
-       t.verified <- abs_len t;
-       recompute_membership t;
-       t.send ~dst:src (Ack { epoch; upto = abs_len t })
-     end
-   end)
+  let drop = Stdlib.max 0 (t.base - from) in
+  if List.compare_length_with entries drop >= 0 then begin
+    let keep =
+      if drop = 0 then entries else List.filteri (fun i _ -> i >= drop) entries
+    in
+    Vec.replace_from t.log (from + drop - t.base) keep;
+    t.verified <- abs_len t;
+    recompute_membership t;
+    t.send ~dst:src (Ack { epoch; upto = abs_len t })
+  end
 
 let epoch_of_msg = function
   | Ping { epoch; _ }
@@ -1111,13 +1110,38 @@ let known t src =
 let fence ?(epoch = 0) t ~dst =
   t.send ~dst (Fence { epoch = Stdlib.max t.current_epoch epoch })
 
+(* Adopt [id] as a non-voting learner or observer and bootstrap it (or
+   re-bootstrap it after a stall) with the retained log; one behind our
+   compaction horizon answers with [Sync_request { have < base }], which
+   opens the chunked snapshot transfer.  Both receive the replication
+   stream and count toward no quorum.  A learner's acks track its
+   catch-up, and a committed config admits it once caught up (see
+   [maybe_promote]); an observer is never queued for promotion and serves
+   sequentially-consistent reads from its applied prefix. *)
+let adopt t ~learner id =
+  if t.role = Leader && id <> t.id then begin
+    let adopted = if learner then t.learners else t.observers in
+    if not (List.mem id (voters t) || List.mem id adopted) then
+      if learner then begin
+        t.learners <- id :: t.learners;
+        t.pending_joins <- (id, Sim.now t.sim) :: t.pending_joins;
+        t.reconfig.joins_requested <- t.reconfig.joins_requested + 1;
+        Trace.debugf t.sim "zab[%d] adopts learner %d" t.id id
+      end
+      else begin
+        t.observers <- id :: t.observers;
+        Trace.debugf t.sim "zab[%d] adopts observer %d" t.id id
+      end;
+    t.send ~dst:id (sync_from t t.base)
+  end
+
 let rec handle t ~src msg =
   if t.alive then begin
     if adopts_epoch t msg then maybe_adopt_epoch t (epoch_of_msg msg);
     match msg with
     | Ping { epoch; committed; sent } ->
         if epoch >= t.current_epoch then begin
-          note_leader t ~src ~epoch;
+          note_leader t ~src;
           (* Lease grant piggybacks on the heartbeat: record the no-vote
              promise FIRST (on our clock), then echo the leader's send
              timestamp so it can anchor the expiry at its own send time.
@@ -1156,7 +1180,7 @@ let rec handle t ~src msg =
     | Propose { epoch; index = _; _ } when epoch < t.current_epoch ->
         () (* stale leader; drop *)
     | Propose { epoch; index; prev_zxid; entries } ->
-        note_leader t ~src ~epoch;
+        note_leader t ~src;
         let len = List.length entries in
         (* Log matching: the entry before the batch, and any entry the
            batch overlaps, must agree with ours.  A mismatch means our
@@ -1176,14 +1200,11 @@ let rec handle t ~src msg =
               (log_get t index).zxid = e.zxid
           | _ -> true
         in
-        if index > abs_len t then
-          (* Gap: we missed entries (fresh restart).  Ask for a sync from
-             our committed prefix — anything above it may be a divergent
-             tail the graft must be allowed to truncate. *)
-          t.send ~dst:src (Sync_request { epoch; have = t.committed })
-        else if not (prev_matches && first_matches) then
-          (* divergent tail: re-sync from the committed prefix, which the
-             leader's graft will repair by truncation *)
+        if index > abs_len t || not (prev_matches && first_matches) then
+          (* A gap (we missed entries: fresh restart) or a divergent tail.
+             Ask for a sync from our committed prefix: anything above it
+             may diverge, and the leader's graft repairs it by
+             truncation. *)
           t.send ~dst:src (Sync_request { epoch; have = t.committed })
         else if index + len <= abs_len t then begin
           (* Entirely a duplicate (e.g. resent around a sync).  The prev
@@ -1210,17 +1231,10 @@ let rec handle t ~src msg =
     | Ack { epoch; upto } ->
         if t.role = Leader && epoch = t.current_epoch then begin
           if not (known t src) then fence t ~dst:src
-          else begin
-            let prev =
-              match Hashtbl.find_opt t.match_len src with
-              | Some n -> n
-              | None -> 0
-            in
-            if upto > prev then begin
-              Hashtbl.replace t.match_len src upto;
-              leader_commit_check t;
-              maybe_promote t
-            end
+          else if upto > acked t src then begin
+            Hashtbl.replace t.match_len src upto;
+            leader_commit_check t;
+            maybe_promote t
           end
         end
     | Commit { epoch; index } ->
@@ -1284,18 +1298,10 @@ let rec handle t ~src msg =
               (* the follower needs entries we compacted away: chunked state
                  transfer (§3.8's recovery path) *)
               begin_snapshot_xfer t ~dst:src
-            else
-              t.send ~dst:src
-                (Sync
-                   {
-                     epoch;
-                     from = have;
-                     entries = Vec.sub t.log (have - t.base) (abs_len t - have);
-                     committed = t.committed;
-                   })
+            else t.send ~dst:src (sync_from t have)
     | Sync { epoch; from; entries; committed } ->
         if epoch >= t.current_epoch then begin
-          note_leader t ~src ~epoch;
+          note_leader t ~src;
           (* Replace our log from [from] with the leader's suffix.  The
              election rule guarantees the leader holds every committed
              entry, so truncation never loses committed state. *)
@@ -1318,7 +1324,7 @@ let rec handle t ~src msg =
     | Snapshot_begin { epoch; base; total; chunk_size; digest; committed; config }
       ->
         if epoch >= t.current_epoch then begin
-          note_leader t ~src ~epoch;
+          note_leader t ~src;
           if base <= abs_len t && t.delivered >= base then
             (* our state already covers the snapshot: decline the transfer
                and fetch the retained suffix through the normal path *)
@@ -1332,7 +1338,6 @@ let rec handle t ~src msg =
                   Some
                     {
                       ps_base = base;
-                      ps_total = total;
                       ps_chunks = chunk_count ~total ~chunk_size;
                       ps_digest = digest;
                       ps_config = config;
@@ -1354,30 +1359,29 @@ let rec handle t ~src msg =
         end
     | Snapshot_chunk { epoch; base; seq; data } ->
         if epoch >= t.current_epoch then begin
-          note_leader t ~src ~epoch;
+          note_leader t ~src;
           match t.pending_snap with
-          | Some ps when ps.ps_base = base ->
+          | Some ps when ps.ps_base = base && seq >= ps.ps_received ->
+              (* the next chunk extends the prefix; on a gap (a chunk below
+                 [seq] was dropped) the duplicate cumulative ack solicits a
+                 retransmit.  A pending transfer is never complete, so a
+                 gap always acks. *)
               if seq = ps.ps_received then begin
                 Buffer.add_string ps.ps_buf data;
-                ps.ps_received <- ps.ps_received + 1;
-                if ps.ps_received >= ps.ps_chunks then
-                  finish_snapshot_install t ~src ~epoch
-                else
-                  t.send ~dst:src
-                    (Snapshot_ack { epoch; base; received = ps.ps_received })
-              end
-              else if seq > ps.ps_received then
-                (* gap: a chunk below [seq] was dropped — the duplicate
-                   cumulative ack solicits a retransmit *)
+                ps.ps_received <- ps.ps_received + 1
+              end;
+              if ps.ps_received >= ps.ps_chunks then
+                finish_snapshot_install t ~src ~epoch
+              else
                 t.send ~dst:src
                   (Snapshot_ack { epoch; base; received = ps.ps_received })
-              (* [seq < ps_received] is a stale duplicate from a window
-                 retransmit we already advanced past.  Acking it would hand
-                 the leader another duplicate ack and re-trigger the very
-                 retransmit that produced it (a self-sustaining storm);
-                 staying silent is safe because any genuine stall is broken
-                 by the ping-driven re-ack. *)
-          | _ -> () (* stale transfer (horizon moved on); drop *)
+          (* [seq < ps_received] is a stale duplicate from a window
+             retransmit we already advanced past.  Acking it would hand the
+             leader another duplicate ack and re-trigger the very retransmit
+             that produced it (a self-sustaining storm); staying silent is
+             safe because any genuine stall is broken by the ping-driven
+             re-ack.  A chunk of an older horizon is stale too. *)
+          | _ -> ()
         end
     | Snapshot_ack { epoch; base; received } ->
         if t.role = Leader && epoch = t.current_epoch then begin
@@ -1391,9 +1395,7 @@ let rec handle t ~src msg =
             | None ->
                 (* no transfer state (leader change or restart): adopt the
                    follower's progress and continue from there *)
-                t.stats.resumes <- t.stats.resumes + 1;
-                t.stats.last_resume_from <-
-                  Stdlib.max t.stats.last_resume_from received;
+                note_resume t received;
                 begin_snapshot_xfer ~resume_from:received t ~dst:src
             | Some x ->
                 x.x_activity <- Sim.now t.sim;
@@ -1404,9 +1406,7 @@ let rec handle t ~src msg =
                      our chunks got through — and this ack is really the
                      post-heal resume solicitation, so record it as one. *)
                   if received > x.x_acked + 1 then begin
-                    t.stats.resumes <- t.stats.resumes + 1;
-                    t.stats.last_resume_from <-
-                      Stdlib.max t.stats.last_resume_from received;
+                    note_resume t received;
                     Trace.debugf t.sim
                       "zab[%d] snapshot to %d resumes at chunk %d (acked %d)"
                       t.id src received x.x_acked
@@ -1425,9 +1425,7 @@ let rec handle t ~src msg =
                      arrive for the same loss (ping re-acks, gap acks) and
                      honouring each would retransmit the window as many
                      times over. *)
-                  t.stats.resumes <- t.stats.resumes + 1;
-                  t.stats.last_resume_from <-
-                    Stdlib.max t.stats.last_resume_from received;
+                  note_resume t received;
                   t.stats.chunk_retx <- t.stats.chunk_retx + (x.x_sent - received);
                   x.x_acked <- received;
                   x.x_sent <- received;
@@ -1442,31 +1440,7 @@ let rec handle t ~src msg =
             | _ -> ()
           end
         end
-    | Join_request { epoch = _; id = jid } ->
-        if t.role = Leader && jid <> t.id then begin
-          if (not (List.mem jid (voters t))) && not (List.mem jid t.learners)
-          then begin
-            (* adopt as a non-voting learner: it receives the replication
-               stream (so its acks track its catch-up) but never counts
-               toward a quorum until a committed config admits it *)
-            t.learners <- jid :: t.learners;
-            t.pending_joins <- (jid, Sim.now t.sim) :: t.pending_joins;
-            t.reconfig.joins_requested <- t.reconfig.joins_requested + 1;
-            Trace.debugf t.sim "zab[%d] adopts learner %d" t.id jid
-          end;
-          (* bootstrap (or re-bootstrap after a stall): ship the retained
-             log; a learner behind our compaction horizon answers with
-             [Sync_request { have < base }], which opens the chunked
-             snapshot transfer *)
-          t.send ~dst:jid
-            (Sync
-               {
-                 epoch = t.current_epoch;
-                 from = t.base;
-                 entries = Vec.to_list t.log;
-                 committed = t.committed;
-               })
-        end
+    | Join_request { epoch = _; id } -> adopt t ~learner:true id
     | Lease_grant { epoch; sent } ->
         if
           t.role = Leader && epoch = t.current_epoch
@@ -1491,30 +1465,7 @@ let rec handle t ~src msg =
           t.lease.grants_received <- t.lease.grants_received + 1;
           Hashtbl.replace t.lease_grants src (Sim_time.max prev expiry)
         end
-    | Observer_request { epoch = _; id = oid } ->
-        if t.role = Leader && oid <> t.id then begin
-          if (not (List.mem oid (voters t))) && not (List.mem oid t.observers)
-          then begin
-            (* adopt as a permanent non-voting observer: it gets the full
-               replication stream (so it can serve sequentially-consistent
-               reads from its applied prefix) but — unlike a learner — is
-               never queued for promotion and never enters a quorum *)
-            t.observers <- oid :: t.observers;
-            Trace.debugf t.sim "zab[%d] adopts observer %d" t.id oid
-          end;
-          (* bootstrap (or re-bootstrap after a stall): same path as a
-             learner — ship the retained log; an observer behind our
-             compaction horizon answers with [Sync_request { have < base }],
-             which opens the chunked snapshot transfer *)
-          t.send ~dst:oid
-            (Sync
-               {
-                 epoch = t.current_epoch;
-                 from = t.base;
-                 entries = Vec.to_list t.log;
-                 committed = t.committed;
-               })
-        end
+    | Observer_request { epoch = _; id } -> adopt t ~learner:false id
     | Fence { epoch } ->
         if epoch >= t.current_epoch then
           if t.created_observer then
@@ -1523,7 +1474,7 @@ let rec handle t ~src msg =
                re-announce instead of standing down (its reads are only
                sequentially consistent, so serving from the applied prefix
                stays correct) *)
-            broadcast t (Observer_request { epoch = t.current_epoch; id = t.id })
+            announce t
           else begin
             if not t.fenced then begin
               t.fenced <- true;
@@ -1532,10 +1483,7 @@ let rec handle t ~src msg =
                 epoch
             end;
             t.votes <- [];
-            if t.role <> Follower then set_role t Follower;
-            (* a learner whose half-finished join was aborted (its joint
-               entry died with the old leader) starts the join over *)
-            if t.created_learner && not t.finalized then t.joining <- true
+            if t.role <> Follower then set_role t Follower
           end
   end
 
@@ -1580,7 +1528,7 @@ and finish_snapshot_install t ~src ~epoch =
                installed: cache it, so if we lead later we can serve
                transfers without re-serializing *)
             t.snap_take <- Some (fun () -> blob);
-            t.snap_cache <- Some (ps.ps_base, blob);
+            t.snap_cache <- Some blob;
             t.send ~dst:src
               (Snapshot_ack
                  { epoch; base = ps.ps_base; received = ps.ps_chunks });
@@ -1599,14 +1547,7 @@ let election_deadline t =
 let rec tick t generation () =
   if t.alive && generation = t.generation then begin
     (match t.role with
-    | Leader ->
-        broadcast t
-          (Ping
-             {
-               epoch = t.current_epoch;
-               committed = t.committed;
-               sent = local_now t;
-             })
+    | Leader -> heartbeat t
     | Follower | Candidate ->
         let silence = Sim_time.sub (Sim.now t.sim) t.last_leader_contact in
         if Sim_time.(election_deadline t <= silence) then begin
@@ -1623,17 +1564,11 @@ let rec tick t generation () =
             end
           end
           else begin
+            (* non-voters and fenced replicas never campaign; learners and
+               observers (re-)announce themselves instead, so they survive
+               leader changes and find whoever leads now *)
             t.last_leader_contact <- Sim.now t.sim;
-            if t.joining then
-              (* learners never campaign: they (re-)announce themselves to
-                 whoever leads now *)
-              broadcast t
-                (Join_request { epoch = t.current_epoch; id = t.id })
-            else if t.created_observer then
-              (* observers re-announce on silence too, so they survive
-                 leader changes and find whoever leads now *)
-              broadcast t
-                (Observer_request { epoch = t.current_epoch; id = t.id })
+            announce t
           end
         end);
     Sim.schedule t.sim ~after:heartbeat_interval (tick t generation)
@@ -1647,11 +1582,8 @@ let start t =
   t.generation <- t.generation + 1;
   t.last_leader_contact <- Sim.now t.sim;
   Sim.schedule t.sim ~after:Sim_time.zero (tick t t.generation);
-  if t.joining then
-    (* announce immediately; the tick path re-broadcasts on silence *)
-    broadcast t (Join_request { epoch = t.current_epoch; id = t.id })
-  else if t.created_observer then
-    broadcast t (Observer_request { epoch = t.current_epoch; id = t.id })
+  (* announce immediately; the tick path re-broadcasts on silence *)
+  announce t
 
 let create ?(config = default_config) ?initial_leader ?(learner = false)
     ?(observer = false) ?send_many ~sim ~id ~peers ~send ~on_deliver () =
@@ -1690,7 +1622,6 @@ let create ?(config = default_config) ?initial_leader ?(learner = false)
       fenced = false;
       created_learner = learner;
       created_observer = observer;
-      joining = learner;
       finalized = not learner;
       role = Follower;
       leader_hint = None;
@@ -1771,23 +1702,15 @@ let crash t =
   t.generation <- t.generation + 1;
   t.role <- Follower;
   t.votes <- [];
-  Hashtbl.reset t.match_len;
   (* in-flight transfers are volatile: partially received chunks live in
      memory, so a crashed follower restarts its transfer from scratch
      (resume is for link drops, which lose no local state) *)
-  Hashtbl.reset t.xfers;
   t.pending_snap <- None;
-  t.learners <- [];
-  t.observers <- [];
-  (* leader-side grants are volatile; the follower-side no-vote promise
+  (* leader-side state is volatile; the follower-side no-vote promise
      ([lease_promise_until]) deliberately survives — modeling a promise
      persisted to disk, since forgetting it across a quick crash/restart
      would let us vote inside a window another leader still leases *)
-  Hashtbl.reset t.lease_grants;
-  t.pending_joins <- [];
-  t.pending_joint <- false;
-  t.pending_final <- false;
-  Batching.reset (batcher t)
+  drop_leader_state t
 
 (** [restart t] brings a crashed replica back as a follower; it will catch
     up via [Sync_request] when it hears from the current leader. *)
@@ -1797,10 +1720,10 @@ let restart t =
   t.verified <- t.committed;
   t.last_leader_contact <- Sim.now t.sim;
   start t;
-  if (not t.joining) && not t.created_observer then
+  if (not (learning t)) && not t.created_observer then
     (* Proactively ask whoever leads now for the missing suffix: we cannot
        address them yet, so we ask everyone; non-leaders ignore it.  (A
-       still-joining learner already re-announced itself in [start]: a
+       learner or observer already re-announced itself in [start]: a
        [Sync_request] from a non-member would just get it fenced.) *)
     List.iter
       (fun dst ->

@@ -23,7 +23,6 @@ open Edc_simnet
 
 type zxid = { epoch : int; counter : int }
 
-val zxid_zero : zxid
 val zxid_compare : zxid -> zxid -> int
 
 (** A member set: sorted, duplicate-free replica ids. *)
@@ -38,9 +37,6 @@ type membership =
 type config_change =
   | Cc_joint of { c_old : member_set; c_new : member_set }
   | Cc_final of { members : member_set }
-
-val pp_membership : Format.formatter -> membership -> unit
-val pp_config_change : Format.formatter -> config_change -> unit
 
 (** What a log entry carries: an application payload or a config change
     (config entries are consumed by the protocol and never reach
@@ -110,8 +106,6 @@ type 'p msg =
           never promoted; re-broadcast on silence *)
 
 type role = Leader | Follower | Candidate
-
-val pp_role : Format.formatter -> role -> unit
 
 type config = {
   batch : Batching.config;
@@ -253,17 +247,10 @@ val lease_valid : 'p t -> bool
     means the read must take the commit path instead. *)
 val can_serve_lease_read : 'p t -> bool
 
-(** This voter made a no-vote promise that has not yet run out on its
-    local clock. *)
-val lease_promise_outstanding : 'p t -> bool
-
 (** Virtual clock: [Sim.now] plus a settable per-replica offset (the
     clock-skew nemesis hook).  Skew affects only lease arithmetic, never
     simulator timers. *)
 val set_clock_skew : 'p t -> Sim_time.t -> unit
-
-val clock_skew : 'p t -> Sim_time.t
-val local_now : 'p t -> Sim_time.t
 
 type lease_stats = {
   mutable grants_sent : int;  (** follower: promises made *)

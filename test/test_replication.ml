@@ -1470,6 +1470,134 @@ let test_2pc_participant_partition_presumed_abort () =
       Alcotest.(check bool) "nothing applied on shard 1" true
         (nowhere cluster 1 "/s1/y"))
 
+(* ------------------------------------------------------------------ *)
+(* Reconfiguration admission                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [joins_requested; leaves_requested; joint_proposed] *)
+let reconfig_counts r =
+  let s = Zab.reconfig_stats r in
+  [ s.Zab.joins_requested; s.leaves_requested; s.joint_proposed ]
+
+let check_deltas what expected ~before r =
+  Alcotest.(check (list int))
+    what expected
+    (List.map2 ( - ) (reconfig_counts r) before)
+
+(* Every refusal [remove_server] and [reconfigure] can give, and the
+   counters an accepted change moves.  The batcher's 10 ms sync cost holds
+   an accepted [Cc_joint] back long enough to probe the window where it is
+   proposed but not yet appended. *)
+let test_zab_reconfig_admission () =
+  let check = Alcotest.(check (result unit string)) in
+  let zab_config =
+    {
+      Zab.default_config with
+      batch = Batching.group_commit ~sync_cost:(Sim_time.ms 10) ();
+    }
+  in
+  let c = make_zab_cluster ~zab_config () in
+  run_for c (Sim_time.ms 10);
+  let leader = c.zreplicas.(0) in
+  check "follower: remove" (Error "not leader")
+    (Zab.remove_server c.zreplicas.(1) ~id:2);
+  check "follower: reconfigure" (Error "not leader")
+    (Zab.reconfigure c.zreplicas.(1) ~c_new:[ 0; 1 ]);
+  check "remove a non-member" (Error "not a member")
+    (Zab.remove_server leader ~id:7);
+  check "empty target" (Error "empty member set")
+    (Zab.reconfigure leader ~c_new:[]);
+  check "same set, unsorted with a duplicate" (Error "no change")
+    (Zab.reconfigure leader ~c_new:[ 2; 0; 1; 0 ]);
+  let before = reconfig_counts leader in
+  check "remove accepted" (Ok ()) (Zab.remove_server leader ~id:2);
+  check_deltas "remove: one leave, one joint" [ 0; 1; 1 ] ~before leader;
+  (* the joint entry sits in the batcher: membership has not moved yet *)
+  Alcotest.(check bool)
+    "joint entry not yet appended" true
+    (Zab.membership leader = Zab.Stable [ 0; 1; 2 ]);
+  let in_flight = Error "reconfiguration already in flight" in
+  check "batched joint: remove" in_flight (Zab.remove_server leader ~id:1);
+  check "batched joint: remove a non-member" in_flight
+    (Zab.remove_server leader ~id:7);
+  check "batched joint: reconfigure" in_flight
+    (Zab.reconfigure leader ~c_new:[ 0; 1; 3 ]);
+  let joint () =
+    match Zab.membership leader with Zab.Joint _ -> true | Stable _ -> false
+  in
+  if not (run_until c ~timeout:(Sim_time.sec 1) joint) then
+    Alcotest.fail "joint entry never appended";
+  check "joint phase: remove" in_flight (Zab.remove_server leader ~id:1);
+  check "joint phase: reconfigure" in_flight
+    (Zab.reconfigure leader ~c_new:[ 0; 1; 3 ]);
+  check_deltas "refusals move no counter" [ 0; 1; 1 ] ~before leader;
+  (* a multi-server change counts every join and leave *)
+  let c = make_zab_cluster ~zab_config () in
+  run_for c (Sim_time.ms 10);
+  let leader = c.zreplicas.(0) in
+  let before = reconfig_counts leader in
+  check "reconfigure accepted" (Ok ())
+    (Zab.reconfigure leader ~c_new:[ 3; 0; 4 ]);
+  check_deltas "reconfigure: two joins, two leaves, one joint" [ 2; 2; 1 ]
+    ~before leader;
+  (* the last member cannot be removed, and a crashed leader leads nothing *)
+  let c = make_zab_cluster ~n:1 () in
+  run_for c (Sim_time.ms 10);
+  check "last member" (Error "cannot remove the last member")
+    (Zab.remove_server c.zreplicas.(0) ~id:0);
+  Zab.crash c.zreplicas.(0);
+  check "crashed leader" (Error "not leader")
+    (Zab.reconfigure c.zreplicas.(0) ~c_new:[ 0; 1 ])
+
+(* ------------------------------------------------------------------ *)
+(* Refactor oracle: same-seed traces                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Digest of every [Trace] line [f] emits at debug level.  The previous
+   reporter and level are restored afterwards, so the other cases run
+   untraced. *)
+let trace_digest f =
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  let report src _level ~over k msgf =
+    if src != Trace.src then (over (); k ())
+    else
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kfprintf
+            (fun ppf ->
+              Format.pp_print_newline ppf ();
+              over ();
+              k ())
+            ppf fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Debug);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () -> ignore (f ()));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pinned digests of two fault-heavy same-seed runs that cross every Zab
+   path a refactor can reorder: elections under leader kills, learner
+   adoption and promotion, joint/final reconfiguration, chunked snapshot
+   transfer with resume, fencing, and lease grants under clock skew.  A
+   change to any trace line, or to the order of the protocol steps that
+   emit them, changes the digest. *)
+let test_zab_trace_digests () =
+  Alcotest.(check string)
+    "membership_point ~seed:42 Ezk" "8355ebd8f507486d8d05a8174f754d57"
+    (trace_digest (fun () ->
+         Edc_harness.Experiment.membership_point ~seed:42
+           Edc_harness.Systems.Ezk));
+  Alcotest.(check string)
+    "stale_read_point ~seed:42 ~unsafe:false"
+    "bc17276765452079925d6ffa917e2d1b"
+    (trace_digest (fun () ->
+         Edc_harness.Experiment.stale_read_point ~seed:42 ~unsafe:false ()))
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1497,6 +1625,10 @@ let () =
             `Quick test_zab_single_step_reconfig_loses_committed_entry;
           Alcotest.test_case "deterministic reruns" `Quick
             test_zab_deterministic_runs;
+          Alcotest.test_case "same-seed trace digests" `Quick
+            test_zab_trace_digests;
+          Alcotest.test_case "reconfiguration admission table" `Quick
+            test_zab_reconfig_admission;
           qc prop_zab_prefix_agreement;
         ] );
       ( "read path",
