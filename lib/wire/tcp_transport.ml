@@ -7,15 +7,20 @@ open Edc_simnet
    attacker-declared amounts beyond it. *)
 let max_frame = 64 * 1024 * 1024
 
+(* One end of a TCP connection: [owner] corks its frames here and
+   receives every frame that arrives here. *)
 type conn = {
   fd : Unix.file_descr;
-  dst_addr : int;  (** local address this connection delivers to *)
+  owner : int;
+  peer : int option;
+      (** the address at the other end; [None] for a connection a
+          listener accepted from a foreign peer, which carries no sends *)
+  obuf : Outbuf.t;
   mutable inbuf : Bytes.t;
   mutable in_start : int;  (** first unconsumed byte *)
   mutable in_len : int;  (** one past the last received byte *)
+  mutable live : bool;  (** false once closed *)
 }
-
-type out_conn = { ofd : Unix.file_descr; obuf : Outbuf.t }
 
 type 'm t = {
   sim : Sim.t;
@@ -24,11 +29,12 @@ type 'm t = {
   decode : string -> pos:int -> len:int -> ('m, string) result;
   handlers : (int, 'm Net.handler) Hashtbl.t;
   listeners : (int, Unix.file_descr) Hashtbl.t;  (** local addr -> socket *)
-  accepted : (Unix.file_descr, conn) Hashtbl.t;
-  outbound : (int * int, out_conn) Hashtbl.t;  (** (src, dst) *)
+  links : (int * int, conn) Hashtbl.t;
+      (** (owner, peer) -> every live end whose [peer] is known *)
+  mutable conns : conn array;  (** every live end, what {!poll} reads and uncorks *)
   mutable select_fds : Unix.file_descr list;
-      (** listeners and accepted connections, what {!poll} waits on;
-          rebuilt only when one of them opens or closes *)
+      (** listeners and [conns], what {!poll} waits on; both are rebuilt
+          only when a socket opens or closes *)
   mutable n_encodes : int;
   mutable n_decode_errors : int;
   mutable n_send_failures : int;
@@ -39,6 +45,9 @@ type 'm t = {
 
 let create ~sim ~base_port ~encode ~decode () =
   Sim.set_turn_driven sim;
+  (* a write to a peer that has gone must be an [EPIPE] send failure,
+     not a signal that kills the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     sim;
     base_port;
@@ -46,8 +55,8 @@ let create ~sim ~base_port ~encode ~decode () =
     decode;
     handlers = Hashtbl.create 16;
     listeners = Hashtbl.create 16;
-    accepted = Hashtbl.create 16;
-    outbound = Hashtbl.create 16;
+    links = Hashtbl.create 16;
+    conns = [||];
     select_fds = [];
     n_encodes = 0;
     n_decode_errors = 0;
@@ -62,13 +71,14 @@ let decode_errors t = t.n_decode_errors
 let send_failures t = t.n_send_failures
 let frames_received t = t.n_frames_received
 let bytes_sent t = t.n_bytes_sent
+let connections t = Array.length t.conns
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
 let refresh_select_fds t =
   t.select_fds <-
     Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners
-      (Hashtbl.fold (fun fd _ acc -> fd :: acc) t.accepted [])
+      (Array.fold_right (fun c acc -> c.fd :: acc) t.conns [])
 
 let register t addr handler =
   if not (Hashtbl.mem t.listeners addr) then begin
@@ -76,17 +86,51 @@ let register t addr handler =
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (loopback (t.base_port + addr));
     Unix.listen fd 64;
+    Unix.set_nonblock fd;
     Hashtbl.replace t.listeners addr fd;
     refresh_select_fds t
   end;
   Hashtbl.replace t.handlers addr handler
 
-let drop_outbound t key =
-  match Hashtbl.find_opt t.outbound key with
-  | Some oc ->
-      (try Unix.close oc.ofd with Unix.Unix_error _ -> ());
-      Hashtbl.remove t.outbound key
-  | None -> ()
+(* Close one end and forget it.  An in-hub peer end sees EOF at its next
+   read and closes in turn; the next send between the two opens a new
+   pair. *)
+let close_conn t c =
+  if c.live then begin
+    c.live <- false;
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    Outbuf.clear c.obuf;
+    Option.iter (fun p -> Hashtbl.remove t.links (c.owner, p)) c.peer;
+    t.conns <- Array.of_list (List.filter (fun l -> l != c) (Array.to_list t.conns));
+    refresh_select_fds t
+  end
+
+(* Register [fd] as an end owned by [owner].  An end already linked to
+   the same peer is stale (its other end was closed, the EOF is not read
+   yet) and is closed first, so [links] holds one end per (owner, peer). *)
+let add_conn t ~owner ~peer fd =
+  Unix.set_nonblock fd;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  let c =
+    {
+      fd;
+      owner;
+      peer;
+      obuf = Outbuf.create ();
+      inbuf = Bytes.create 65536;
+      in_start = 0;
+      in_len = 0;
+      live = true;
+    }
+  in
+  Option.iter
+    (fun p ->
+      Option.iter (close_conn t) (Hashtbl.find_opt t.links (owner, p));
+      Hashtbl.replace t.links (owner, p) c)
+    peer;
+  t.conns <- Array.append t.conns [| c |];
+  refresh_select_fds t;
+  c
 
 let get_u32 b off =
   (Char.code (Bytes.get b off) lsl 24)
@@ -103,35 +147,25 @@ let write_some fd b off len =
     ->
       0
 
-(* Flush [oc]'s corked bytes.  A partial write retains the unwritten
+(* Flush [c]'s corked bytes.  A partial write retains the unwritten
    suffix inside the Outbuf; a hard error counts a send failure and
-   returns [false]: the caller drops the connection and everything queued
-   on it (fire-and-forget, like simulated link loss). *)
-let try_flush t oc =
-  match Outbuf.flush oc.obuf ~write:(write_some oc.ofd) with
-  | n ->
-      t.n_bytes_sent <- t.n_bytes_sent + n;
-      true
+   closes the end with everything queued on it (fire-and-forget, like
+   simulated link loss). *)
+let flush_conn t c =
+  match Outbuf.flush c.obuf ~write:(write_some c.fd) with
+  | n -> t.n_bytes_sent <- t.n_bytes_sent + n
   | exception Unix.Unix_error _ ->
       t.n_send_failures <- t.n_send_failures + 1;
-      false
+      close_conn t c
 
-let flush_out t key oc = if not (try_flush t oc) then drop_outbound t key
-
-(* Uncork every connection.  The ones that fail are dropped after the
-   fold, so the table is not mutated while it is walked; an idle hub
-   builds no list. *)
+(* Uncork every end.  One that fails is closed, which replaces
+   [t.conns]; the loop walks the array it started with. *)
 let flush_all t =
-  if Hashtbl.length t.outbound > 0 then
-    match
-      Hashtbl.fold
-        (fun key oc failed ->
-          if Outbuf.pending oc.obuf > 0 && not (try_flush t oc) then key :: failed
-          else failed)
-        t.outbound []
-    with
-    | [] -> ()
-    | failed -> List.iter (drop_outbound t) failed
+  let conns = t.conns in
+  for i = 0 to Array.length conns - 1 do
+    let c = conns.(i) in
+    if Outbuf.pending c.obuf > 0 then flush_conn t c
+  done
 
 (* If a connection's cork grows past this without a successful flush, we
    try to drain it inline from the send path so memory stays bounded even
@@ -144,50 +178,82 @@ let cork_soft_limit = 256 * 1024
    bytes) fits in an empty cork. *)
 let cork_hard_limit = max_frame + 8
 
-let fits oc len = Outbuf.pending oc.obuf + 8 + len <= cork_hard_limit
+let fits c len = Outbuf.pending c.obuf + 8 + len <= cork_hard_limit
 
-let out_conn t key dst =
-  match Hashtbl.find_opt t.outbound key with
-  | Some oc -> Some oc
+let connect t dst =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (loopback (t.base_port + dst)) with
+  | () -> fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
+(* Accept, from [dst]'s listener [lfd], the connection whose connecting
+   end is bound to [local].  Its handshake completed before [connect]
+   returned; a foreign connection queued ahead of it becomes an end of
+   [dst] with no known peer. *)
+let rec accept_end t ~dst lfd local =
+  match Unix.accept lfd with
+  | fd, from when from = local -> Some fd
+  | fd, _ ->
+      ignore (add_conn t ~owner:dst ~peer:None fd : conn);
+      accept_end t ~dst lfd local
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    -> (
+      match Unix.select [ lfd ] [] [] 1. with
+      | [], _, _ -> None
+      | _ -> accept_end t ~dst lfd local)
+
+(* The end [src] sends to [dst] on, connected on first use.  When [dst]
+   listens in this hub, its end of the same connection is accepted at
+   once and becomes the end [dst] sends to [src] on, so the pair's frames
+   travel both ways over one socket.  A [dst] outside the hub gets a
+   one-sided end. *)
+let link t ~src ~dst =
+  match Hashtbl.find_opt t.links (src, dst) with
+  | Some _ as c -> c
   | None -> (
       match
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        (try Unix.connect fd (loopback (t.base_port + dst))
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        Unix.set_nonblock fd;
-        fd
+        let fd = connect t dst in
+        let c = add_conn t ~owner:src ~peer:(Some dst) fd in
+        match Hashtbl.find_opt t.listeners dst with
+        | None -> Some c
+        | Some lfd -> (
+            match accept_end t ~dst lfd (Unix.getsockname fd) with
+            | Some afd ->
+                (* a self-send's two ends share one key: only its
+                   connecting end is linked *)
+                let back = if src = dst then None else Some src in
+                ignore (add_conn t ~owner:dst ~peer:back afd : conn);
+                Some c
+            | None | (exception Unix.Unix_error _) ->
+                close_conn t c;
+                None)
       with
-      | fd ->
-          let oc = { ofd = fd; obuf = Outbuf.create () } in
-          Hashtbl.replace t.outbound key oc;
-          Some oc
-      | exception Unix.Unix_error _ ->
+      | Some _ as c -> c
+      | None | (exception Unix.Unix_error _) ->
           t.n_send_failures <- t.n_send_failures + 1;
           None)
 
-(* Append one framed message to [dst]'s cork; no syscall on this path
-   unless the cork is oversized. *)
+(* Append one framed message to the cork of [src]'s end towards [dst];
+   no syscall on this path unless the cork is oversized. *)
 let enqueue t ~src ~dst body =
-  let key = (src, dst) in
-  match out_conn t key dst with
+  match link t ~src ~dst with
   | None -> ()
-  | Some oc ->
+  | Some c ->
       let len = String.length body in
-      if not (fits oc len) then flush_out t key oc;
-      if fits oc len then begin
-        Outbuf.add_u32 oc.obuf (4 + len);
-        Outbuf.add_u32 oc.obuf src;
-        Outbuf.add_substring oc.obuf body 0 len;
-        if Outbuf.pending oc.obuf > cork_soft_limit then flush_out t key oc
-      end
-      else if Hashtbl.mem t.outbound key then begin
-        t.n_send_failures <- t.n_send_failures + 1;
-        drop_outbound t key
-      end
+      if not (fits c len) then flush_conn t c;
+      if c.live then
+        if fits c len then begin
+          Outbuf.add_u32 c.obuf (4 + len);
+          Outbuf.add_u32 c.obuf src;
+          Outbuf.add_substring c.obuf body 0 len;
+          if Outbuf.pending c.obuf > cork_soft_limit then flush_conn t c
+        end
+        else begin
+          t.n_send_failures <- t.n_send_failures + 1;
+          close_conn t c
+        end
 
 (* Fire-and-forget, like the simulated network: any socket error drops the
    message, closes the connection, and replication-level retransmission
@@ -214,72 +280,78 @@ let transport t =
     register = register t;
   }
 
-let close_conn t conn =
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Hashtbl.remove t.accepted conn.fd;
-  refresh_select_fds t
-
-(* Extract every complete frame from [conn]'s buffer and dispatch it.
-   Frames are decoded in place from the reassembly buffer (no per-frame
-   copy); [in_start] advances over consumed frames and the residue is
-   compacted once per read, not once per frame. *)
-let dispatch t conn =
+(* Extract every complete frame from [c]'s buffer and dispatch it to its
+   owner.  Frames are decoded in place from the reassembly buffer (no
+   per-frame copy); [in_start] advances over consumed frames and the
+   residue is compacted once per read, not once per frame.  A handler
+   may close [c] (a reply whose send fails), which ends the loop. *)
+let dispatch t c =
   let again = ref true in
   while !again do
     again := false;
-    if conn.in_len - conn.in_start >= 4 then begin
-      let len = get_u32 conn.inbuf conn.in_start in
+    if c.in_len - c.in_start >= 4 then begin
+      let len = get_u32 c.inbuf c.in_start in
       if len < 4 || len > max_frame then begin
         t.n_decode_errors <- t.n_decode_errors + 1;
-        close_conn t conn (* framing is lost; no way to resync *)
+        close_conn t c (* framing is lost; no way to resync *)
       end
-      else if conn.in_len - conn.in_start >= 4 + len then begin
-        let src = get_u32 conn.inbuf (conn.in_start + 4) in
-        let body_pos = conn.in_start + 8 in
+      else if c.in_len - c.in_start >= 4 + len then begin
+        let src = get_u32 c.inbuf (c.in_start + 4) in
+        let body_pos = c.in_start + 8 in
         let body_len = len - 4 in
-        conn.in_start <- conn.in_start + 4 + len;
+        c.in_start <- c.in_start + 4 + len;
         t.n_frames_received <- t.n_frames_received + 1;
         (* The string view of the buffer is only read during this call,
            before any further mutation of [inbuf], so the unsafe cast
            cannot observe a change. *)
-        let view = Bytes.unsafe_to_string conn.inbuf in
+        let view = Bytes.unsafe_to_string c.inbuf in
         (match t.decode view ~pos:body_pos ~len:body_len with
         | Error _ -> t.n_decode_errors <- t.n_decode_errors + 1
         | Ok msg -> (
-            match Hashtbl.find_opt t.handlers conn.dst_addr with
+            match Hashtbl.find_opt t.handlers c.owner with
             | Some handler -> handler ~src ~size:body_len msg
             | None -> ()));
-        again := Hashtbl.mem t.accepted conn.fd
+        again := c.live
       end
     end
   done;
-  if Hashtbl.mem t.accepted conn.fd then begin
-    let live = conn.in_len - conn.in_start in
-    if conn.in_start > 0 then begin
-      if live > 0 then Bytes.blit conn.inbuf conn.in_start conn.inbuf 0 live;
-      conn.in_start <- 0;
-      conn.in_len <- live
+  if c.live then begin
+    let live = c.in_len - c.in_start in
+    if c.in_start > 0 then begin
+      if live > 0 then Bytes.blit c.inbuf c.in_start c.inbuf 0 live;
+      c.in_start <- 0;
+      c.in_len <- live
     end
   end
 
-let read_conn t conn =
+let read_conn t c =
   let chunk = 65536 in
-  if Bytes.length conn.inbuf - conn.in_len < chunk then begin
+  if Bytes.length c.inbuf - c.in_len < chunk then begin
     let bigger =
-      Bytes.create (Stdlib.max (2 * Bytes.length conn.inbuf) (conn.in_len + chunk))
+      Bytes.create (Stdlib.max (2 * Bytes.length c.inbuf) (c.in_len + chunk))
     in
-    Bytes.blit conn.inbuf 0 bigger 0 conn.in_len;
-    conn.inbuf <- bigger
+    Bytes.blit c.inbuf 0 bigger 0 c.in_len;
+    c.inbuf <- bigger
   end;
-  match Unix.read conn.fd conn.inbuf conn.in_len chunk with
-  | 0 -> close_conn t conn
+  match Unix.read c.fd c.inbuf c.in_len chunk with
+  | 0 -> close_conn t c
   | n ->
-      conn.in_len <- conn.in_len + n;
-      dispatch t conn
+      c.in_len <- c.in_len + n;
+      dispatch t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
-  | exception Unix.Unix_error _ -> close_conn t conn
+  | exception Unix.Unix_error _ -> close_conn t c
+
+(* Attach every connection queued on [addr]'s listener to [addr].  An
+   in-hub connection is accepted as it connects, so these come from
+   foreign peers. *)
+let rec accept_foreign t addr lfd =
+  match Unix.accept lfd with
+  | fd, _ ->
+      ignore (add_conn t ~owner:addr ~peer:None fd : conn);
+      accept_foreign t addr lfd
+  | exception Unix.Unix_error _ -> ()
 
 let poll t ~timeout =
   if not t.closed then begin
@@ -290,34 +362,15 @@ let poll t ~timeout =
     (match Unix.select t.select_fds [] [] timeout with
     | [], _, _ -> ()
     | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt t.accepted fd with
-            | Some conn -> read_conn t conn
-            | None -> (
-                (* a listener: accept and attach the connection to the
-                   listening address *)
-                let addr =
-                  Hashtbl.fold
-                    (fun a lfd acc -> if lfd = fd then Some a else acc)
-                    t.listeners None
-                in
-                match addr with
-                | None -> ()
-                | Some dst_addr -> (
-                    match Unix.accept fd with
-                    | conn_fd, _ ->
-                        Hashtbl.replace t.accepted conn_fd
-                          {
-                            fd = conn_fd;
-                            dst_addr;
-                            inbuf = Bytes.create 65536;
-                            in_start = 0;
-                            in_len = 0;
-                          };
-                        refresh_select_fds t
-                    | exception Unix.Unix_error _ -> ())))
-          readable
+        (* walk the ends open at the select: one a handler closes is
+           skipped, and one it opens cannot inherit a closed end's
+           readiness through a reused descriptor *)
+        Array.iter
+          (fun c -> if c.live && List.mem c.fd readable then read_conn t c)
+          t.conns;
+        Hashtbl.iter
+          (fun addr lfd -> if List.mem lfd readable then accept_foreign t addr lfd)
+          t.listeners
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* end the turn the handlers we just ran make, and uncork what it
        produced *)
@@ -345,14 +398,7 @@ let shutdown t =
     Hashtbl.iter
       (fun _ fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       t.listeners;
-    Hashtbl.iter
-      (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.accepted;
-    Hashtbl.iter
-      (fun _ oc -> try Unix.close oc.ofd with Unix.Unix_error _ -> ())
-      t.outbound;
+    Array.iter (fun c -> close_conn t c) t.conns;
     Hashtbl.reset t.listeners;
-    Hashtbl.reset t.accepted;
-    Hashtbl.reset t.outbound;
     t.select_fds <- []
   end

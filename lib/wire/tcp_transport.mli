@@ -2,9 +2,23 @@
 
     A hub multiplexes any number of local addresses (replicas and clients
     of one process) over loopback TCP: address [a] listens on
-    [base_port + a], sends open one outbound connection per (src, dst)
-    pair, and {!poll} drains readable sockets and dispatches complete
-    frames to registered handlers.
+    [base_port + a], and {!poll} drains readable sockets and dispatches
+    complete frames to registered handlers.
+
+    Each pair of addresses shares one connection, used in both
+    directions, as a ZooKeeper follower uses its one socket to the
+    leader: the end an address writes on is the end it reads its peer's
+    frames from.  The first send from [src] to [dst] connects; when [dst]
+    listens in the same hub, the hub at once accepts that connection
+    (matched by the connecting end's local address) and registers the
+    accepted end as [dst]'s end towards [src].  So a reply or an ack
+    rides the socket its request came in on, and the kernel's ACK for a
+    request can ride the reply's segment.  A [dst] outside the hub gets
+    a one-sided connection, and a connection a listener accepts from a
+    foreign peer only delivers to the listening address: the hub never
+    sends on it.  An end that fails is closed and forgotten; its in-hub
+    peer end sees EOF at its next read, and the next send opens a new
+    pair.
 
     Stream framing (independent of the {!Wire} frame inside):
 
@@ -17,7 +31,7 @@
     [Error]) and oversized declared lengths are counted and dropped
     without raising — the wire is as untrusted as in-sim bytes.
 
-    Sends are {e corked}: each outbound connection owns an {!Outbuf},
+    Sends are {e corked}: each connection end owns an {!Outbuf},
     [send] appends a framed message to it without a syscall, and the
     cork is flushed once per {!poll} / {!drive} step, so an N-message
     burst costs one [write].  Partial writes retain the unwritten suffix
@@ -51,7 +65,9 @@
 type 'm t
 
 (** [create ~sim ~base_port ~encode ~decode ()] — a hub for one process;
-    marks [sim] as turn-driven (see above), so [sim] must be polled.
+    marks [sim] as turn-driven (see above), so [sim] must be polled.  It
+    also ignores [SIGPIPE] in the process, so that a write to a peer that
+    has closed is a counted send failure.
     [decode s ~pos ~len] is applied to every received message body {e in
     place} in the reassembly buffer (decoders must not retain [s]);
     [Error] counts as a decode failure and the frame is dropped. *)
@@ -90,3 +106,7 @@ val decode_errors : 'm t -> int
 val send_failures : 'm t -> int
 val frames_received : 'm t -> int
 val bytes_sent : 'm t -> int
+
+(** Open connection ends: two per in-hub pair of addresses, one per
+    connection to or from a foreign peer. *)
+val connections : 'm t -> int

@@ -209,6 +209,50 @@ let prop_rng_float_range =
       x >= 0.0 && x < 1.0)
 
 (* ------------------------------------------------------------------ *)
+(* Trace                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A trace line is one line however long it grows: the break hints of a
+   member set print as spaces, never as a newline that leaves the rest of
+   the message on a line without the timestamp prefix. *)
+let test_trace_long_line () =
+  let sim = Sim.create ~seed:1 () in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let report _src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kfprintf
+          (fun ppf ->
+            Format.pp_print_newline ppf ();
+            over ();
+            k ())
+          ppf fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Debug);
+  let members = List.init 40 Fun.id in
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () ->
+      Trace.debugf sim "zab[0] config@7 -> joint({%a}->{%a})"
+        Fmt.(list ~sep:comma int)
+        members
+        Fmt.(list ~sep:comma int)
+        members);
+  let set = String.concat ", " (List.map string_of_int members) in
+  match String.split_on_char '\n' (Buffer.contents buf) with
+  | [ line; "" ] ->
+      let want = Printf.sprintf "] zab[0] config@7 -> joint({%s}->{%s})" set set in
+      if
+        not
+          (String.starts_with ~prefix:"[" line && String.ends_with ~suffix:want line)
+      then Alcotest.failf "trace line %S" line
+  | _ -> Alcotest.failf "one debugf printed %S" (Buffer.contents buf)
+
+(* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -787,6 +831,9 @@ let () =
           Alcotest.test_case "defer on a turn-driven sim waits for end_turn"
             `Quick test_sim_defer_turn_driven;
         ] );
+      ( "trace",
+        [ Alcotest.test_case "a long debugf prints one line" `Quick test_trace_long_line ]
+      );
       ( "proc",
         [
           Alcotest.test_case "async await" `Quick test_proc_async_await;

@@ -1469,17 +1469,18 @@ let test_tcp_pipelined_group_commit () =
     Alcotest.failf "Propose entries per proposal %d/%d, want > 1" !entries
       !proposes
 
+(* A hub whose messages are plain strings. *)
+let string_hub ~seed ~base_port =
+  Tcp_transport.create ~sim:(Sim.create ~seed ()) ~base_port ~encode:Fun.id
+    ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
+    ()
+
 (* A peer that accepts and never reads: the cork grows to the hard limit,
    then the connection is dropped and counted as a send failure, like a
    broken pipe.  Every frame up to the limit is taken first. *)
 let test_tcp_stalled_reader_bounded () =
-  let sim = Sim.create ~seed:34 () in
   let base_port = 21000 + (Unix.getpid () mod 9000) in
-  let hub =
-    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
-      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
-      ()
-  in
+  let hub = string_hub ~seed:34 ~base_port in
   let tr = Tcp_transport.transport hub in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
@@ -1578,16 +1579,12 @@ let test_tcp_zero_cost_same_turn () =
   Alcotest.(check int) "no undecodable frames" 0 (Tcp_transport.decode_errors hub)
 
 (* An idle poll allocates no per-connection lists: the hub keeps its
-   select list and uncorks by iterating its table.  Three addresses, each
-   connected to the other two, then 1000 polls with nothing to do. *)
+   select list and uncorks by walking its array of connection ends.
+   Three addresses, each connected to the other two, then 1000 polls
+   with nothing to do. *)
 let test_tcp_idle_poll_allocates_little () =
-  let sim = Sim.create ~seed:35 () in
   let base_port = 22000 + (Unix.getpid () mod 9000) in
-  let hub =
-    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
-      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
-      ()
-  in
+  let hub = string_hub ~seed:35 ~base_port in
   let tr = Tcp_transport.transport hub in
   let addrs = [ 0; 1; 2 ] in
   List.iter (fun a -> tr.register a (fun ~src:_ ~size:_ _ -> ())) addrs;
@@ -1608,10 +1605,151 @@ let test_tcp_idle_poll_allocates_little () =
   let per_poll = (Gc.minor_words () -. w0) /. float_of_int polls in
   Tcp_transport.shutdown hub;
   Alcotest.(check int) "nothing arrived while idle" 6 (Tcp_transport.frames_received hub);
-  (* about 24 words: select's result triple and two table folds; a poll
-     that rebuilds its descriptor and connection lists allocates ~150 *)
-  if per_poll > 32. then
-    Alcotest.failf "an idle poll allocates %.1f words, want <= 32" per_poll
+  (* 4 words: select's result triple; uncorking by folding a table of
+     connections took 24, rebuilding the descriptor and connection lists
+     ~150 *)
+  if per_poll > 4. then
+    Alcotest.failf "an idle poll allocates %.1f words, want <= 4" per_poll
+
+(* A peer that closes its end: the hub's writes then meet a reset, which
+   counts a send failure; it must not kill the process with SIGPIPE. *)
+let test_tcp_closed_peer_is_a_send_failure () =
+  let base_port = 27000 + (Unix.getpid () mod 9000) in
+  let hub = string_hub ~seed:40 ~base_port in
+  let tr = Tcp_transport.transport hub in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 1));
+  Unix.listen listener 1;
+  tr.send ~src:0 ~dst:1 ~size:0 "a";
+  Tcp_transport.poll hub ~timeout:0.;
+  let peer, _ = Unix.accept listener in
+  (* read the frame first: closing with unread bytes would reset the
+     connection at once, and the reset alone raises no signal *)
+  ignore (Unix.read peer (Bytes.create 64) 0 64 : int);
+  Unix.close peer;
+  (* each send is past the soft limit, so it is written at once, with
+     no poll to read the EOF first *)
+  let big = String.make (300 * 1024) 'x' in
+  let sent = ref 0 in
+  while Tcp_transport.send_failures hub = 0 && !sent < 10 do
+    tr.send ~src:0 ~dst:1 ~size:0 big;
+    incr sent
+  done;
+  Tcp_transport.shutdown hub;
+  Unix.close listener;
+  Alcotest.(check int) "one send failure" 1 (Tcp_transport.send_failures hub)
+
+(* Handlers for addresses 0 and 1 that record each short message they
+   receive as (src, message) and answer a "req" with a "rep" on the same
+   pair; longer messages are dropped unrecorded. *)
+let echo_pair hub =
+  let tr = Tcp_transport.transport hub in
+  let got = Array.make 2 [] in
+  List.iter
+    (fun a ->
+      tr.register a (fun ~src ~size:_ m ->
+          if String.length m < 16 then begin
+            got.(a) <- (src, m) :: got.(a);
+            if String.starts_with ~prefix:"req" m then
+              tr.send ~src:a ~dst:src ~size:0
+                ("rep" ^ String.sub m 3 (String.length m - 3))
+          end))
+    [ 0; 1 ];
+  (tr, got)
+
+let poll_until hub cond =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Tcp_transport.poll hub ~timeout:0.01
+  done;
+  cond ()
+
+(* Replies ride the connection their request came in on: after requests
+   and replies both ways between two local addresses the hub holds one
+   connection, two ends; a socket per direction would be four. *)
+let test_tcp_one_connection_per_pair () =
+  let base_port = 24000 + (Unix.getpid () mod 9000) in
+  let hub = string_hub ~seed:37 ~base_port in
+  let tr, got = echo_pair hub in
+  tr.send ~src:0 ~dst:1 ~size:0 "req-a";
+  tr.send ~src:1 ~dst:0 ~size:0 "req-b";
+  let ok = poll_until hub (fun () -> List.length got.(0) = 2 && List.length got.(1) = 2) in
+  let ends = Tcp_transport.connections hub in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "both requests answered" true ok;
+  Alcotest.(check (list (pair int string)))
+    "address 0 received" [ (1, "rep-a"); (1, "req-b") ]
+    (List.sort compare got.(0));
+  Alcotest.(check (list (pair int string)))
+    "address 1 received" [ (0, "rep-b"); (0, "req-a") ]
+    (List.sort compare got.(1));
+  Alcotest.(check int) "one connection, two ends" 2 ends
+
+(* A foreign peer's connection only delivers to the address it dialled:
+   its frames reach address 0, while a hub send to 0 travels on the
+   hub's own pair, never on the foreign socket. *)
+let test_tcp_foreign_peer_one_sided () =
+  let base_port = 25000 + (Unix.getpid () mod 9000) in
+  let hub = string_hub ~seed:38 ~base_port in
+  let tr, got = echo_pair hub in
+  Tcp_transport.poll hub ~timeout:0.01;
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port));
+  let body = "hello" in
+  let msg = Bytes.create (8 + String.length body) in
+  Bytes.set_int32_be msg 0 (Int32.of_int (4 + String.length body));
+  Bytes.set_int32_be msg 4 7l (* claimed source address *);
+  Bytes.blit_string body 0 msg 8 (String.length body);
+  ignore (Unix.write sock msg 0 (Bytes.length msg) : int);
+  let foreign_arrived = poll_until hub (fun () -> List.mem (7, "hello") got.(0)) in
+  tr.send ~src:1 ~dst:0 ~size:0 "req-c";
+  let pair_works = poll_until hub (fun () -> List.mem (0, "rep-c") got.(1)) in
+  let ends = Tcp_transport.connections hub in
+  let foreign_quiet =
+    match Unix.select [ sock ] [] [] 0.05 with [], _, _ -> true | _ -> false
+  in
+  Unix.close sock;
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "the foreign frame reached address 0" true foreign_arrived;
+  Alcotest.(check bool) "1 -> 0 request answered" true pair_works;
+  Alcotest.(check (list (pair int string)))
+    "address 0 received" [ (1, "req-c"); (7, "hello") ]
+    (List.sort compare got.(0));
+  Alcotest.(check bool) "nothing was sent on the foreign socket" true foreign_quiet;
+  Alcotest.(check int) "the foreign end plus one pair" 3 ends
+
+(* A dropped connection is replaced on the next send.  Address 0 floods
+   1 without polling until its cork overflows and the hub drops the end;
+   1's end then reads EOF, and afterwards requests and replies flow both
+   ways over a new pair. *)
+let test_tcp_reconnect_after_drop () =
+  let base_port = 26000 + (Unix.getpid () mod 9000) in
+  let hub = string_hub ~seed:39 ~base_port in
+  let tr, got = echo_pair hub in
+  tr.send ~src:0 ~dst:1 ~size:0 "req-1";
+  Alcotest.(check bool) "first exchange" true
+    (poll_until hub (fun () -> List.mem (1, "rep-1") got.(0)));
+  let flood = String.make (1 lsl 20) 'x' in
+  let sent = ref 0 in
+  while Tcp_transport.send_failures hub = 0 && !sent < 1_000 do
+    tr.send ~src:0 ~dst:1 ~size:0 flood;
+    incr sent
+  done;
+  Alcotest.(check int) "the flooded end was dropped" 1 (Tcp_transport.send_failures hub);
+  Alcotest.(check bool) "the other end closes at EOF" true
+    (poll_until hub (fun () -> Tcp_transport.connections hub = 0));
+  tr.send ~src:0 ~dst:1 ~size:0 "req-2";
+  tr.send ~src:1 ~dst:0 ~size:0 "req-3";
+  let ok =
+    poll_until hub (fun () ->
+        List.mem (1, "rep-2") got.(0) && List.mem (0, "rep-3") got.(1))
+  in
+  let ends = Tcp_transport.connections hub in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "requests and replies flow both ways again" true ok;
+  Alcotest.(check int) "one new connection, two ends" 2 ends;
+  Alcotest.(check int) "no further failures" 1 (Tcp_transport.send_failures hub)
 
 (* ------------------------------------------------------------------ *)
 (* 2PC frames (§6j)                                                   *)
@@ -1821,6 +1959,14 @@ let () =
             `Quick test_tcp_zero_cost_same_turn;
           Alcotest.test_case "an idle poll allocates no lists" `Quick
             test_tcp_idle_poll_allocates_little;
+          Alcotest.test_case "one two-way connection per address pair" `Quick
+            test_tcp_one_connection_per_pair;
+          Alcotest.test_case "a foreign peer's connection is one-sided" `Quick
+            test_tcp_foreign_peer_one_sided;
+          Alcotest.test_case "a dropped connection reconnects both ways" `Quick
+            test_tcp_reconnect_after_drop;
+          Alcotest.test_case "a closed peer is a send failure, not SIGPIPE"
+            `Quick test_tcp_closed_peer_is_a_send_failure;
         ] );
       ( "2pc",
         [
