@@ -29,8 +29,8 @@ type 'm t = {
   decode : string -> pos:int -> len:int -> ('m, string) result;
   handlers : (int, 'm Net.handler) Hashtbl.t;
   listeners : (int, Unix.file_descr) Hashtbl.t;  (** local addr -> socket *)
-  links : (int * int, conn) Hashtbl.t;
-      (** (owner, peer) -> every live end whose [peer] is known *)
+  links : (int, conn) Hashtbl.t;
+      (** [link_key owner peer] -> every live end whose [peer] is known *)
   mutable conns : conn array;  (** every live end, what {!poll} reads and uncorks *)
   mutable select_fds : Unix.file_descr list;
       (** listeners and [conns], what {!poll} waits on; both are rebuilt
@@ -75,6 +75,11 @@ let connections t = Array.length t.conns
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
+(* One int for an (owner, peer) pair, so a send neither allocates nor
+   hashes a tuple.  Addresses are below 65536: [base_port + addr] is a
+   port. *)
+let link_key owner peer = (owner lsl 16) lor peer
+
 let refresh_select_fds t =
   t.select_fds <-
     Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners
@@ -100,7 +105,7 @@ let close_conn t c =
     c.live <- false;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     Outbuf.clear c.obuf;
-    Option.iter (fun p -> Hashtbl.remove t.links (c.owner, p)) c.peer;
+    Option.iter (fun p -> Hashtbl.remove t.links (link_key c.owner p)) c.peer;
     t.conns <- Array.of_list (List.filter (fun l -> l != c) (Array.to_list t.conns));
     refresh_select_fds t
   end
@@ -125,8 +130,9 @@ let add_conn t ~owner ~peer fd =
   in
   Option.iter
     (fun p ->
-      Option.iter (close_conn t) (Hashtbl.find_opt t.links (owner, p));
-      Hashtbl.replace t.links (owner, p) c)
+      let k = link_key owner p in
+      Option.iter (close_conn t) (Hashtbl.find_opt t.links k);
+      Hashtbl.replace t.links k c)
     peer;
   t.conns <- Array.append t.conns [| c |];
   refresh_select_fds t;
@@ -210,7 +216,7 @@ let rec accept_end t ~dst lfd local =
    travel both ways over one socket.  A [dst] outside the hub gets a
    one-sided end. *)
 let link t ~src ~dst =
-  match Hashtbl.find_opt t.links (src, dst) with
+  match Hashtbl.find_opt t.links (link_key src dst) with
   | Some _ as c -> c
   | None -> (
       match
@@ -353,30 +359,45 @@ let rec accept_foreign t addr lfd =
       accept_foreign t addr lfd
   | exception Unix.Unix_error _ -> ()
 
-let poll t ~timeout =
-  if not t.closed then begin
-    (* end the turn, then uncork, so proposals batched and bytes produced
-       since the last poll hit the wire before we sleep in select *)
-    Sim.end_turn t.sim;
-    flush_all t;
-    (match Unix.select t.select_fds [] [] timeout with
-    | [], _, _ -> ()
-    | readable, _, _ ->
-        (* walk the ends open at the select: one a handler closes is
-           skipped, and one it opens cannot inherit a closed end's
-           readiness through a reused descriptor *)
-        Array.iter
-          (fun c -> if c.live && List.mem c.fd readable then read_conn t c)
-          t.conns;
-        Hashtbl.iter
-          (fun addr lfd -> if List.mem lfd readable then accept_foreign t addr lfd)
-          t.listeners
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* end the turn the handlers we just ran make, and uncork what it
-       produced *)
-    Sim.end_turn t.sim;
-    flush_all t
+(* A poll keeps reading while frames keep arriving, up to this many
+   rounds: a forwarded write's whole Zab round (request, [Forward],
+   [Propose], [Ack], [Commit], reply) takes six, and the cap keeps an
+   exchange that never goes quiet from holding the caller's loop. *)
+let max_rounds = 16
+
+(* Wait up to [timeout] for readable sockets, then read and dispatch
+   every ready end and accept on every ready listener. *)
+let read_ready t timeout =
+  match Unix.select t.select_fds [] [] timeout with
+  | [], _, _ -> ()
+  | readable, _, _ ->
+      (* walk the ends open at the select: one a handler closes is
+         skipped, and one it opens cannot inherit a closed end's
+         readiness through a reused descriptor *)
+      let conns = t.conns in
+      for i = 0 to Array.length conns - 1 do
+        let c = conns.(i) in
+        if c.live && List.mem c.fd readable then read_conn t c
+      done;
+      Hashtbl.iter
+        (fun addr lfd -> if List.mem lfd readable then accept_foreign t addr lfd)
+        t.listeners
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Round [n] of a poll: end the turn and uncork what it produced, then,
+   below the cap, read with [timeout].  A round that received a frame
+   ran handlers, so the next round, which waits for nothing, ends their
+   turn; a round that received none ends the poll. *)
+let rec rounds t timeout n =
+  Sim.end_turn t.sim;
+  flush_all t;
+  if n < max_rounds then begin
+    let frames = t.n_frames_received in
+    read_ready t timeout;
+    if t.n_frames_received > frames then rounds t 0. (n + 1)
   end
+
+let poll t ~timeout = if not t.closed then rounds t timeout 0
 
 let drive t ~wall =
   let t0 = Unix.gettimeofday () in

@@ -3,7 +3,7 @@
     A hub multiplexes any number of local addresses (replicas and clients
     of one process) over loopback TCP: address [a] listens on
     [base_port + a], and {!poll} drains readable sockets and dispatches
-    complete frames to registered handlers.
+    complete frames to registered handlers until the hub is quiet.
 
     Each pair of addresses shares one connection, used in both
     directions, as a ZooKeeper follower uses its one socket to the
@@ -33,8 +33,8 @@
 
     Sends are {e corked}: each connection end owns an {!Outbuf},
     [send] appends a framed message to it without a syscall, and the
-    cork is flushed once per {!poll} / {!drive} step, so an N-message
-    burst costs one [write].  Partial writes retain the unwritten suffix
+    cork is flushed once per turn of a {!poll}, so an N-message burst
+    costs one [write].  Partial writes retain the unwritten suffix
     for the next flush.  [send_many] (via {!transport}) encodes the
     message once and corks the same bytes on every destination —
     encode-once broadcast.  Sockets use [TCP_NODELAY]; corking replaces
@@ -49,13 +49,19 @@
     send failure, so a stalled reader cannot grow memory without bound.
 
     The hub drives the simulator in {e turns}: {!create} marks the sim as
-    turn-driven, and each {!poll} calls {!Edc_simnet.Sim.end_turn} before
-    each of its two uncorks.  Work deferred with
+    turn-driven, and a {!poll} runs turns until the hub is quiet.  Each
+    turn calls {!Edc_simnet.Sim.end_turn}, uncorks, then selects, reads
+    and dispatches.  The first turn's select waits up to the caller's
+    timeout and the rest wait for nothing.  The poll stops when a turn
+    reads no frame, or after 16 reading turns, a fixed cap that keeps an
+    exchange that never goes quiet from holding the caller's loop.  So
+    a forwarded write's whole Zab round (request, [Forward], [Propose],
+    [Ack], [Commit], reply) completes in one poll.  Work deferred with
     {!Edc_simnet.Sim.defer} — zero-cost {!Edc_simnet.Cpu} work such as a
-    leader's pre-processor, then the group-commit batcher's flush — thus
-    runs in the turn that received its input, and its output leaves in
-    the same [write]: a leader proposes all of one poll's requests as
-    one batch, beside the commits the poll produced.
+    leader's pre-processor, then the group-commit batcher's flush — runs
+    in the turn that received its input, and its output leaves in the
+    same [write]: a leader proposes all of one turn's requests as one
+    batch, beside the commits that turn produced.
 
     The event loop bridges wall clock and virtual clock: {!drive} runs the
     simulator's timers against elapsed real time and polls the sockets in
@@ -82,9 +88,12 @@ val create :
 (** The {!Edc_simnet.Transport} view: hand this to servers and clients. *)
 val transport : 'm t -> 'm Edc_simnet.Transport.t
 
-(** [poll t ~timeout] — end the turn and uncork; then accept, read,
-    reassemble, dispatch; then end that turn and uncork again.  Waits at
-    most [timeout] seconds for something readable. *)
+(** [poll t ~timeout] — run turns until a turn reads no frame, or until
+    the cap of 16 reading turns: each ends the sim's turn and uncorks,
+    then accepts, reads, reassembles and dispatches.  The first turn
+    waits at most [timeout] seconds for something readable, the rest
+    not at all; the last dispatch's turn is ended and uncorked before
+    [poll] returns. *)
 val poll : 'm t -> timeout:float -> unit
 
 (** [drive t ~wall] — pump loop: advance the simulator's virtual clock in

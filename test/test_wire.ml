@@ -1506,13 +1506,11 @@ let test_tcp_stalled_reader_bounded () =
   if !sent > 2 * fit then
     Alcotest.failf "cork unbounded: %d frames sent to a stalled reader" !sent
 
-(* Zero-cost server work is the turn's deferred work: with the modelled
-   CPU costs at zero, the leader's pre-processor runs in the poll that
-   delivers the forwarded write, and a follower's local read replies in
-   the poll that delivers it, with no [Sim.run] in between. *)
-let test_tcp_zero_cost_same_turn () =
-  let sim = Sim.create ~seed:36 () in
-  let base_port = 23000 + (Unix.getpid () mod 9000) in
+(* Three replicas over TCP with the modelled CPU costs at zero, and a
+   client session on follower 1 that has created "/k", set up with
+   [drive]. *)
+let zero_cost_deployment ~seed ~base_port =
+  let sim = Sim.create ~seed () in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
@@ -1533,7 +1531,6 @@ let test_tcp_zero_cost_same_turn () =
       replica_ids
   in
   List.iter Zk.Server.start servers;
-  let leader = List.hd servers in
   let client = Zk.Client.create ~sim ~net:tr ~addr:100 ~replica:1 () in
   let ready =
     Proc.async sim (fun () ->
@@ -1547,6 +1544,17 @@ let test_tcp_zero_cost_same_turn () =
   (match Proc.value_opt ready with
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "session and /k not set up");
+  (sim, hub, servers, client)
+
+(* Zero-cost server work is the turn's deferred work: with the modelled
+   CPU costs at zero, the leader's pre-processor runs in the poll that
+   delivers the forwarded write, and a follower's local read replies in
+   the poll that delivers it, with no [Sim.run] in between. *)
+let test_tcp_zero_cost_same_turn () =
+  let sim, hub, servers, client =
+    zero_cost_deployment ~seed:36 ~base_port:(23000 + (Unix.getpid () mod 9000))
+  in
+  let leader = List.hd servers in
   (* polls only: no simulator event may run from here on *)
   let events = Sim.executed_events sim in
   let polls_until cond =
@@ -1750,6 +1758,96 @@ let test_tcp_reconnect_after_drop () =
   Alcotest.(check bool) "requests and replies flow both ways again" true ok;
   Alcotest.(check int) "one new connection, two ends" 2 ends;
   Alcotest.(check int) "no further failures" 1 (Tcp_transport.send_failures hub)
+
+(* A poll runs turns until the hub is quiet.  With the modelled CPU
+   costs at zero, a client write on a follower needs six deliveries
+   (request, [Forward], [Propose], [Ack], [Commit], reply), and one poll
+   carries all of them, with no simulator event in between.  One more
+   poll is allowed for a delivery the kernel defers; a poll that read
+   once and returned took six. *)
+let test_tcp_forwarded_write_one_poll () =
+  let sim, hub, _, client =
+    zero_cost_deployment ~seed:41 ~base_port:(11000 + (Unix.getpid () mod 9000))
+  in
+  let events = Sim.executed_events sim in
+  let write =
+    Zk.Client.request_async client
+      (P.Set_data { path = "/k"; data = "1"; expected_version = None })
+  in
+  let polls = ref 0 in
+  while (not (Proc.is_fulfilled write)) && !polls < 20 do
+    Tcp_transport.poll hub ~timeout:0.01;
+    incr polls
+  done;
+  Tcp_transport.shutdown hub;
+  (match Proc.value_opt write with
+  | Some (P.Set _) -> ()
+  | _ -> Alcotest.failf "the write was not acknowledged in %d polls" !polls);
+  Alcotest.(check int) "no event ran" events (Sim.executed_events sim);
+  if !polls > 2 then
+    Alcotest.failf "the write took %d polls, want 1 (2 if the kernel defers)" !polls
+
+(* Two addresses that answer every frame never let the hub go quiet; a
+   poll still returns after at most 16 reading turns, its cap, one frame
+   per turn here.  The pair stops after [limit] frames, so a poll without
+   a cap returns too, and fails the bound. *)
+let test_tcp_never_quiet_poll_is_capped () =
+  let sim = Sim.create ~seed:42 () in
+  let base_port = 12000 + (Unix.getpid () mod 9000) in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
+      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
+      ()
+  in
+  let tr = Tcp_transport.transport hub in
+  let limit = 10_000 and received = ref 0 in
+  List.iter
+    (fun a ->
+      tr.register a (fun ~src ~size:_ m ->
+          incr received;
+          if !received < limit then tr.send ~src:a ~dst:src ~size:0 m))
+    [ 0; 1 ];
+  let fired = ref false in
+  Sim.schedule sim ~after:Sim_time.zero (fun () -> fired := true);
+  tr.send ~src:0 ~dst:1 ~size:0 "ball";
+  Tcp_transport.poll hub ~timeout:0.01;
+  let first = !received in
+  let fired_in_poll = !fired in
+  Sim.run sim ~until:(Sim.now sim);
+  let fired_after_run = !fired in
+  let resumed = poll_until hub (fun () -> !received > first) in
+  Tcp_transport.shutdown hub;
+  if first < 1 || first > 16 then
+    Alcotest.failf "one poll dispatched %d frames, want 1..16" first;
+  Alcotest.(check bool) "the scheduled event waits for Sim.run" false fired_in_poll;
+  Alcotest.(check bool) "the next Sim.run runs it" true fired_after_run;
+  Alcotest.(check bool) "the exchange resumes on the next poll" true resumed
+
+(* A send on a linked pair allocates no tuple key: [links] is keyed by
+   one int.  Only [Hashtbl.find_opt]'s option remains. *)
+let test_tcp_send_allocates_little () =
+  let base_port = 13000 + (Unix.getpid () mod 9000) in
+  let hub = string_hub ~seed:43 ~base_port in
+  let tr, got = echo_pair hub in
+  tr.send ~src:0 ~dst:1 ~size:0 "req-a";
+  Alcotest.(check bool) "the pair is linked" true
+    (poll_until hub (fun () -> List.mem (1, "rep-a") got.(0)));
+  let body = String.make 64 'x' and sends = 1000 in
+  (* a first burst grows the cork to its size *)
+  for _ = 1 to sends do
+    tr.send ~src:0 ~dst:1 ~size:0 body
+  done;
+  Tcp_transport.poll hub ~timeout:0.;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to sends do
+    tr.send ~src:0 ~dst:1 ~size:0 body
+  done;
+  let per_send = (Gc.minor_words () -. w0) /. float_of_int sends in
+  Tcp_transport.poll hub ~timeout:0.;
+  Tcp_transport.shutdown hub;
+  Alcotest.(check int) "no send failed" 0 (Tcp_transport.send_failures hub);
+  (* a tuple key took 5 words: the tuple and the option *)
+  if per_send > 2. then Alcotest.failf "a send allocates %.1f words, want <= 2" per_send
 
 (* ------------------------------------------------------------------ *)
 (* 2PC frames (§6j)                                                   *)
@@ -1967,6 +2065,12 @@ let () =
             test_tcp_reconnect_after_drop;
           Alcotest.test_case "a closed peer is a send failure, not SIGPIPE"
             `Quick test_tcp_closed_peer_is_a_send_failure;
+          Alcotest.test_case "a forwarded write is acknowledged in one poll"
+            `Quick test_tcp_forwarded_write_one_poll;
+          Alcotest.test_case "a never-quiet exchange cannot hold a poll" `Quick
+            test_tcp_never_quiet_poll_is_capped;
+          Alcotest.test_case "a send allocates no tuple key" `Quick
+            test_tcp_send_allocates_little;
         ] );
       ( "2pc",
         [
