@@ -381,7 +381,7 @@ let pipelined_workload sim client ~ops ~warmup ~window =
 
 let e2e_tcp ~ops ~warmup ~window =
   let sim = Sim.create ~seed:5 () in
-  let base_port = 22000 + (Unix.getpid () mod 18000) in
+  let base_port = Tcp_transport.local_base_port ~slot:0 in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()

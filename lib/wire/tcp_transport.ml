@@ -20,6 +20,10 @@ type conn = {
   mutable in_start : int;  (** first unconsumed byte *)
   mutable in_len : int;  (** one past the last received byte *)
   mutable live : bool;  (** false once closed *)
+  mutable mate : conn option;
+      (** the other end of the connection when it is in this hub too:
+          bytes written here are read there *)
+  mutable marked : bool;  (** queued in the hub's [marks] *)
 }
 
 type 'm t = {
@@ -35,11 +39,17 @@ type 'm t = {
   mutable select_fds : Unix.file_descr list;
       (** listeners and [conns], what {!poll} waits on; both are rebuilt
           only when a socket opens or closes *)
+  mutable marks : conn array;
+      (** ends that may have bytes to read, in the order they were
+          marked: the first [n_marks] entries (the rest is stale) *)
+  mutable n_marks : int;
+  mutable spare : conn array;  (** the other half of [marks]' double buffer *)
   mutable n_encodes : int;
   mutable n_decode_errors : int;
   mutable n_send_failures : int;
   mutable n_frames_received : int;
   mutable n_bytes_sent : int;
+  mutable n_selects : int;
   mutable closed : bool;
 }
 
@@ -58,11 +68,15 @@ let create ~sim ~base_port ~encode ~decode () =
     links = Hashtbl.create 16;
     conns = [||];
     select_fds = [];
+    marks = [||];
+    n_marks = 0;
+    spare = [||];
     n_encodes = 0;
     n_decode_errors = 0;
     n_send_failures = 0;
     n_frames_received = 0;
     n_bytes_sent = 0;
+    n_selects = 0;
     closed = false;
   }
 
@@ -71,9 +85,17 @@ let decode_errors t = t.n_decode_errors
 let send_failures t = t.n_send_failures
 let frames_received t = t.n_frames_received
 let bytes_sent t = t.n_bytes_sent
+let selects t = t.n_selects
 let connections t = Array.length t.conns
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+(* 177 blocks of 128 ports between 10000 and 32767; each process takes
+   24 consecutive blocks (mod 177), starting where its pid says. *)
+let local_base_port ~slot =
+  if slot < 0 || slot >= 24 then invalid_arg "Tcp_transport.local_base_port";
+  let blocks = (32_768 - 10_000) / 128 in
+  10_000 + (128 * (((Unix.getpid () * 24) + slot) mod blocks))
 
 (* One int for an (owner, peer) pair, so a send neither allocates nor
    hashes a tuple.  Addresses are below 65536: [base_port + addr] is a
@@ -126,6 +148,8 @@ let add_conn t ~owner ~peer fd =
       in_start = 0;
       in_len = 0;
       live = true;
+      mate = None;
+      marked = false;
     }
   in
   Option.iter
@@ -153,13 +177,29 @@ let write_some fd b off len =
     ->
       0
 
-(* Flush [c]'s corked bytes.  A partial write retains the unwritten
-   suffix inside the Outbuf; a hard error counts a send failure and
-   closes the end with everything queued on it (fire-and-forget, like
-   simulated link loss). *)
+(* Queue [c] to be read by the poll's next round, once. *)
+let mark t c =
+  if not c.marked then begin
+    c.marked <- true;
+    if t.n_marks = Array.length t.marks then begin
+      let bigger = Array.make (Stdlib.max 8 (2 * t.n_marks)) c in
+      Array.blit t.marks 0 bigger 0 t.n_marks;
+      t.marks <- bigger
+    end;
+    t.marks.(t.n_marks) <- c;
+    t.n_marks <- t.n_marks + 1
+  end
+
+(* Flush [c]'s corked bytes, and mark its in-hub mate, which now has
+   them to read.  A partial write retains the unwritten suffix inside
+   the Outbuf; a hard error counts a send failure and closes the end
+   with everything queued on it (fire-and-forget, like simulated link
+   loss). *)
 let flush_conn t c =
   match Outbuf.flush c.obuf ~write:(write_some c.fd) with
-  | n -> t.n_bytes_sent <- t.n_bytes_sent + n
+  | n -> (
+      t.n_bytes_sent <- t.n_bytes_sent + n;
+      match c.mate with Some m when n > 0 -> mark t m | _ -> ())
   | exception Unix.Unix_error _ ->
       t.n_send_failures <- t.n_send_failures + 1;
       close_conn t c
@@ -230,7 +270,9 @@ let link t ~src ~dst =
                 (* a self-send's two ends share one key: only its
                    connecting end is linked *)
                 let back = if src = dst then None else Some src in
-                ignore (add_conn t ~owner:dst ~peer:back afd : conn);
+                let d = add_conn t ~owner:dst ~peer:back afd in
+                c.mate <- Some d;
+                d.mate <- Some c;
                 Some c
             | None | (exception Unix.Unix_error _) ->
                 close_conn t c;
@@ -330,6 +372,8 @@ let dispatch t c =
     end
   end
 
+(* Read one chunk from [c] and dispatch what it completes.  A read that
+   fills the chunk re-marks [c]: more bytes may be waiting. *)
 let read_conn t c =
   let chunk = 65536 in
   if Bytes.length c.inbuf - c.in_len < chunk then begin
@@ -343,6 +387,7 @@ let read_conn t c =
   | 0 -> close_conn t c
   | n ->
       c.in_len <- c.in_len + n;
+      if n = chunk then mark t c;
       dispatch t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -365,9 +410,18 @@ let rec accept_foreign t addr lfd =
    exchange that never goes quiet from holding the caller's loop. *)
 let max_rounds = 16
 
+let clear_marks t =
+  for i = 0 to t.n_marks - 1 do
+    t.marks.(i).marked <- false
+  done;
+  t.n_marks <- 0
+
 (* Wait up to [timeout] for readable sockets, then read and dispatch
-   every ready end and accept on every ready listener. *)
+   every ready end and accept on every ready listener.  The select sees
+   every end, so the marks made so far are dropped first. *)
 let read_ready t timeout =
+  clear_marks t;
+  t.n_selects <- t.n_selects + 1;
   match Unix.select t.select_fds [] [] timeout with
   | [], _, _ -> ()
   | readable, _, _ ->
@@ -384,17 +438,32 @@ let read_ready t timeout =
         t.listeners
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
+(* Read and dispatch the marked ends, in mark order, without a select.
+   Ends marked meanwhile, by a handler's inline flush or a full chunk,
+   are left for the next round. *)
+let read_marked t =
+  let marks = t.marks and n = t.n_marks in
+  t.marks <- t.spare;
+  t.n_marks <- 0;
+  t.spare <- marks;
+  for i = 0 to n - 1 do
+    let c = marks.(i) in
+    c.marked <- false;
+    if c.live then read_conn t c
+  done
+
 (* Round [n] of a poll: end the turn and uncork what it produced, then,
-   below the cap, read with [timeout].  A round that received a frame
-   ran handlers, so the next round, which waits for nothing, ends their
-   turn; a round that received none ends the poll. *)
+   below the cap, read: round 0 selects with [timeout], and every later
+   round reads only the ends marked since.  A round that received a
+   frame ran handlers, so the next round ends their turn; a round that
+   received none and left no mark ends the poll. *)
 let rec rounds t timeout n =
   Sim.end_turn t.sim;
   flush_all t;
   if n < max_rounds then begin
     let frames = t.n_frames_received in
-    read_ready t timeout;
-    if t.n_frames_received > frames then rounds t 0. (n + 1)
+    if n = 0 then read_ready t timeout else read_marked t;
+    if t.n_frames_received > frames || t.n_marks > 0 then rounds t timeout (n + 1)
   end
 
 let poll t ~timeout = if not t.closed then rounds t timeout 0

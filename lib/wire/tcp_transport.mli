@@ -50,13 +50,20 @@
 
     The hub drives the simulator in {e turns}: {!create} marks the sim as
     turn-driven, and a {!poll} runs turns until the hub is quiet.  Each
-    turn calls {!Edc_simnet.Sim.end_turn}, uncorks, then selects, reads
-    and dispatches.  The first turn's select waits up to the caller's
-    timeout and the rest wait for nothing.  The poll stops when a turn
-    reads no frame, or after 16 reading turns, a fixed cap that keeps an
+    turn calls {!Edc_simnet.Sim.end_turn}, uncorks, then reads and
+    dispatches.  The first turn selects over every socket, waiting up to
+    the caller's timeout: it sees foreign peers, listeners, EOFs and
+    whatever an earlier poll left unread.  Every later turn makes no
+    [select]: it reads only the ends the hub itself wrote to since the
+    turn before, since a write to an in-hub end is the only way bytes
+    reach it mid-poll (loopback delivers them before [write] returns),
+    and an end whose read filled a whole 64 KiB chunk, which may hold
+    more.  The poll stops when a turn reads no frame and leaves nothing
+    to read, or after 16 reading turns, a fixed cap that keeps an
     exchange that never goes quiet from holding the caller's loop.  So
     a forwarded write's whole Zab round (request, [Forward], [Propose],
-    [Ack], [Commit], reply) completes in one poll.  Work deferred with
+    [Ack], [Commit], reply) completes in one poll, with one [select],
+    and each hop costs one [write] and one [read].  Work deferred with
     {!Edc_simnet.Sim.defer} — zero-cost {!Edc_simnet.Cpu} work such as a
     leader's pre-processor, then the group-commit batcher's flush — runs
     in the turn that received its input, and its output leaves in the
@@ -85,15 +92,27 @@ val create :
   unit ->
   'm t
 
+(** [local_base_port ~slot] — a [base_port] for a hub of this process
+    whose addresses are below 128.  Its listeners bind between 10000 and
+    32767, below the kernel's ephemeral port range (32768–60999 by
+    default on Linux), so a port held by an outbound connection, or left
+    in TIME-WAIT by one, can never make their [bind] fail.  Slots 0..23
+    of one process get disjoint blocks of 128 ports; the process id
+    chooses where the process's blocks start.  Raises [Invalid_argument]
+    for another slot. *)
+val local_base_port : slot:int -> int
+
 (** The {!Edc_simnet.Transport} view: hand this to servers and clients. *)
 val transport : 'm t -> 'm Edc_simnet.Transport.t
 
-(** [poll t ~timeout] — run turns until a turn reads no frame, or until
-    the cap of 16 reading turns: each ends the sim's turn and uncorks,
-    then accepts, reads, reassembles and dispatches.  The first turn
-    waits at most [timeout] seconds for something readable, the rest
-    not at all; the last dispatch's turn is ended and uncorked before
-    [poll] returns. *)
+(** [poll t ~timeout] — run turns until a turn reads no frame and leaves
+    no end to read, or until the cap of 16 reading turns: each ends the
+    sim's turn and uncorks, then reads, reassembles and dispatches.  The
+    first turn selects, waiting at most [timeout] seconds for something
+    readable, and accepts on ready listeners; the rest read only the
+    in-hub ends written to since the turn before (and ends whose last
+    read filled its chunk), with no [select].  The last dispatch's turn
+    is ended and uncorked before [poll] returns. *)
 val poll : 'm t -> timeout:float -> unit
 
 (** [drive t ~wall] — pump loop: advance the simulator's virtual clock in
@@ -115,6 +134,9 @@ val decode_errors : 'm t -> int
 val send_failures : 'm t -> int
 val frames_received : 'm t -> int
 val bytes_sent : 'm t -> int
+
+(** [select] calls made by polls: one per poll. *)
+val selects : 'm t -> int
 
 (** Open connection ends: two per in-hub pair of addresses, one per
     connection to or from a foreign peer. *)

@@ -316,6 +316,9 @@ module Writer = struct
 
   let bool w b = int w (if b then 1 else 0)
 
+  (* A list's header is reserved before its children are written: two
+     bytes, the tag and a one-byte length, which is all a list under 128
+     bytes needs. *)
   let begin_list w =
     if w.sp + 1 >= max_depth then
       invalid_arg "Wire.Writer: tree deeper than max_depth";
@@ -324,32 +327,29 @@ module Writer = struct
       Array.blit w.stack 0 ns 0 w.sp;
       w.stack <- ns
     end;
+    ensure w 2;
     w.stack.(w.sp) <- w.pos;
-    w.sp <- w.sp + 1
+    w.sp <- w.sp + 1;
+    w.pos <- w.pos + 2
 
-  (* Children were written where the list's payload will sit; now that the
-     payload length is known, shift them right by the header size and
-     write [tag_list][varint len] in front.  The shift costs a memmove of
-     [plen] bytes per nesting level — trivial next to the tree allocation
-     the streaming path avoids — and yields bytes identical to [encode]. *)
+  (* Now that the payload length is known, fill in the reserved header.
+     A payload of 128 bytes or more needs a longer length varint, so only
+     such a list shifts its payload right, by the extra header bytes.
+     The bytes are identical to [encode]'s. *)
   let end_list w =
     if w.sp = 0 then invalid_arg "Wire.Writer.end_list: no open list";
     w.sp <- w.sp - 1;
     let start = w.stack.(w.sp) in
-    let plen = w.pos - start in
+    let plen = w.pos - start - 2 in
     if plen < 0x80 then begin
-      (* single-byte length varint: two-byte header, no varint loop *)
-      ensure w 2;
-      Bytes.blit w.buf start w.buf (start + 2) plen;
       Bytes.unsafe_set w.buf start (Char.unsafe_chr tag_list);
-      Bytes.unsafe_set w.buf (start + 1) (Char.unsafe_chr plen);
-      w.pos <- w.pos + 2
+      Bytes.unsafe_set w.buf (start + 1) (Char.unsafe_chr plen)
     end
     else begin
-      let hdr = 1 + varint_size plen in
-      ensure w hdr;
-      Bytes.blit w.buf start w.buf (start + hdr) plen;
-      let fin = w.pos + hdr in
+      let extra = varint_size plen - 1 in
+      ensure w extra;
+      Bytes.blit w.buf (start + 2) w.buf (start + 2 + extra) plen;
+      let fin = w.pos + extra in
       w.pos <- start;
       put_byte w tag_list;
       put_varint w plen;
@@ -479,24 +479,52 @@ module Reader = struct
         (off r) (off r) (pend - r.base);
     unzigzag z
 
-  (* Fast path for [tag_int][0x01][b < 0x80] — the dominant frame in real
-     traffic.  Every acceptance rule collapses: one payload byte without
-     a continuation bit is a minimal varint ending exactly at the
-     declared end, and the depth check only matters at [max_depth]
-     (guarded).  Anything else falls back to the checking path. *)
+  (* Fast path for an int frame in canonical form: a one-byte length
+     [n] of 1..9, then a varint whose first [n - 1] bytes carry the
+     continuation bit and whose last byte does not, and is not zero
+     unless it is the only byte.  That is exactly a minimal varint
+     ending at the declared end, so every acceptance rule holds; the
+     depth check only matters at [max_depth] (guarded).  Anything else
+     falls back to the checking path, which rejects it. *)
   let int r =
     let p = r.pos in
-    if
-      r.sp < max_depth
-      && p + 3 <= limit r
-      && get r p = tag_int
-      && get r (p + 1) = 1
-      && get r (p + 2) < 0x80
-    then begin
-      r.pos <- p + 3;
-      unzigzag (get r (p + 2))
+    let lim = limit r in
+    if r.sp < max_depth && p + 3 <= lim && get r p = tag_int then begin
+      let n = get r (p + 1) in
+      let q = p + 2 in
+      if n >= 1 && n <= 9 && n <= lim - q then begin
+        let last = q + n - 1 in
+        let z = ref 0 and i = ref q and shift = ref 0 in
+        while !i < last && get r !i >= 0x80 do
+          z := !z lor ((get r !i land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          incr i
+        done;
+        let b = get r last in
+        if !i = last && b < 0x80 && (b <> 0 || n = 1) then begin
+          r.pos <- last + 1;
+          unzigzag (!z lor (b lsl !shift))
+        end
+        else int_slow r
+      end
+      else int_slow r
     end
     else int_slow r
+
+  (* The length varint at [q] (where [q < lim]) when it is one or two
+     bytes long, minimal, and inside [lim]; -1 otherwise, and the caller
+     falls back to the checks.  A minimal one-byte length is below 0x80
+     and a two-byte one is not, so the header's size follows from the
+     value: see [payload_at]. *)
+  let short_len r q lim =
+    let b1 = get r q in
+    if b1 < 0x80 then b1
+    else if q + 1 < lim then
+      let b2 = get r (q + 1) in
+      if b2 <> 0 && b2 < 0x80 then (b1 land 0x7f) lor (b2 lsl 7) else -1
+    else -1
+
+  let payload_at p len = if len < 0x80 then p + 2 else p + 3
 
   let str_slow r =
     let pend = check_frame r tag_str "str" in
@@ -508,10 +536,11 @@ module Reader = struct
     let p = r.pos in
     let lim = limit r in
     if r.sp < max_depth && p + 2 <= lim && get r p = tag_str then begin
-      let len = get r (p + 1) in
-      if len < 0x80 && len <= lim - (p + 2) then begin
-        let v = String.sub r.s (p + 2) len in
-        r.pos <- p + 2 + len;
+      let len = short_len r (p + 1) lim in
+      let q = payload_at p len in
+      if len >= 0 && len <= lim - q then begin
+        let v = String.sub r.s q len in
+        r.pos <- q + len;
         v
       end
       else str_slow r
@@ -543,11 +572,12 @@ module Reader = struct
       && p + 2 <= lim
       && get r p = tag_list
     then begin
-      let len = get r (p + 1) in
-      if len < 0x80 && len <= lim - (p + 2) then begin
-        r.limits.(r.sp) <- p + 2 + len;
+      let len = short_len r (p + 1) lim in
+      let q = payload_at p len in
+      if len >= 0 && len <= lim - q then begin
+        r.limits.(r.sp) <- q + len;
         r.sp <- r.sp + 1;
-        r.pos <- p + 2
+        r.pos <- q
       end
       else begin_list_slow r
     end

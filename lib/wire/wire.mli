@@ -86,8 +86,11 @@ module Writer : sig
   val bool : t -> bool -> unit
 
   (** [begin_list]/[end_list] bracket a [List] frame; children are
-      written in between.  [end_list] back-patches the length header by
-      shifting the payload (cost: one memmove per nesting level).
+      written in between.  [begin_list] reserves a 2-byte header and
+      [end_list] fills it in: a list whose payload is under 128 bytes is
+      never moved, and a longer one shifts its payload right by the 1 or
+      more extra bytes its length varint needs (one memmove per such
+      nesting level).
       [begin_list] raises [Invalid_argument] past {!max_depth}, exactly
       where [encode] does. *)
   val begin_list : t -> unit

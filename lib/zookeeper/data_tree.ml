@@ -77,7 +77,7 @@ let exists t path = Option.map Znode.stat (find_opt t path)
 let get_children t path =
   match find_opt t path with
   | None -> Error Zerror.No_node
-  | Some n -> Ok (String_set.elements n.Znode.children)
+  | Some n -> Ok (Znode.Children.elements n.Znode.children)
 
 (** Children with data and stat, sorted by name: the expensive multi-RPC
     [subObjects] pattern collapsed to one server-side scan (extensions use
@@ -87,7 +87,7 @@ let children_with_data t path =
   | None -> Error Zerror.No_node
   | Some n ->
       Ok
-        (String_set.elements n.Znode.children
+        (Znode.Children.elements n.Znode.children
         |> List.filter_map (fun name ->
                let child = Zpath.child path name in
                match find_opt t child with
@@ -161,7 +161,7 @@ let apply_create t ~path ~data ~ephemeral_owner =
             Hashtbl.replace t.nodes path n;
             touch t parent_path parent;
             parent.Znode.children <-
-              String_set.add (Zpath.basename path) parent.Znode.children;
+              Znode.Children.add (Zpath.basename path) parent.Znode.children;
             parent.Znode.cversion <- parent.Znode.cversion + 1;
             (match ephemeral_owner with
             | Some session -> register_ephemeral t session path
@@ -171,7 +171,7 @@ let apply_delete t ~path =
   match find_opt t path with
   | None -> anomaly t (Printf.sprintf "delete of missing %s" path)
   | Some n ->
-      if not (String_set.is_empty n.Znode.children) then
+      if not (Znode.Children.is_empty n.Znode.children) then
         anomaly t (Printf.sprintf "delete of non-empty %s" path)
       else begin
         touch t path n;
@@ -187,7 +187,8 @@ let apply_delete t ~path =
             | Some parent ->
                 touch t parent_path parent;
                 parent.Znode.children <-
-                  String_set.remove (Zpath.basename path) parent.Znode.children;
+                  Znode.Children.remove (Zpath.basename path)
+                    parent.Znode.children;
                 parent.Znode.cversion <- parent.Znode.cversion + 1)
       end
 

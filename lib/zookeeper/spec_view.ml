@@ -14,13 +14,13 @@
     replicated.  Extension reads also come through here, which is what
     gives extensions read-your-writes atomicity inside one invocation. *)
 
-module String_set = Znode.String_set
+module Children = Znode.Children
 
 type entry = {
   e_exists : bool;
   e_data : string;
   e_version : int;
-  e_children : String_set.t;
+  e_children : Children.t;
   e_cversion : int;
   e_ephemeral : int option;
   e_czxid : int;
@@ -81,7 +81,7 @@ let absent =
     e_exists = false;
     e_data = "";
     e_version = 0;
-    e_children = String_set.empty;
+    e_children = Children.empty;
     e_cversion = 0;
     e_ephemeral = None;
     e_czxid = 0;
@@ -111,7 +111,7 @@ let stat_of_entry e =
     Znode.version = e.e_version;
     czxid = e.e_czxid;
     ephemeral_owner = e.e_ephemeral;
-    num_children = String_set.cardinal e.e_children;
+    num_children = Children.cardinal e.e_children;
     data_length = String.length e.e_data;
   }
 
@@ -129,7 +129,7 @@ let exists t path =
 
 let children t path =
   let e = lookup t path in
-  if e.e_exists then Ok (String_set.elements e.e_children)
+  if e.e_exists then Ok (Children.elements e.e_children)
   else Error Zerror.No_node
 
 let children_with_data t path =
@@ -137,7 +137,7 @@ let children_with_data t path =
   if not e.e_exists then Error Zerror.No_node
   else
     Ok
-      (String_set.elements e.e_children
+      (Children.elements e.e_children
       |> List.filter_map (fun name ->
              let child_path = Zpath.child path name in
              let ce = lookup t child_path in
@@ -173,8 +173,8 @@ let update_parent_for_child t parent_path ~add name =
   record_undo t parent_path;
   let pe = lookup t parent_path in
   let children =
-    if add then String_set.add name pe.e_children
-    else String_set.remove name pe.e_children
+    if add then Children.add name pe.e_children
+    else Children.remove name pe.e_children
   in
   Hashtbl.replace t.pending parent_path
     { pe with e_children = children; e_cversion = pe.e_cversion + 1 }
@@ -210,7 +210,7 @@ let create_node t ~path ~data ~ephemeral_owner ~sequential =
                 e_exists = true;
                 e_data = data;
                 e_version = 0;
-                e_children = String_set.empty;
+                e_children = Children.empty;
                 e_cversion = 0;
                 e_ephemeral = ephemeral_owner;
                 e_czxid = czxid;
@@ -224,7 +224,7 @@ let create_node t ~path ~data ~ephemeral_owner ~sequential =
 let delete_node t ~path ~version =
   let e = lookup t path in
   if not e.e_exists then Error Zerror.No_node
-  else if not (String_set.is_empty e.e_children) then Error Zerror.Not_empty
+  else if not (Children.is_empty e.e_children) then Error Zerror.Not_empty
   else
     match version with
     | Some v when v <> e.e_version -> Error Zerror.Bad_version

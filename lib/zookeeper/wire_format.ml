@@ -112,7 +112,7 @@ let write_znode w (n : Znode.t) =
   W.str w n.data;
   W.int w n.version;
   W.begin_list w;
-  Znode.String_set.iter (fun c -> W.str w c) n.children;
+  Znode.Children.iter (fun c -> W.str w c) n.children;
   W.end_list w;
   W.int w n.cversion;
   W.int w n.czxid;
@@ -137,7 +137,7 @@ let read_znode r =
   R.end_list r;
   let n = Znode.create ~data ~czxid ~ephemeral_owner in
   n.version <- version;
-  n.children <- Znode.String_set.of_list children;
+  n.children <- Znode.Children.of_ascending children;
   n.cversion <- cversion;
   n
 

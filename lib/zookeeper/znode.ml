@@ -2,6 +2,27 @@
 
 module String_set = Set.Make (String)
 
+module Children = struct
+  (* [Sorted] holds strictly ascending names: a decoded image's, which
+     arrive in order, stay the list they came in as until the first add
+     or remove builds the set, so decoding a node costs no sort. *)
+  type t = Sorted of string list | Set of String_set.t
+
+  let empty = Sorted []
+  let of_ascending = function [] -> empty | l -> Sorted l
+  let set = function Sorted l -> String_set.of_list l | Set s -> s
+  let add name c = Set (String_set.add name (set c))
+  let remove name c = Set (String_set.remove name (set c))
+  let is_empty = function Sorted l -> l = [] | Set s -> String_set.is_empty s
+
+  let cardinal = function
+    | Sorted l -> List.length l
+    | Set s -> String_set.cardinal s
+
+  let elements = function Sorted l -> l | Set s -> String_set.elements s
+  let iter f = function Sorted l -> List.iter f l | Set s -> String_set.iter f s
+end
+
 (** Node metadata returned to clients (a subset of ZooKeeper's Stat). *)
 type stat = {
   version : int;  (** data version, bumped by each set *)
@@ -14,7 +35,7 @@ type stat = {
 type t = {
   mutable data : string;
   mutable version : int;
-  mutable children : String_set.t;
+  mutable children : Children.t;
   mutable cversion : int;
       (** child version: bumped by every child create/delete; doubles as the
           sequential-name counter (as in ZooKeeper), so it survives leader
@@ -35,7 +56,7 @@ let create ~data ~czxid ~ephemeral_owner =
   {
     data;
     version = 0;
-    children = String_set.empty;
+    children = Children.empty;
     cversion = 0;
     czxid;
     ephemeral_owner;
@@ -51,7 +72,7 @@ let stat n =
     version = n.version;
     czxid = n.czxid;
     ephemeral_owner = n.ephemeral_owner;
-    num_children = String_set.cardinal n.children;
+    num_children = Children.cardinal n.children;
     data_length = String.length n.data;
   }
 

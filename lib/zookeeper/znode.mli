@@ -2,6 +2,28 @@
 
 module String_set : Set.S with type elt = string
 
+(** A node's child names, as a set of strings.  Names decoded from an
+    image, which arrive in ascending order, are kept as they came until
+    the first {!add} or {!remove}, so a decoded node is not re-sorted. *)
+module Children : sig
+  type t
+
+  val empty : t
+
+  (** [of_ascending names] — [names] must be strictly ascending. *)
+  val of_ascending : string list -> t
+
+  val add : string -> t -> t
+  val remove : string -> t -> t
+  val is_empty : t -> bool
+  val cardinal : t -> int
+
+  (** In ascending order, like {!iter}. *)
+  val elements : t -> string list
+
+  val iter : (string -> unit) -> t -> unit
+end
+
 (** Node metadata returned to clients (a subset of ZooKeeper's Stat). *)
 type stat = {
   version : int;  (** data version, bumped by each set *)
@@ -14,7 +36,7 @@ type stat = {
 type t = {
   mutable data : string;
   mutable version : int;
-  mutable children : String_set.t;
+  mutable children : Children.t;
   mutable cversion : int;
       (** child version, bumped by child creates/deletes; doubles as the
           sequential-name counter, so it survives leader changes *)

@@ -26,18 +26,25 @@ let qc = QCheck_alcotest.to_alcotest
 (* Frame codec: fuzz corpus                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Trees over every frame form the readers' fast paths take: ints of
+   every varint length (1 to 9 bytes), strings and lists whose length
+   header is 2 bytes (payload 128..16383) and, rarely, a list whose
+   header is 3 bytes (a payload of 16 KiB or more). *)
 let wire_arb =
   let open QCheck.Gen in
-  let any_string =
-    string_size ~gen:(char_range '\000' '\255') (int_range 0 16)
-  in
+  let any_string len = string_size ~gen:(char_range '\000' '\255') len in
+  (* a random word shifted down to a random width, sign kept: every
+     varint length is about as likely *)
+  let any_width_int = map2 (fun bits x -> x asr (62 - bits)) (int_range 0 62) int in
   let leaf =
-    oneof
+    frequency
       [
-        map (fun i -> Wire.Int i) int;
+        (1, map (fun i -> Wire.Int i) int);
         (* small ints exercise the 1-byte varint paths *)
-        map (fun i -> Wire.Int i) (int_range (-300) 300);
-        map (fun s -> Wire.Str s) any_string;
+        (1, map (fun i -> Wire.Int i) (int_range (-300) 300));
+        (1, map (fun i -> Wire.Int i) any_width_int);
+        (2, map (fun s -> Wire.Str s) (any_string (int_range 0 16)));
+        (1, map (fun s -> Wire.Str s) (any_string (int_range 100 300)));
       ]
   in
   let rec gen depth =
@@ -45,11 +52,18 @@ let wire_arb =
     else
       frequency
         [
-          (3, leaf);
-          (1, map (fun l -> Wire.List l) (list_size (int_range 0 5) (gen (depth - 1))));
+          (6, leaf);
+          (2, map (fun l -> Wire.List l) (list_size (int_range 0 5) (gen (depth - 1))));
+          (* 2-byte header, from a few children up *)
+          (1, map (fun l -> Wire.List l) (list_size (int_range 6 24) leaf));
         ]
   in
-  QCheck.make (gen 4)
+  let wide_list =
+    map
+      (fun l -> Wire.List l)
+      (list_size (int_range 56 64) (map (fun s -> Wire.Str s) (any_string (int_range 290 300))))
+  in
+  QCheck.make (frequency [ (40, gen 4); (1, wide_list) ])
 
 let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire encode/decode roundtrip" ~count:500 wire_arb
@@ -478,7 +492,7 @@ let portable_sample : Zk.Data_tree.portable =
   let node ?(children = []) ?owner ~czxid data =
     let n = Zk.Znode.create ~data ~czxid ~ephemeral_owner:owner in
     n.version <- 1;
-    n.children <- Zk.Znode.String_set.of_list children;
+    n.children <- Zk.Znode.Children.of_ascending children;
     n.cversion <- List.length children;
     n
   in
@@ -940,6 +954,48 @@ let test_reader_errors_carry_offsets () =
   check "non-minimal varint" ("\x02\x81\x00" ^ "a");
   check "trailing bytes" (Wire.encode (Wire.Int 1) ^ "x")
 
+(* Non-canonical headers at the widths the readers decode inline: a
+   2-byte length whose last group is zero, and a 9-byte int varint whose
+   last group is zero.  The tree decoder, the tree reader and the typed
+   reader for the frame's own shape each reject every one. *)
+let test_readers_reject_noncanonical_fast_widths () =
+  let int9 = "\x01\x09" ^ String.make 8 '\x80' ^ "\x00" in
+  let cases =
+    [
+      ("2-byte zero str length", "\x02\x80\x00", fun r -> ignore (R.str r : string));
+      (* read with a 1-byte header, this would be the valid Str "\x00" *)
+      ( "2-byte non-minimal str length",
+        "\x02\x81\x00",
+        fun r -> ignore (R.str r : string) );
+      ("2-byte zero list length", "\x03\x80\x00", fun r -> ignore (R.list r R.int : int list));
+      ( "2-byte non-minimal list length",
+        "\x03\x83\x00" ^ Wire.encode (Wire.Int 1),
+        fun r -> ignore (R.list r R.int : int list) );
+      ("9-byte int, last group zero", int9, fun r -> ignore (R.int r : int));
+      ( "2-byte int, last group zero",
+        "\x01\x02\x85\x00",
+        fun r -> ignore (R.int r : int) );
+    ]
+  in
+  List.iter
+    (fun (name, s, read) ->
+      check_rejected name s;
+      (match tree_of_stream s with
+      | Ok _ -> Alcotest.failf "%s: Reader.tree accepted it" name
+      | Error _ -> ());
+      match R.run s read with
+      | Ok () -> Alcotest.failf "%s: the typed reader accepted it" name
+      | Error _ -> ())
+    cases;
+  (* and their minimal spellings pass every fast path *)
+  let str200 = String.make 200 'a' and big = (1 lsl 62) - 1 in
+  Alcotest.(check (result string string)) "2-byte str length" (Ok str200)
+    (R.run (Wire.encode (Wire.Str str200)) R.str);
+  Alcotest.(check (result int string)) "9-byte int" (Ok big)
+    (R.run (Wire.encode (Wire.Int big)) R.int);
+  Alcotest.(check (result int string)) "9-byte int, negative" (Ok min_int)
+    (R.run (Wire.encode (Wire.Int min_int)) R.int)
+
 (* the streaming writer enforces the same depth cap as the tree encoder *)
 let test_writer_rejects_overdeep () =
   let rec nest d v = if d = 0 then v else nest (d - 1) (Wire.List [ v ]) in
@@ -1273,8 +1329,7 @@ let test_follower_rerequests_on_reject () =
 
 let test_tcp_counter_workload () =
   let sim = Sim.create ~seed:31 () in
-  (* pid-derived port block so parallel test runners don't collide *)
-  let base_port = 20000 + (Unix.getpid () mod 20000) in
+  let base_port = Tcp_transport.local_base_port ~slot:0 in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
@@ -1332,7 +1387,7 @@ let test_tcp_counter_workload () =
    dropped, the process does not die *)
 let test_tcp_garbage_is_dropped () =
   let sim = Sim.create ~seed:32 () in
-  let base_port = 40000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:1 in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
@@ -1372,7 +1427,7 @@ let test_tcp_garbage_is_dropped () =
    key's last acknowledged value. *)
 let test_tcp_pipelined_group_commit () =
   let sim = Sim.create ~seed:33 () in
-  let base_port = 30000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:2 in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
@@ -1479,7 +1534,7 @@ let string_hub ~seed ~base_port =
    then the connection is dropped and counted as a send failure, like a
    broken pipe.  Every frame up to the limit is taken first. *)
 let test_tcp_stalled_reader_bounded () =
-  let base_port = 21000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:3 in
   let hub = string_hub ~seed:34 ~base_port in
   let tr = Tcp_transport.transport hub in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1552,7 +1607,7 @@ let zero_cost_deployment ~seed ~base_port =
    the poll that delivers it, with no [Sim.run] in between. *)
 let test_tcp_zero_cost_same_turn () =
   let sim, hub, servers, client =
-    zero_cost_deployment ~seed:36 ~base_port:(23000 + (Unix.getpid () mod 9000))
+    zero_cost_deployment ~seed:36 ~base_port:(Tcp_transport.local_base_port ~slot:4)
   in
   let leader = List.hd servers in
   (* polls only: no simulator event may run from here on *)
@@ -1591,7 +1646,7 @@ let test_tcp_zero_cost_same_turn () =
    Three addresses, each connected to the other two, then 1000 polls
    with nothing to do. *)
 let test_tcp_idle_poll_allocates_little () =
-  let base_port = 22000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:5 in
   let hub = string_hub ~seed:35 ~base_port in
   let tr = Tcp_transport.transport hub in
   let addrs = [ 0; 1; 2 ] in
@@ -1622,7 +1677,7 @@ let test_tcp_idle_poll_allocates_little () =
 (* A peer that closes its end: the hub's writes then meet a reset, which
    counts a send failure; it must not kill the process with SIGPIPE. *)
 let test_tcp_closed_peer_is_a_send_failure () =
-  let base_port = 27000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:6 in
   let hub = string_hub ~seed:40 ~base_port in
   let tr = Tcp_transport.transport hub in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1677,7 +1732,7 @@ let poll_until hub cond =
    and replies both ways between two local addresses the hub holds one
    connection, two ends; a socket per direction would be four. *)
 let test_tcp_one_connection_per_pair () =
-  let base_port = 24000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:7 in
   let hub = string_hub ~seed:37 ~base_port in
   let tr, got = echo_pair hub in
   tr.send ~src:0 ~dst:1 ~size:0 "req-a";
@@ -1698,7 +1753,7 @@ let test_tcp_one_connection_per_pair () =
    its frames reach address 0, while a hub send to 0 travels on the
    hub's own pair, never on the foreign socket. *)
 let test_tcp_foreign_peer_one_sided () =
-  let base_port = 25000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:8 in
   let hub = string_hub ~seed:38 ~base_port in
   let tr, got = echo_pair hub in
   Tcp_transport.poll hub ~timeout:0.01;
@@ -1732,7 +1787,7 @@ let test_tcp_foreign_peer_one_sided () =
    1's end then reads EOF, and afterwards requests and replies flow both
    ways over a new pair. *)
 let test_tcp_reconnect_after_drop () =
-  let base_port = 26000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:9 in
   let hub = string_hub ~seed:39 ~base_port in
   let tr, got = echo_pair hub in
   tr.send ~src:0 ~dst:1 ~size:0 "req-1";
@@ -1767,7 +1822,7 @@ let test_tcp_reconnect_after_drop () =
    once and returned took six. *)
 let test_tcp_forwarded_write_one_poll () =
   let sim, hub, _, client =
-    zero_cost_deployment ~seed:41 ~base_port:(11000 + (Unix.getpid () mod 9000))
+    zero_cost_deployment ~seed:41 ~base_port:(Tcp_transport.local_base_port ~slot:10)
   in
   let events = Sim.executed_events sim in
   let write =
@@ -1793,7 +1848,7 @@ let test_tcp_forwarded_write_one_poll () =
    a cap returns too, and fails the bound. *)
 let test_tcp_never_quiet_poll_is_capped () =
   let sim = Sim.create ~seed:42 () in
-  let base_port = 12000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:11 in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Fun.id
       ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len))
@@ -1826,7 +1881,7 @@ let test_tcp_never_quiet_poll_is_capped () =
 (* A send on a linked pair allocates no tuple key: [links] is keyed by
    one int.  Only [Hashtbl.find_opt]'s option remains. *)
 let test_tcp_send_allocates_little () =
-  let base_port = 13000 + (Unix.getpid () mod 9000) in
+  let base_port = Tcp_transport.local_base_port ~slot:12 in
   let hub = string_hub ~seed:43 ~base_port in
   let tr, got = echo_pair hub in
   tr.send ~src:0 ~dst:1 ~size:0 "req-a";
@@ -1848,6 +1903,93 @@ let test_tcp_send_allocates_little () =
   Alcotest.(check int) "no send failed" 0 (Tcp_transport.send_failures hub);
   (* a tuple key took 5 words: the tuple and the option *)
   if per_send > 2. then Alcotest.failf "a send allocates %.1f words, want <= 2" per_send
+
+(* After the first round's select, a poll reads only the in-hub ends it
+   wrote to.  The forwarded write of [test_tcp_forwarded_write_one_poll]
+   takes six deliveries in one poll, and that poll calls [select] once;
+   a poll that selected every round called it seven times. *)
+let test_tcp_forwarded_write_selects_once () =
+  let sim, hub, _, client =
+    zero_cost_deployment ~seed:44 ~base_port:(Tcp_transport.local_base_port ~slot:13)
+  in
+  let events = Sim.executed_events sim in
+  let selects = Tcp_transport.selects hub in
+  let write =
+    Zk.Client.request_async client
+      (P.Set_data { path = "/k"; data = "1"; expected_version = None })
+  in
+  Tcp_transport.poll hub ~timeout:0.01;
+  let acked = Proc.is_fulfilled write in
+  let selected = Tcp_transport.selects hub - selects in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "the write is acknowledged in one poll" true acked;
+  Alcotest.(check int) "no event ran" events (Sim.executed_events sim);
+  Alcotest.(check int) "that poll selected once" 1 selected
+
+(* The first round's select still sees what no hub write marks: a
+   foreign peer's frame, and the EOF of an in-hub end whose mate the hub
+   dropped.  Address 0 floods 1 without polling until its cork
+   overflows and the hub drops 0's end; a foreign peer sends address 0 a
+   frame; polls then deliver the frame and close 1's end at EOF. *)
+let test_tcp_select_sees_foreign_and_eof () =
+  let base_port = Tcp_transport.local_base_port ~slot:14 in
+  let hub = string_hub ~seed:45 ~base_port in
+  let tr, got = echo_pair hub in
+  tr.send ~src:0 ~dst:1 ~size:0 "req-1";
+  Alcotest.(check bool) "first exchange" true
+    (poll_until hub (fun () -> List.mem (1, "rep-1") got.(0)));
+  let flood = String.make (1 lsl 20) 'x' in
+  let sent = ref 0 in
+  while Tcp_transport.send_failures hub = 0 && !sent < 1_000 do
+    tr.send ~src:0 ~dst:1 ~size:0 flood;
+    incr sent
+  done;
+  Alcotest.(check int) "the flooded end was dropped" 1 (Tcp_transport.send_failures hub);
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port));
+  let body = "hello" in
+  let msg = Bytes.create (8 + String.length body) in
+  Bytes.set_int32_be msg 0 (Int32.of_int (4 + String.length body));
+  Bytes.set_int32_be msg 4 7l (* claimed source address *);
+  Bytes.blit_string body 0 msg 8 (String.length body);
+  ignore (Unix.write sock msg 0 (Bytes.length msg) : int);
+  let polls = ref 0 and selects = Tcp_transport.selects hub in
+  let both () =
+    List.mem (7, "hello") got.(0) && Tcp_transport.connections hub = 1
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (both ())) && Unix.gettimeofday () < deadline do
+    Tcp_transport.poll hub ~timeout:0.01;
+    incr polls
+  done;
+  let ok = both () and selected = Tcp_transport.selects hub - selects in
+  Unix.close sock;
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "the foreign frame arrived and 1's end closed at EOF"
+    true ok;
+  Alcotest.(check int) "one select per poll" !polls selected
+
+(* A frame longer than the 64 KiB read chunk between two in-hub
+   addresses: a read that fills the chunk marks its end again, so the
+   next round reads on and one poll completes the frame.  A poll that
+   read one chunk per end and stopped at a round with no frame would
+   leave it unfinished. *)
+let test_tcp_large_frame_one_poll () =
+  let base_port = Tcp_transport.local_base_port ~slot:15 in
+  let hub = string_hub ~seed:46 ~base_port in
+  let tr = Tcp_transport.transport hub in
+  let sizes = ref [] in
+  List.iter
+    (fun a -> tr.register a (fun ~src:_ ~size:_ m -> sizes := String.length m :: !sizes))
+    [ 0; 1 ];
+  tr.send ~src:0 ~dst:1 ~size:0 "hi";
+  Alcotest.(check bool) "the pair is linked" true (poll_until hub (fun () -> !sizes = [ 2 ]));
+  let big = 100 * 1024 in
+  tr.send ~src:0 ~dst:1 ~size:0 (String.make big 'x');
+  Tcp_transport.poll hub ~timeout:0.01;
+  let got = !sizes in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check (list int)) "the large frame arrived in one poll" [ big; 2 ] got
 
 (* ------------------------------------------------------------------ *)
 (* 2PC frames (§6j)                                                   *)
@@ -2025,6 +2167,8 @@ let () =
             test_reader_errors_carry_offsets;
           Alcotest.test_case "writer rejects over-deep trees" `Quick
             test_writer_rejects_overdeep;
+          Alcotest.test_case "readers reject non-canonical fast-path widths"
+            `Quick test_readers_reject_noncanonical_fast_widths;
           Alcotest.test_case "golden bytes pin every message shape" `Quick
             test_golden_bytes;
           Alcotest.test_case "every shape reader accepts only canonical bytes"
@@ -2071,6 +2215,13 @@ let () =
             test_tcp_never_quiet_poll_is_capped;
           Alcotest.test_case "a send allocates no tuple key" `Quick
             test_tcp_send_allocates_little;
+          Alcotest.test_case "a forwarded write selects once" `Quick
+            test_tcp_forwarded_write_selects_once;
+          Alcotest.test_case "a foreign peer and an in-hub EOF are still seen"
+            `Quick test_tcp_select_sees_foreign_and_eof;
+          Alcotest.test_case
+            "a frame over 64 KiB between in-hub peers arrives in one poll"
+            `Quick test_tcp_large_frame_one_poll;
         ] );
       ( "2pc",
         [
