@@ -16,14 +16,17 @@ type conn = {
       (** the address at the other end; [None] for a connection a
           listener accepted from a foreign peer, which carries no sends *)
   obuf : Outbuf.t;
+  write : Bytes.t -> int -> int -> int;  (** {!Outbuf.flush}'s hook for [fd] *)
   mutable inbuf : Bytes.t;
   mutable in_start : int;  (** first unconsumed byte *)
   mutable in_len : int;  (** one past the last received byte *)
+  mutable unread : int;  (** bytes the in-hub mate wrote that are not read yet *)
+  mutable read_in : int;  (** the last poll that read this end *)
   mutable live : bool;  (** false once closed *)
   mutable mate : conn option;
       (** the other end of the connection when it is in this hub too:
           bytes written here are read there *)
-  mutable marked : bool;  (** queued in the hub's [marks] *)
+  mutable queued : bool;  (** on the hub's [corked] stack *)
 }
 
 type 'm t = {
@@ -39,17 +42,19 @@ type 'm t = {
   mutable select_fds : Unix.file_descr list;
       (** listeners and [conns], what {!poll} waits on; both are rebuilt
           only when a socket opens or closes *)
-  mutable marks : conn array;
-      (** ends that may have bytes to read, in the order they were
-          marked: the first [n_marks] entries (the rest is stale) *)
-  mutable n_marks : int;
-  mutable spare : conn array;  (** the other half of [marks]' double buffer *)
+  mutable corked : conn array;
+      (** the ends corked since their last flush, in the order first
+          corked: a stack of [n_corked] entries (the rest is stale) *)
+  mutable n_corked : int;
+  mutable budget : int;  (** reads the current poll may still make *)
+  mutable polls : int;  (** polls begun, which numbers the current one *)
   mutable n_encodes : int;
   mutable n_decode_errors : int;
   mutable n_send_failures : int;
   mutable n_frames_received : int;
   mutable n_bytes_sent : int;
   mutable n_selects : int;
+  mutable n_writes : int;
   mutable closed : bool;
 }
 
@@ -68,15 +73,17 @@ let create ~sim ~base_port ~encode ~decode () =
     links = Hashtbl.create 16;
     conns = [||];
     select_fds = [];
-    marks = [||];
-    n_marks = 0;
-    spare = [||];
+    corked = [||];
+    n_corked = 0;
+    budget = 0;
+    polls = 0;
     n_encodes = 0;
     n_decode_errors = 0;
     n_send_failures = 0;
     n_frames_received = 0;
     n_bytes_sent = 0;
     n_selects = 0;
+    n_writes = 0;
     closed = false;
   }
 
@@ -86,6 +93,7 @@ let send_failures t = t.n_send_failures
 let frames_received t = t.n_frames_received
 let bytes_sent t = t.n_bytes_sent
 let selects t = t.n_selects
+let writes t = t.n_writes
 let connections t = Array.length t.conns
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
@@ -120,17 +128,29 @@ let register t addr handler =
   Hashtbl.replace t.handlers addr handler
 
 (* Close one end and forget it.  An in-hub peer end sees EOF at its next
-   read and closes in turn; the next send between the two opens a new
-   pair. *)
+   read and closes in turn; until then it has no mate, so a poll reads
+   it whenever the select reports it.  The next send between the two
+   opens a new pair. *)
 let close_conn t c =
   if c.live then begin
     c.live <- false;
+    Option.iter (fun m -> m.mate <- None) c.mate;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     Outbuf.clear c.obuf;
     Option.iter (fun p -> Hashtbl.remove t.links (link_key c.owner p)) c.peer;
     t.conns <- Array.of_list (List.filter (fun l -> l != c) (Array.to_list t.conns));
     refresh_select_fds t
   end
+
+(* [write] hook for {!Outbuf.flush}, counted: 0 means "kernel buffer
+   full, retry on a later poll"; hard errors propagate to the caller. *)
+let write_some t fd b off len =
+  t.n_writes <- t.n_writes + 1;
+  match Unix.write fd b off len with
+  | n -> n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      0
 
 (* Register [fd] as an end owned by [owner].  An end already linked to
    the same peer is stale (its other end was closed, the EOF is not read
@@ -144,12 +164,15 @@ let add_conn t ~owner ~peer fd =
       owner;
       peer;
       obuf = Outbuf.create ();
+      write = write_some t fd;
       inbuf = Bytes.create 65536;
       in_start = 0;
       in_len = 0;
+      unread = 0;
+      read_in = 0;
       live = true;
       mate = None;
-      marked = false;
+      queued = false;
     }
   in
   Option.iter
@@ -168,50 +191,43 @@ let get_u32 b off =
   lor (Char.code (Bytes.get b (off + 2)) lsl 8)
   lor Char.code (Bytes.get b (off + 3))
 
-(* [write] hook for {!Outbuf.flush}: 0 means "kernel buffer full, retry
-   on a later poll"; hard errors propagate to the caller. *)
-let write_some fd b off len =
-  match Unix.write fd b off len with
-  | n -> n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-      0
-
-(* Queue [c] to be read by the poll's next round, once. *)
-let mark t c =
-  if not c.marked then begin
-    c.marked <- true;
-    if t.n_marks = Array.length t.marks then begin
-      let bigger = Array.make (Stdlib.max 8 (2 * t.n_marks)) c in
-      Array.blit t.marks 0 bigger 0 t.n_marks;
-      t.marks <- bigger
+(* Push [c] on the [corked] stack, once until it is visited or flushed. *)
+let push_corked t c =
+  if not c.queued then begin
+    c.queued <- true;
+    if t.n_corked = Array.length t.corked then begin
+      let bigger = Array.make (Stdlib.max 8 (2 * t.n_corked)) c in
+      Array.blit t.corked 0 bigger 0 t.n_corked;
+      t.corked <- bigger
     end;
-    t.marks.(t.n_marks) <- c;
-    t.n_marks <- t.n_marks + 1
+    t.corked.(t.n_corked) <- c;
+    t.n_corked <- t.n_corked + 1
   end
 
-(* Flush [c]'s corked bytes, and mark its in-hub mate, which now has
-   them to read.  A partial write retains the unwritten suffix inside
-   the Outbuf; a hard error counts a send failure and closes the end
-   with everything queued on it (fire-and-forget, like simulated link
-   loss). *)
+(* Flush [c]'s corked bytes.  A partial write retains the unwritten
+   suffix; a hard error counts a send failure and closes the end with
+   everything queued on it (fire-and-forget, like simulated link loss). *)
 let flush_conn t c =
-  match Outbuf.flush c.obuf ~write:(write_some c.fd) with
+  match Outbuf.flush c.obuf ~write:c.write with
   | n -> (
       t.n_bytes_sent <- t.n_bytes_sent + n;
-      match c.mate with Some m when n > 0 -> mark t m | _ -> ())
+      match c.mate with Some m -> m.unread <- m.unread + n | None -> ())
   | exception Unix.Unix_error _ ->
       t.n_send_failures <- t.n_send_failures + 1;
       close_conn t c
 
-(* Uncork every end.  One that fails is closed, which replaces
-   [t.conns]; the loop walks the array it started with. *)
+(* Uncork every end and empty [corked].  One that fails is closed, which
+   replaces [t.conns]; the loop walks the array it started with. *)
 let flush_all t =
   let conns = t.conns in
   for i = 0 to Array.length conns - 1 do
     let c = conns.(i) in
     if Outbuf.pending c.obuf > 0 then flush_conn t c
-  done
+  done;
+  for i = 0 to t.n_corked - 1 do
+    t.corked.(i).queued <- false
+  done;
+  t.n_corked <- 0
 
 (* If a connection's cork grows past this without a successful flush, we
    try to drain it inline from the send path so memory stays bounded even
@@ -296,6 +312,7 @@ let enqueue t ~src ~dst body =
           Outbuf.add_u32 c.obuf (4 + len);
           Outbuf.add_u32 c.obuf src;
           Outbuf.add_substring c.obuf body 0 len;
+          push_corked t c;
           if Outbuf.pending c.obuf > cork_soft_limit then flush_conn t c
         end
         else begin
@@ -372,8 +389,8 @@ let dispatch t c =
     end
   end
 
-(* Read one chunk from [c] and dispatch what it completes.  A read that
-   fills the chunk re-marks [c]: more bytes may be waiting. *)
+(* Read one chunk from [c] and dispatch what it completes; true when the
+   read filled the chunk, so more bytes may be waiting. *)
 let read_conn t c =
   let chunk = 65536 in
   if Bytes.length c.inbuf - c.in_len < chunk then begin
@@ -384,15 +401,17 @@ let read_conn t c =
     c.inbuf <- bigger
   end;
   match Unix.read c.fd c.inbuf c.in_len chunk with
-  | 0 -> close_conn t c
-  | n ->
-      c.in_len <- c.in_len + n;
-      if n = chunk then mark t c;
-      dispatch t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
-      ()
-  | exception Unix.Unix_error _ -> close_conn t c
+      false
+  | 0 | (exception Unix.Unix_error _) ->
+      close_conn t c;
+      false
+  | n ->
+      c.in_len <- c.in_len + n;
+      c.unread <- Stdlib.max 0 (c.unread - n);
+      dispatch t c;
+      n = chunk
 
 (* Attach every connection queued on [addr]'s listener to [addr].  An
    in-hub connection is accepted as it connects, so these come from
@@ -404,23 +423,45 @@ let rec accept_foreign t addr lfd =
       accept_foreign t addr lfd
   | exception Unix.Unix_error _ -> ()
 
-(* A poll keeps reading while frames keep arriving, up to this many
-   rounds: a forwarded write's whole Zab round (request, [Forward],
-   [Propose], [Ack], [Commit], reply) takes six, and the cap keeps an
-   exchange that never goes quiet from holding the caller's loop. *)
-let max_rounds = 16
+(* Reads per poll: a forwarded write takes eight, and the cap keeps an
+   exchange that never goes quiet from holding the caller's loop.  An
+   end's first read in a poll is taken even past the cap, so no end
+   waits behind such an exchange. *)
+let max_reads = 16
 
-let clear_marks t =
-  for i = 0 to t.n_marks - 1 do
-    t.marks.(i).marked <- false
+(* One turn, below the cap or on an end this poll has not read: read
+   [c] once and dispatch its frames, then end the turn.  A read that
+   filled the chunk gives [c] another. *)
+let rec turn t c =
+  if c.live && (t.budget > 0 || c.read_in < t.polls) then begin
+    t.budget <- t.budget - 1;
+    c.read_in <- t.polls;
+    let base = t.n_corked in
+    let more = read_conn t c in
+    end_turn t base;
+    if more then turn t c
+  end
+
+(* End the sim's turn, then visit the ends pushed on [corked] since
+   [base], in order, and pop them.  A visit flushes the end and, if its
+   in-hub mate has bytes to read (an inline flush may have sent them),
+   runs the mate's turn at once, before the next end.  An end a deeper
+   turn corks again waits here, and carries that turn's frames too. *)
+and end_turn t base =
+  Sim.end_turn t.sim;
+  for i = base to t.n_corked - 1 do
+    let d = t.corked.(i) in
+    d.queued <- false;
+    flush_conn t d;
+    match d.mate with Some m when m.unread > 0 -> turn t m | _ -> ()
   done;
-  t.n_marks <- 0
+  t.n_corked <- base
 
-(* Wait up to [timeout] for readable sockets, then read and dispatch
-   every ready end and accept on every ready listener.  The select sees
-   every end, so the marks made so far are dropped first. *)
+(* Wait up to [timeout] for readable sockets, then take a turn on every
+   ready end and accept on every ready listener.  An end whose in-hub
+   mate's bytes a turn has already read is skipped, not read for
+   [EAGAIN]. *)
 let read_ready t timeout =
-  clear_marks t;
   t.n_selects <- t.n_selects + 1;
   match Unix.select t.select_fds [] [] timeout with
   | [], _, _ -> ()
@@ -431,42 +472,26 @@ let read_ready t timeout =
       let conns = t.conns in
       for i = 0 to Array.length conns - 1 do
         let c = conns.(i) in
-        if c.live && List.mem c.fd readable then read_conn t c
+        if (Option.is_none c.mate || c.unread > 0) && List.mem c.fd readable then
+          turn t c
       done;
       Hashtbl.iter
         (fun addr lfd -> if List.mem lfd readable then accept_foreign t addr lfd)
         t.listeners
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-(* Read and dispatch the marked ends, in mark order, without a select.
-   Ends marked meanwhile, by a handler's inline flush or a full chunk,
-   are left for the next round. *)
-let read_marked t =
-  let marks = t.marks and n = t.n_marks in
-  t.marks <- t.spare;
-  t.n_marks <- 0;
-  t.spare <- marks;
-  for i = 0 to n - 1 do
-    let c = marks.(i) in
-    c.marked <- false;
-    if c.live then read_conn t c
-  done
-
-(* Round [n] of a poll: end the turn and uncork what it produced, then,
-   below the cap, read: round 0 selects with [timeout], and every later
-   round reads only the ends marked since.  A round that received a
-   frame ran handlers, so the next round ends their turn; a round that
-   received none and left no mark ends the poll. *)
-let rec rounds t timeout n =
-  Sim.end_turn t.sim;
-  flush_all t;
-  if n < max_rounds then begin
-    let frames = t.n_frames_received in
-    if n = 0 then read_ready t timeout else read_marked t;
-    if t.n_frames_received > frames || t.n_marks > 0 then rounds t timeout (n + 1)
+(* End the turn begun outside the poll like any other, select once
+   (without waiting if that turn read anything), take a turn on each
+   ready end, and uncork what the cap left. *)
+let poll t ~timeout =
+  if not t.closed then begin
+    t.polls <- t.polls + 1;
+    t.budget <- max_reads;
+    end_turn t 0;
+    read_ready t (if t.budget < max_reads then 0. else timeout);
+    Sim.end_turn t.sim;
+    flush_all t
   end
-
-let poll t ~timeout = if not t.closed then rounds t timeout 0
 
 let drive t ~wall =
   let t0 = Unix.gettimeofday () in

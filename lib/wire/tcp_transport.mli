@@ -3,7 +3,8 @@
     A hub multiplexes any number of local addresses (replicas and clients
     of one process) over loopback TCP: address [a] listens on
     [base_port + a], and {!poll} drains readable sockets and dispatches
-    complete frames to registered handlers until the hub is quiet.
+    complete frames to registered handlers, taking each frame the hub
+    writes to an in-hub address straight to its reader.
 
     Each pair of addresses shares one connection, used in both
     directions, as a ZooKeeper follower uses its one socket to the
@@ -49,26 +50,40 @@
     send failure, so a stalled reader cannot grow memory without bound.
 
     The hub drives the simulator in {e turns}: {!create} marks the sim as
-    turn-driven, and a {!poll} runs turns until the hub is quiet.  Each
-    turn calls {!Edc_simnet.Sim.end_turn}, uncorks, then reads and
-    dispatches.  The first turn selects over every socket, waiting up to
-    the caller's timeout: it sees foreign peers, listeners, EOFs and
-    whatever an earlier poll left unread.  Every later turn makes no
-    [select]: it reads only the ends the hub itself wrote to since the
-    turn before, since a write to an in-hub end is the only way bytes
-    reach it mid-poll (loopback delivers them before [write] returns),
-    and an end whose read filled a whole 64 KiB chunk, which may hold
-    more.  The poll stops when a turn reads no frame and leaves nothing
-    to read, or after 16 reading turns, a fixed cap that keeps an
-    exchange that never goes quiet from holding the caller's loop.  So
-    a forwarded write's whole Zab round (request, [Forward], [Propose],
-    [Ack], [Commit], reply) completes in one poll, with one [select],
-    and each hop costs one [write] and one [read].  Work deferred with
+    turn-driven, and a turn is one read of one end.  It dispatches the
+    frames the read completes, calls {!Edc_simnet.Sim.end_turn}, then
+    visits each end the turn corked, in the order first corked.
+    Visiting an end flushes it and, when its other end is in the hub,
+    takes the bytes there at once: loopback delivers them before
+    [write] returns, so the mate's turn runs, recursively, before the
+    turn visits its next end.  An end a deeper turn corks again is
+    visited there; one still waiting for its visit here takes the deeper
+    turn's frames in the same [write].  A {!poll} first ends the turn
+    begun outside it like any other, so what was sent between polls
+    travels its whole path at once.  It then makes one [select] over
+    every socket (foreign peers, listeners, EOFs and whatever an earlier
+    poll left unread), waiting up to the caller's timeout only when it
+    has read nothing yet, and takes a turn on every ready end with bytes
+    to read.  An end whose read filled the whole 64 KiB chunk gets
+    another turn.  A visit reads the mate whenever it has bytes not read
+    yet, also when an inline flush past the cork's soft limit wrote them
+    mid-turn and the visit itself writes nothing.  A fixed cap of 16
+    reads per poll keeps an exchange that never goes quiet from holding
+    the caller's loop, but an end's first read in a poll is taken even
+    past the cap, so such an exchange starves no other end: a foreign
+    peer, an EOF or another pair's frames.  What the cap leaves is
+    uncorked before [poll] returns and read at the next poll.  So a
+    forwarded write's quorum path runs back to back: request,
+    [Forward], then [Propose], [Ack] and [Commit] with the first
+    follower, then the reply, six [write]s and [read]s in one poll,
+    ahead of its one [select].  The second follower, which the quorum
+    does not need, then gets its [Propose] and [Commit] in one [write],
+    and its [Ack] comes after the reply.  Work deferred with
     {!Edc_simnet.Sim.defer} — zero-cost {!Edc_simnet.Cpu} work such as a
     leader's pre-processor, then the group-commit batcher's flush — runs
     in the turn that received its input, and its output leaves in the
-    same [write]: a leader proposes all of one turn's requests as one
-    batch, beside the commits that turn produced.
+    same [write]: a leader proposes all of one read's requests as one
+    batch.
 
     The event loop bridges wall clock and virtual clock: {!drive} runs the
     simulator's timers against elapsed real time and polls the sockets in
@@ -105,14 +120,13 @@ val local_base_port : slot:int -> int
 (** The {!Edc_simnet.Transport} view: hand this to servers and clients. *)
 val transport : 'm t -> 'm Edc_simnet.Transport.t
 
-(** [poll t ~timeout] — run turns until a turn reads no frame and leaves
-    no end to read, or until the cap of 16 reading turns: each ends the
-    sim's turn and uncorks, then reads, reassembles and dispatches.  The
-    first turn selects, waiting at most [timeout] seconds for something
-    readable, and accepts on ready listeners; the rest read only the
-    in-hub ends written to since the turn before (and ends whose last
-    read filled its chunk), with no [select].  The last dispatch's turn
-    is ended and uncorked before [poll] returns. *)
+(** [poll t ~timeout] — end the sim's turn as a turn (see above), then
+    [select] once, waiting at most [timeout] seconds for something
+    readable if that turn read nothing, accept on ready listeners and
+    take a turn on every ready end.  Each turn carries what its frames
+    cause through the hub depth-first, up to 16 reads in all, besides the
+    first read of each end past that cap.  The sim's turn is ended and
+    everything uncorked before [poll] returns. *)
 val poll : 'm t -> timeout:float -> unit
 
 (** [drive t ~wall] — pump loop: advance the simulator's virtual clock in
@@ -135,8 +149,13 @@ val send_failures : 'm t -> int
 val frames_received : 'm t -> int
 val bytes_sent : 'm t -> int
 
-(** [select] calls made by polls: one per poll. *)
+(** [select] calls made by polls: one per poll, however many turns it
+    takes. *)
 val selects : 'm t -> int
+
+(** [write] calls made by flushes, including those that found the
+    kernel buffer full. *)
+val writes : 'm t -> int
 
 (** Open connection ends: two per in-hub pair of addresses, one per
     connection to or from a foreign peer. *)

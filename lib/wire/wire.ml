@@ -222,28 +222,30 @@ module Writer = struct
     w.pos <- 0;
     w.sp <- 0
 
-  (* A small free list bounds steady-state allocation: the hot send path
-     allocs a writer per frame, and without pooling every message would
-     re-grow a fresh 4 KiB buffer.  Writers that grew beyond
-     [max_retained] are dropped so one 100 MB snapshot doesn't pin its
-     buffer forever. *)
+  (* A small free stack bounds steady-state allocation: the hot send
+     path allocs a writer per frame, and without pooling every message
+     would re-grow a fresh 4 KiB buffer.  Taking and returning a writer
+     allocates nothing.  Writers that grew beyond [max_retained] are
+     dropped so one 100 MB snapshot doesn't pin its buffer forever. *)
   let max_pooled = 8
   let max_retained = 1 lsl 20
-  let pool : w list ref = ref []
+  let spare = { buf = Bytes.empty; pos = 0; stack = [||]; sp = 0 }
+  let pool = Array.make max_pooled spare (* the first [!pooled] are free *)
   let pooled = ref 0
 
   let alloc () =
-    match !pool with
-    | [] -> create ()
-    | w :: rest ->
-        pool := rest;
-        decr pooled;
-        reset w;
-        w
+    if !pooled = 0 then create ()
+    else begin
+      decr pooled;
+      let w = pool.(!pooled) in
+      pool.(!pooled) <- spare;
+      reset w;
+      w
+    end
 
   let release w =
     if Bytes.length w.buf <= max_retained && !pooled < max_pooled then begin
-      pool := w :: !pool;
+      pool.(!pooled) <- w;
       incr pooled
     end
 
@@ -382,9 +384,9 @@ module Writer = struct
     if w.sp <> 0 then invalid_arg "Wire.Writer.contents: open list";
     Bytes.sub_string w.buf 0 w.pos
 
-  let with_writer f =
+  let encode write x =
     let w = alloc () in
-    match f w with
+    match write w x with
     | () ->
         let s = contents w in
         release w;
@@ -392,6 +394,8 @@ module Writer = struct
     | exception e ->
         release w;
         raise e
+
+  let with_writer f = encode (fun w f -> f w) f
 end
 
 (* ------------------------------------------------------------------ *)
@@ -400,9 +404,9 @@ end
 
 module Reader = struct
   type r = {
-    s : string;
-    base : int; (* frame start in [s]; error offsets are relative to it *)
-    input_end : int;
+    mutable s : string;
+    mutable base : int; (* frame start in [s]; error offsets are relative to it *)
+    mutable input_end : int;
     mutable pos : int;
     mutable limits : int array; (* payload-end offsets of open lists *)
     mutable sp : int;
@@ -638,24 +642,62 @@ module Reader = struct
          0x%02x list)"
         t (off r) tag_int tag_str tag_list
 
+  (* Readers come from a free stack, like writers, so a decode allocates
+     only what it returns.  A nested [run_sub] (a shape reader that
+     decodes an embedded blob) takes a reader of its own. *)
+  let max_pooled = 8
+  let spare = { s = ""; base = 0; input_end = 0; pos = 0; limits = [||]; sp = 0 }
+  let pool = Array.make max_pooled spare (* the first [!pooled] are free *)
+  let pooled = ref 0
+
+  let alloc s pos len =
+    let r =
+      if !pooled = 0 then { spare with limits = Array.make 16 0 }
+      else begin
+        decr pooled;
+        let r = pool.(!pooled) in
+        pool.(!pooled) <- spare;
+        r
+      end
+    in
+    r.s <- s;
+    r.base <- pos;
+    r.input_end <- pos + len;
+    r.pos <- pos;
+    r.sp <- 0;
+    r
+
+  (* Drops [r]'s input, which may be a large buffer, before pooling it. *)
+  let release r =
+    r.s <- "";
+    if !pooled < max_pooled then begin
+      pool.(!pooled) <- r;
+      incr pooled
+    end
+
   let run_sub s ~pos ~len f =
     if pos < 0 || len < 0 || pos + len > String.length s then
       Error
         (Printf.sprintf "Wire.Reader.run_sub: slice [%d,%d) out of bounds" pos
            (pos + len))
     else
-      let r =
-        { s; base = pos; input_end = pos + len; pos; limits = Array.make 16 0; sp = 0 }
+      let r = alloc s pos len in
+      let res =
+        match f r with
+        | v ->
+            if r.sp <> 0 then Error "reader finished with an open list"
+            else if r.pos <> r.input_end then
+              Error
+                (Printf.sprintf "trailing bytes: frame ends at byte %d of %d"
+                   (off r) len)
+            else Ok v
+        | exception Fail msg -> Error msg
+        | exception e ->
+            release r;
+            raise e
       in
-      match f r with
-      | v ->
-          if r.sp <> 0 then Error "reader finished with an open list"
-          else if r.pos <> r.input_end then
-            Error
-              (Printf.sprintf "trailing bytes: frame ends at byte %d of %d"
-                 (off r) len)
-          else Ok v
-      | exception Fail msg -> Error msg
+      release r;
+      res
 
   let run s f = run_sub s ~pos:0 ~len:(String.length s) f
 end

@@ -65,16 +65,22 @@ module Writer : sig
   type t
 
   (** Writers come from a small module-level pool: [alloc] reuses a
-      previous writer's buffer (reset to empty), [release] returns it.
-      Writers whose buffer grew past ~1 MiB are dropped on release so a
-      huge snapshot doesn't pin its buffer.  Never [release] a writer
-      twice, and never use one after releasing it. *)
+      previous writer's buffer (reset to empty), [release] returns it;
+      neither allocates once the pool is warm.  Writers whose buffer
+      grew past ~1 MiB are dropped on release so a huge snapshot doesn't
+      pin its buffer.  Never [release] a writer twice, and never use one
+      after releasing it. *)
   val alloc : unit -> t
 
   val release : t -> unit
 
-  (** [with_writer f] = alloc, run [f], return {!contents}, release
-      (also on exception). *)
+  (** [encode write x] = alloc, run [write w x], return {!contents},
+      release (also on exception).  With a toplevel [write] it allocates
+      only the result string. *)
+  val encode : (t -> 'a -> unit) -> 'a -> string
+
+  (** [with_writer f] = [encode (fun w f -> f w) f]; a closure [f] that
+      captures the value to write costs an allocation per call. *)
   val with_writer : (t -> unit) -> string
 
   (** Append one complete [Int] / [Str] frame. *)
@@ -153,7 +159,10 @@ module Reader : sig
   (** [run s f] parses exactly one frame spanning the whole of [s] with
       [f]; total, like [decode].  [run_sub] parses the slice
       [\[pos, pos+len)] without copying it out first — the TCP transport
-      decodes straight from its reassembly buffer. *)
+      decodes straight from its reassembly buffer.  The cursor comes from
+      a module-level pool, so a warm [run] allocates only what [f]
+      builds and its [Ok]; runs may nest.  [f] must not keep its
+      cursor. *)
   val run : string -> (t -> 'a) -> ('a, string) result
 
   val run_sub :

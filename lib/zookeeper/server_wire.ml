@@ -89,6 +89,6 @@ let read r =
 
 (** String codecs for the TCP transport's [~encode]/[~decode]. *)
 
-let encode m = W.with_writer (fun w -> write w m)
+let encode m = W.encode write m
 let decode s = R.run s read
 let decode_sub s ~pos ~len = R.run_sub s ~pos ~len read

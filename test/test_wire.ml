@@ -1137,6 +1137,44 @@ let test_decode_sub_slice () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "slice with trailing byte decoded"
 
+(* The codec allocates no scratch.  Once the pools are warm, decoding a
+   kv_write reply allocates only the value it returns ([Ok],
+   [Server_msg], [Reply], [Set]: 9 words), and encoding it only its
+   result string.  A fresh reader record and limits array cost 24 words
+   more per decode, a capturing closure and a free-list cell 7 more per
+   encode.  A decode nested inside another takes a reader of its own. *)
+let test_codec_allocates_no_scratch () =
+  let m =
+    Zk.Server.Server_msg (P.Reply { xid = 4_242; result = P.Set { version = 1_234 } })
+  in
+  let s = Zk.Server_wire.encode m in
+  let len = String.length s in
+  let per_call f =
+    let n = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let decode () = Zk.Server_wire.decode_sub s ~pos:0 ~len in
+  Alcotest.(check bool) "the reply roundtrips" true (decode () = Ok m);
+  let decoded = per_call decode in
+  if decoded > 9. then
+    Alcotest.failf "a %d-byte reply decodes in %.1f words, want <= 9" len decoded;
+  let string_words = 1 + ((len + 8) / 8) in
+  let encoded = per_call (fun () -> Zk.Server_wire.encode m) in
+  if encoded > float_of_int string_words then
+    Alcotest.failf "a %d-byte reply encodes in %.1f words, want <= %d" len encoded
+      string_words;
+  let nested =
+    Wire.Reader.run s (fun r ->
+        let inner = decode () in
+        (Zk.Server_wire.read r, inner))
+  in
+  Alcotest.(check bool) "a nested decode keeps both cursors apart" true
+    (nested = Ok (m, Ok m))
+
 (* Outbuf owns the partial-write problem: a kernel that takes a few
    bytes at a time (or none — EAGAIN) must see every byte exactly once,
    in order, with the unwritten suffix retained across flushes *)
@@ -1563,14 +1601,25 @@ let test_tcp_stalled_reader_bounded () =
 
 (* Three replicas over TCP with the modelled CPU costs at zero, and a
    client session on follower 1 that has created "/k", set up with
-   [drive]. *)
-let zero_cost_deployment ~seed ~base_port =
+   [drive].  [log] is called with the address and message of every
+   dispatch. *)
+let logged_deployment ~log ~seed ~base_port =
   let sim = Sim.create ~seed () in
   let hub =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
   in
-  let tr = Tcp_transport.transport hub in
+  let tr =
+    let t = Tcp_transport.transport hub in
+    {
+      t with
+      Transport.register =
+        (fun addr h ->
+          t.register addr (fun ~src ~size m ->
+              log addr m;
+              h ~src ~size m));
+    }
+  in
   let config =
     {
       Zk.Server.default_config with
@@ -1600,6 +1649,8 @@ let zero_cost_deployment ~seed ~base_port =
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "session and /k not set up");
   (sim, hub, servers, client)
+
+let zero_cost_deployment = logged_deployment ~log:(fun _ _ -> ())
 
 (* Zero-cost server work is the turn's deferred work: with the modelled
    CPU costs at zero, the leader's pre-processor runs in the poll that
@@ -1814,12 +1865,12 @@ let test_tcp_reconnect_after_drop () =
   Alcotest.(check int) "one new connection, two ends" 2 ends;
   Alcotest.(check int) "no further failures" 1 (Tcp_transport.send_failures hub)
 
-(* A poll runs turns until the hub is quiet.  With the modelled CPU
-   costs at zero, a client write on a follower needs six deliveries
-   (request, [Forward], [Propose], [Ack], [Commit], reply), and one poll
-   carries all of them, with no simulator event in between.  One more
-   poll is allowed for a delivery the kernel defers; a poll that read
-   once and returned took six. *)
+(* A poll carries a frame's consequences through the hub.  With the
+   modelled CPU costs at zero, a client write on a follower needs six
+   deliveries (request, [Forward], [Propose], [Ack], [Commit], reply),
+   and one poll carries all of them, with no simulator event in between.
+   One more poll is allowed for a delivery the kernel defers; a poll
+   that read once and returned took six. *)
 let test_tcp_forwarded_write_one_poll () =
   let sim, hub, _, client =
     zero_cost_deployment ~seed:41 ~base_port:(Tcp_transport.local_base_port ~slot:10)
@@ -1843,8 +1894,8 @@ let test_tcp_forwarded_write_one_poll () =
     Alcotest.failf "the write took %d polls, want 1 (2 if the kernel defers)" !polls
 
 (* Two addresses that answer every frame never let the hub go quiet; a
-   poll still returns after at most 16 reading turns, its cap, one frame
-   per turn here.  The pair stops after [limit] frames, so a poll without
+   poll still returns after at most 16 reads, its cap, one frame per
+   read here.  The pair stops after [limit] frames, so a poll without
    a cap returns too, and fails the bound. *)
 let test_tcp_never_quiet_poll_is_capped () =
   let sim = Sim.create ~seed:42 () in
@@ -1904,10 +1955,11 @@ let test_tcp_send_allocates_little () =
   (* a tuple key took 5 words: the tuple and the option *)
   if per_send > 2. then Alcotest.failf "a send allocates %.1f words, want <= 2" per_send
 
-(* After the first round's select, a poll reads only the in-hub ends it
-   wrote to.  The forwarded write of [test_tcp_forwarded_write_one_poll]
-   takes six deliveries in one poll, and that poll calls [select] once;
-   a poll that selected every round called it seven times. *)
+(* A poll reads the in-hub ends it writes to without a select, and
+   selects once.  The forwarded write of
+   [test_tcp_forwarded_write_one_poll] takes its deliveries in one poll,
+   and that poll calls [select] once; a poll that selected every round
+   called it seven times. *)
 let test_tcp_forwarded_write_selects_once () =
   let sim, hub, _, client =
     zero_cost_deployment ~seed:44 ~base_port:(Tcp_transport.local_base_port ~slot:13)
@@ -1926,7 +1978,7 @@ let test_tcp_forwarded_write_selects_once () =
   Alcotest.(check int) "no event ran" events (Sim.executed_events sim);
   Alcotest.(check int) "that poll selected once" 1 selected
 
-(* The first round's select still sees what no hub write marks: a
+(* The poll's select still sees what no hub write brings: a
    foreign peer's frame, and the EOF of an in-hub end whose mate the hub
    dropped.  Address 0 floods 1 without polling until its cork
    overflows and the hub drops 0's end; a foreign peer sends address 0 a
@@ -1970,10 +2022,9 @@ let test_tcp_select_sees_foreign_and_eof () =
   Alcotest.(check int) "one select per poll" !polls selected
 
 (* A frame longer than the 64 KiB read chunk between two in-hub
-   addresses: a read that fills the chunk marks its end again, so the
-   next round reads on and one poll completes the frame.  A poll that
-   read one chunk per end and stopped at a round with no frame would
-   leave it unfinished. *)
+   addresses: a read that fills the chunk gives its end another turn,
+   so one poll completes the frame.  A poll that read one chunk per end
+   and stopped at a round with no frame would leave it unfinished. *)
 let test_tcp_large_frame_one_poll () =
   let base_port = Tcp_transport.local_base_port ~slot:15 in
   let hub = string_hub ~seed:46 ~base_port in
@@ -1990,6 +2041,149 @@ let test_tcp_large_frame_one_poll () =
   let got = !sizes in
   Tcp_transport.shutdown hub;
   Alcotest.(check (list int)) "the large frame arrived in one poll" [ big; 2 ] got
+
+(* Depth-first delivery: a poll takes each frame straight to its reader,
+   so a forwarded write's quorum path (request, [Forward], then
+   [Propose], [Ack] and [Commit] with replica 1, then the reply) runs
+   back to back.  Replica 2, which the quorum does not need, gets its
+   [Propose] and [Commit] in one write after the reply, and its [Ack]
+   comes last: 8 writes in the poll that acknowledges the write.  A poll
+   in lockstep rounds wrote to both followers in the same round, made 9
+   writes, and dispatched replica 2's [Propose] before the reply, every
+   time.  A delivery the kernel defers (a read that finds the bytes not
+   there yet) cuts a chain short and lets the rest run in another
+   order, so the write is made up to three times, each left to finish
+   before the next, and one must show this poll. *)
+let test_tcp_forwarded_write_depth_first () =
+  let log = ref [] in
+  let record addr (m : Zk.Server.wire) =
+    let what =
+      match m with
+      | Zk.Server.Client_msg _ -> "request"
+      | Zk.Server.Forward _ -> "forward"
+      | Zk.Server.Zab_msg (Zab.Propose _) -> "propose"
+      | Zk.Server.Zab_msg (Zab.Ack _) -> "ack"
+      | Zk.Server.Zab_msg (Zab.Commit _) -> "commit"
+      | Zk.Server.Server_msg (P.Reply _) -> "reply"
+      | _ -> "other"
+    in
+    log := (addr, what) :: !log
+  in
+  let _, hub, _, client =
+    logged_deployment ~log:record ~seed:47
+      ~base_port:(Tcp_transport.local_base_port ~slot:16)
+  in
+  let expected =
+    [
+      (1, "request");
+      (0, "forward");
+      (1, "propose");
+      (0, "ack");
+      (1, "commit");
+      (100, "reply");
+      (2, "propose");
+      (2, "commit");
+      (0, "ack");
+    ]
+  in
+  let rec attempt n =
+    log := [];
+    let writes = Tcp_transport.writes hub in
+    let write =
+      Zk.Client.request_async client
+        (P.Set_data { path = "/k"; data = string_of_int n; expected_version = None })
+    in
+    Tcp_transport.poll hub ~timeout:0.01;
+    let acked = Proc.is_fulfilled write
+    and seen = List.rev !log
+    and wrote = Tcp_transport.writes hub - writes in
+    let polls = ref 0 in
+    while
+      ((not (Proc.is_fulfilled write)) || List.length !log < List.length expected)
+      && !polls < 10
+    do
+      Tcp_transport.poll hub ~timeout:0.01;
+      incr polls
+    done;
+    if (acked && seen = expected && wrote = 8) || n = 3 then (acked, seen, wrote)
+    else attempt (n + 1)
+  in
+  let acked, seen, wrote = attempt 1 in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "the write is acknowledged in one poll" true acked;
+  Alcotest.(check (list (pair int string)))
+    "dispatches: the quorum path, the reply, then replica 2 from one read"
+    expected seen;
+  Alcotest.(check int) "writes in that poll" 8 wrote
+
+(* Bytes that a handler's oversized cork writes inline, in the middle of
+   its turn, still reach their reader in the same poll.  Address 1
+   answers "go" with three 100 KiB frames: the third takes the cork past
+   its 256 KiB soft limit, which writes all three at once, and leaves
+   nothing for the end of the turn to write. *)
+let test_tcp_inline_flush_read_in_poll () =
+  let base_port = Tcp_transport.local_base_port ~slot:17 in
+  let hub = string_hub ~seed:48 ~base_port in
+  let tr = Tcp_transport.transport hub in
+  let big = 100 * 1024 in
+  let sizes = ref [] in
+  tr.register 0 (fun ~src:_ ~size:_ m -> sizes := String.length m :: !sizes);
+  tr.register 1 (fun ~src ~size:_ m ->
+      if m = "go" then
+        for _ = 1 to 3 do
+          tr.send ~src:1 ~dst:src ~size:0 (String.make big 'x')
+        done);
+  tr.send ~src:1 ~dst:0 ~size:0 "hi";
+  Alcotest.(check bool) "the pair is linked" true (poll_until hub (fun () -> !sizes = [ 2 ]));
+  let sent = Tcp_transport.bytes_sent hub in
+  tr.send ~src:0 ~dst:1 ~size:0 "go";
+  Tcp_transport.poll hub ~timeout:0.01;
+  let got = !sizes and wrote = Tcp_transport.bytes_sent hub - sent in
+  Tcp_transport.shutdown hub;
+  Alcotest.(check int) "every byte was written in the poll" (8 + 2 + (3 * (8 + big))) wrote;
+  Alcotest.(check (list int)) "every frame was dispatched in the same poll"
+    [ big; big; big; 2 ] got
+
+(* An exchange that never goes quiet does not starve the other ends.
+   Its chain stops at the poll's cap of 16 reads, but an end's first
+   read in a poll is taken past the cap.  Addresses 0 and 1 answer
+   every frame; behind their ball, in the same turn, 2 sends 3 a frame,
+   and a foreign peer has sent 2 one.  Both arrive within two polls
+   (three if the kernel defers a delivery).  A poll whose reads all
+   stopped at the cap left both waiting for as long as the ball rolled. *)
+let test_tcp_never_quiet_does_not_starve () =
+  let base_port = Tcp_transport.local_base_port ~slot:18 in
+  let hub = string_hub ~seed:49 ~base_port in
+  let tr = Tcp_transport.transport hub in
+  let got = Array.make 4 [] in
+  List.iter
+    (fun a ->
+      tr.register a (fun ~src ~size:_ m ->
+          got.(a) <- (src, m) :: got.(a);
+          if a < 2 then tr.send ~src:a ~dst:src ~size:0 m))
+    [ 0; 1; 2; 3 ];
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 2));
+  let body = "foreign" in
+  let msg = Bytes.create (8 + String.length body) in
+  Bytes.set_int32_be msg 0 (Int32.of_int (4 + String.length body));
+  Bytes.set_int32_be msg 4 7l (* claimed source address *);
+  Bytes.blit_string body 0 msg 8 (String.length body);
+  ignore (Unix.write sock msg 0 (Bytes.length msg) : int);
+  tr.send ~src:0 ~dst:1 ~size:0 "ball";
+  tr.send ~src:2 ~dst:3 ~size:0 "in-hub";
+  let both () = List.mem (2, "in-hub") got.(3) && List.mem (7, "foreign") got.(2) in
+  let polls = ref 0 in
+  while (not (both ())) && !polls < 3 do
+    Tcp_transport.poll hub ~timeout:0.01;
+    incr polls
+  done;
+  let ok = both () and rolled = List.length got.(0) + List.length got.(1) in
+  Unix.close sock;
+  Tcp_transport.shutdown hub;
+  Alcotest.(check bool) "both frames arrived within three polls" true ok;
+  if rolled < 16 then
+    Alcotest.failf "the ball was dispatched %d times, want >= 16 (the cap reached)" rolled
 
 (* ------------------------------------------------------------------ *)
 (* 2PC frames (§6j)                                                   *)
@@ -2177,6 +2371,8 @@ let () =
             test_canonicality_catches_lax_reader;
           Alcotest.test_case "decode_sub reads frames out of a padded buffer"
             `Quick test_decode_sub_slice;
+          Alcotest.test_case "a reply decodes and encodes with no scratch"
+            `Quick test_codec_allocates_no_scratch;
           Alcotest.test_case "outbuf survives short writes and stalls" `Quick
             test_outbuf_short_writes;
         ] );
@@ -2222,6 +2418,12 @@ let () =
           Alcotest.test_case
             "a frame over 64 KiB between in-hub peers arrives in one poll"
             `Quick test_tcp_large_frame_one_poll;
+          Alcotest.test_case "a forwarded write's quorum path runs first"
+            `Quick test_tcp_forwarded_write_depth_first;
+          Alcotest.test_case "bytes a cork writes inline are read in the poll"
+            `Quick test_tcp_inline_flush_read_in_poll;
+          Alcotest.test_case "a never-quiet exchange starves no other end"
+            `Quick test_tcp_never_quiet_does_not_starve;
         ] );
       ( "2pc",
         [
